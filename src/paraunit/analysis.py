@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotSchurStable, SideMismatch
+from .errors import DimensionMismatch, SideMismatch
 from .forms import (
     COISO,
     ISO,
@@ -30,7 +30,8 @@ from .forms import (
     StateSpaceRealization,
     evaluate,
 )
-from .linalg import hermitian_eig, solve_stein, spectral_radius
+# perfbench/tracing.py shims analysis.spectral_radius, so the name stays importable here
+from .linalg import hermitian_eig, solve_stein, spectral_radius  # noqa: F401
 
 #: Default number of unit-circle sample points.
 CIRCLE_SAMPLES = 64
@@ -123,6 +124,13 @@ def realization_check(ss: StateSpaceRealization, tol: float = REALIZATION_TOL) -
     )
 
 
+def _gramians(ss: StateSpaceRealization):
+    """``(w_cont, w_obs)``; ``solve_stein`` raises ``NotSchurStable`` near the circle."""
+    w_cont = solve_stein(ss.a, ss.b @ ss.b.conj().T, side="cont")
+    w_obs = solve_stein(ss.a, ss.c.conj().T @ ss.c, side="obs")
+    return w_cont, w_obs
+
+
 def gramian_certificate(ss: StateSpaceRealization, tol: float = GRAMIAN_TOL):
     """Gramians of a Schur-stable realization plus the losslessness tests.
 
@@ -134,10 +142,7 @@ def gramian_certificate(ss: StateSpaceRealization, tol: float = GRAMIAN_TOL):
     Returns ``(w_cont, w_obs, certificates)``.
     """
     n, p, m = ss.n, ss.p, ss.m
-    if n > 0 and spectral_radius(ss.a) >= 1.0:
-        raise NotSchurStable("gramians require a Schur-stable state matrix")
-    w_cont = solve_stein(ss.a, ss.b @ ss.b.conj().T, side="cont")
-    w_obs = solve_stein(ss.a, ss.c.conj().T @ ss.c, side="obs")
+    w_cont, w_obs = _gramians(ss)
     eye = np.eye(n)
 
     def identity_cert(name, w):
@@ -248,10 +253,7 @@ def mcmillan_degree(ss: StateSpaceRealization, rank_tol: float = DEGREE_RANK_TOL
     """
     if ss.n == 0:
         return 0
-    if spectral_radius(ss.a) >= 1.0:
-        raise NotSchurStable("degree estimate requires a Schur-stable state matrix")
-    w_cont = solve_stein(ss.a, ss.b @ ss.b.conj().T, side="cont")
-    w_obs = solve_stein(ss.a, ss.c.conj().T @ ss.c, side="obs")
+    w_cont, w_obs = _gramians(ss)
     values, vectors = hermitian_eig(w_cont)
     root = vectors @ np.diag(np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
     product_values, _ = hermitian_eig(root @ w_obs @ root)

@@ -38,7 +38,7 @@ from .forms import (
     StateSpaceRealization,
     evaluate,
 )
-from .linalg import spectral_radius
+from .linalg import SCHUR_MARGIN, spectral_radius
 from .params import build_paraunitary, random_params
 from .transforms import (
     allpass_embed,
@@ -119,25 +119,20 @@ def _cmd_generate(args) -> int:
 
 
 def _collect_check_certificates(obj, samples: int, tol: float | None):
+    kwargs = {"tol": tol} if tol is not None else {}
     if isinstance(obj, BlaschkePotapovForm):
-        kwargs = {"samples": samples}
-        if tol is not None:
-            kwargs["tol"] = tol
-        return [circle_residual(obj, **kwargs)]
+        return [circle_residual(obj, samples=samples, **kwargs)]
     if isinstance(obj, StateSpaceRealization):
-        certs = [realization_check(obj, **({"tol": tol} if tol is not None else {}))]
-        if obj.n == 0 or spectral_radius(obj.a) < 1.0:
-            _, _, gramian_certs = gramian_certificate(
-                obj, **({"tol": tol} if tol is not None else {})
-            )
-            certs.extend(gramian_certs)
+        certs = [realization_check(obj, **kwargs)]
+        if obj.n == 0 or spectral_radius(obj.a) < 1.0 - SCHUR_MARGIN:
+            certs.extend(gramian_certificate(obj, **kwargs)[2])
         else:
             print("note: state matrix is not Schur stable; gramian certificates skipped")
         return certs
     if isinstance(obj, MFDForm):
         return [mfd_check(obj, tol=tol)]
     if isinstance(obj, LaurentPolyForm):
-        return [laurent_check(obj, **({"tol": tol} if tol is not None else {}))]
+        return [laurent_check(obj, **kwargs)]
     raise DocumentError(f"documents of kind {kind_of(obj)!r} have no certificates")
 
 

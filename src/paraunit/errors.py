@@ -14,10 +14,6 @@ class DimensionMismatch(ParaunitError):
     """Operands have incompatible shapes."""
 
 
-class SizeLimitExceeded(ParaunitError):
-    """Problem size is beyond the supported dense-kernel cap."""
-
-
 class NotIsometric(ParaunitError):
     """Matrix columns are not orthonormal within tolerance."""
 
@@ -31,7 +27,7 @@ class NotSchurStable(ParaunitError):
 
 
 class ConvergenceFailure(ParaunitError):
-    """Iterative eigenvalue computation did not converge."""
+    """A LAPACK eigenvalue iteration or triangular solve failed."""
 
 
 class EvalAtPole(ParaunitError):

@@ -1,14 +1,15 @@
 """Dense complex linear-algebra kernels.
 
-Thin, contract-pinning wrappers around LAPACK (via ``numpy.linalg``): exact
-tolerances, symmetrization on return, stability margins and size caps are
-fixed here so the rest of the package can rely on them.  All functions are
-pure and operate on 2-D complex ``numpy`` arrays.
+Thin, contract-pinning wrappers around LAPACK: exact tolerances,
+symmetrization on return and stability margins are fixed here so the rest of
+the package can rely on them.  Every kernel is O(n^3) in time and O(n^2) in
+memory, with no size cap.  All functions are pure and take 2-D complex arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 from .errors import (
     ConvergenceFailure,
@@ -16,17 +17,19 @@ from .errors import (
     NotHermitian,
     NotIsometric,
     NotSchurStable,
-    SizeLimitExceeded,
 )
 
 #: Largest allowed deviation of V*V from the identity for isometry inputs.
 ISOMETRY_TOL = 1e-10
 #: Relative Hermitian-symmetry tolerance for eigensolver inputs.
 HERMITIAN_RTOL = 1e-10
-#: Stein solves and spectral radii require spectral radius < 1 - SCHUR_MARGIN.
+#: Stein solves require spectral radius < 1 - SCHUR_MARGIN.
 SCHUR_MARGIN = 1e-9
-#: Cap on the state dimension; keeps the vectorized Stein system <= 4096^2.
-SIZE_LIMIT = 64
+
+# Raw drivers: scipy.linalg.schur / solve_triangular checks cost more than a
+# whole solve at n <= 8, and as_complex_matrix has already rejected NaN / Inf.
+_zgees = get_lapack_funcs("gees", dtype=complex)
+_ztrtrs = get_lapack_funcs("trtrs", dtype=complex)
 
 
 def as_complex_matrix(x, name: str = "matrix") -> np.ndarray:
@@ -105,16 +108,16 @@ def solve_stein(a, q, side: str = "cont", hermitian_tol: float = 1e-12) -> np.nd
 
     Notes
     -----
-    Solved by Kronecker vectorization, ``(I - conj(A) (x) A) vec(W) = vec(Q)``,
-    with dense LU and partial pivoting; hence the ``n <= 64`` cap.
+    Bartels-Stewart / Kitagawa: with ``A = U T U*`` (complex Schur),
+    ``X = U* W U`` solves ``X - T X T* = U* Q U`` column by column from the
+    last, each an upper-triangular solve with ``I - conj(t_jj) T``.  O(n^3)
+    time, O(n^2) memory; the stability test reads ``max |diag T|``.
     """
     a = as_complex_matrix(a, "a")
     q = as_complex_matrix(q, "q")
     n = _require_square(a, "a")
     if q.shape != (n, n):
         raise DimensionMismatch(f"q must be {n}x{n}, got {q.shape}")
-    if n > SIZE_LIMIT:
-        raise SizeLimitExceeded(f"n = {n} exceeds the dense Stein cap of {SIZE_LIMIT}")
     if side not in ("cont", "obs"):
         raise ValueError(f"side must be 'cont' or 'obs', got {side!r}")
     herm_residual = float(np.linalg.norm(q - q.conj().T))
@@ -122,13 +125,23 @@ def solve_stein(a, q, side: str = "cont", hermitian_tol: float = 1e-12) -> np.nd
         raise NotHermitian(f"q is not Hermitian: residual {herm_residual:.3e}")
     if n == 0:
         return q.copy()
-    rho = spectral_radius(a)
-    if rho >= 1.0 - SCHUR_MARGIN:
-        raise NotSchurStable(f"spectral radius {rho:.12f} is not below 1 - {SCHUR_MARGIN:.0e}")
     if side == "obs":
         a = a.conj().T
-    system = np.eye(n * n, dtype=complex) - np.kron(a.conj(), a)
-    w = np.linalg.solve(system, q.reshape(-1, order="F")).reshape((n, n), order="F")
+    t, _, _, u, _, info = _zgees(lambda z: None, a)
+    if info != 0:  # pragma: no cover - LAPACK failures are rare
+        raise ConvergenceFailure(f"Schur iteration failed: LAPACK gees info {info}")
+    rho = float(np.max(np.abs(np.diagonal(t))))
+    if rho >= 1.0 - SCHUR_MARGIN:
+        raise NotSchurStable(f"spectral radius {rho:.12f} is not below 1 - {SCHUR_MARGIN:.0e}")
+    tc = t.conj()
+    x = u.conj().T @ q @ u  # column j is overwritten by its solution, last first
+    eye = np.eye(n, dtype=complex)
+    for j in range(n - 1, -1, -1):
+        rhs = x[:, j] + t @ (x[:, j + 1 :] @ tc[j, j + 1 :])
+        x[:, j], info = _ztrtrs(eye - tc[j, j] * t, rhs)
+        if info != 0:  # pragma: no cover - the margin keeps every pivot nonzero
+            raise ConvergenceFailure(f"triangular solve failed: LAPACK trtrs info {info}")
+    w = u @ x @ u.conj().T
     return 0.5 * (w + w.conj().T)
 
 
@@ -156,13 +169,11 @@ def hermitian_eig(m, rtol: float = HERMITIAN_RTOL):
 
 
 def spectral_radius(a) -> float:
-    """Largest eigenvalue modulus of a square matrix (n between 1 and 64)."""
+    """Largest eigenvalue modulus of a square matrix of any size ``n >= 1``."""
     a = as_complex_matrix(a, "a")
     n = _require_square(a, "a")
     if n < 1:
         raise DimensionMismatch("matrix must be at least 1x1")
-    if n > SIZE_LIMIT:
-        raise SizeLimitExceeded(f"n = {n} exceeds the dense eigenvalue cap of {SIZE_LIMIT}")
     try:
         eigenvalues = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failures are rare

@@ -19,7 +19,6 @@ from .errors import (
     NotFIR,
     NotIsometricConstant,
     PoleNotInDisk,
-    SizeLimitExceeded,
 )
 from .forms import (
     COISO,
@@ -35,7 +34,7 @@ from .forms import (
     _fold_right,
     _phase_correction,
 )
-from .linalg import SIZE_LIMIT, unitary_completion
+from .linalg import unitary_completion
 
 #: A realization must satisfy its (co)isometry condition this well before
 #: all-pass embedding is attempted.
@@ -361,8 +360,6 @@ def ss_to_mfd(ss: StateSpaceRealization, side: str = RIGHT) -> MFDForm:
     if side not in (RIGHT, LEFT):
         raise ValueError(f"side must be {RIGHT!r} or {LEFT!r}, got {side!r}")
     n, p, m = ss.n, ss.p, ss.m
-    if n > SIZE_LIMIT:
-        raise SizeLimitExceeded(f"n = {n} exceeds the cap of {SIZE_LIMIT}")
     if n == 0:
         eye = np.eye(m if side == RIGHT else p, dtype=complex)
         return MFDForm(side, [np.array(ss.d)], [eye])

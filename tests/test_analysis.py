@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from paraunit import (
     COISO,
@@ -33,6 +34,24 @@ from golden import (
     row_example_ss_normalized,
     row_example_ss_unnormalized,
 )
+
+
+def degree_80_realizations():
+    """Schur-stable cascade realizations of degree 80 (more than 64 states)."""
+    return [
+        bp_to_realization(random_form(80, ISO, 4, 2, 80, schur_only=True)),
+        bp_to_realization(random_form(81, COISO, 2, 4, 80, schur_only=True)),
+    ]
+
+
+def scipy_hankel_rank(ss, rank_tol):
+    """Hankel rank from gramians computed by scipy's own Lyapunov solver."""
+    w_cont = scipy.linalg.solve_discrete_lyapunov(ss.a, ss.b @ ss.b.conj().T)
+    w_obs = scipy.linalg.solve_discrete_lyapunov(ss.a.conj().T, ss.c.conj().T @ ss.c)
+    values, vectors = np.linalg.eigh(0.5 * (w_cont + w_cont.conj().T))
+    root = vectors @ np.diag(np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
+    product = root @ (0.5 * (w_obs + w_obs.conj().T)) @ root
+    return int(np.count_nonzero(np.linalg.eigvalsh(product) > rank_tol))
 
 
 def test_certificate_verdict_matches_threshold():
@@ -117,6 +136,12 @@ class TestGramianCertificate:
         ss = StateSpaceRealization([[1.5]], [[1.0]], [[1.0]], [[0.0]])
         with pytest.raises(NotSchurStable):
             gramian_certificate(ss)
+
+    def test_degree_80_passes(self):
+        for ss in degree_80_realizations():
+            assert ss.n == 80
+            _, _, certs = gramian_certificate(ss)
+            assert all(c.passed for c in certs)
 
 
 class TestBlockHankel:
@@ -250,6 +275,13 @@ class TestMcmillanDegree:
         ss = StateSpaceRealization([[1.2]], [[1.0]], [[1.0]], [[0.0]])
         with pytest.raises(NotSchurStable):
             mcmillan_degree(ss)
+
+    def test_degree_80_within_scipy_rank_band(self):
+        # some squared Hankel singular values of a degree-80 cascade lie near
+        # the 1e-9 threshold, so the reference is the band between 1e-8 and 1e-10
+        for ss in degree_80_realizations():
+            low, high = scipy_hankel_rank(ss, 1e-8), scipy_hankel_rank(ss, 1e-10)
+            assert low <= mcmillan_degree(ss) <= high
 
 
 class TestCharacterizationEquivalence:

@@ -35,6 +35,17 @@ class TestGenerateAndCheck:
         code, out, _ = run(capsys, "check", str(path))
         assert code == 0
 
+    def test_check_pole_inside_schur_margin_skips_gramians(self, tmp_path, capsys):
+        a = 1.0 - 5e-10
+        s = np.sqrt(1.0 - abs(a) ** 2)
+        path = tmp_path / "edge.json"
+        write_document(path, StateSpaceRealization([[a]], [[s]], [[s]], [[-np.conj(a)]]))
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == 0
+        assert "gramian certificates skipped" in out
+        assert "realization_unitary" in out and "verdict=Pass" in out
+        assert "gramian_" not in out
+
     def test_check_failing_ss_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         write_document(path, row_example_ss_unnormalized())

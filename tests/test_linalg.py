@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paraunit import (
     DimensionMismatch,
     NotHermitian,
     NotIsometric,
     NotSchurStable,
-    SizeLimitExceeded,
     hermitian_eig,
     solve_stein,
     spectral_radius,
@@ -25,6 +27,17 @@ def stein_series(a, q, side, terms=200):
         total = total + power @ q @ power.conj().T
         power = a @ power
     return total
+
+
+def random_stable(rng, n, rho):
+    """Complex Gaussian matrix rescaled to spectral radius ``rho``."""
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return a * (rho / spectral_radius(a))
+
+
+def random_psd(rng, n):
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return g @ g.conj().T
 
 
 class TestUnitaryCompletion:
@@ -99,10 +112,41 @@ class TestSolveStein:
         with pytest.raises(NotHermitian):
             solve_stein(np.array([[0.5, 0.1], [0.0, 0.4]]), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_rejects_oversize(self):
-        n = 65
-        with pytest.raises(SizeLimitExceeded):
-            solve_stein(np.zeros((n, n)), np.eye(n))
+    @pytest.mark.parametrize("side", ["cont", "obs"])
+    def test_rejects_just_inside_margin(self, side):
+        rng = np.random.default_rng(17)
+        u = random_unitary(rng, 3)
+        a = u @ np.diag([1.0 - 5e-10, 0.5, -0.3j]) @ u.conj().T
+        with pytest.raises(NotSchurStable):
+            solve_stein(a, np.eye(3), side=side)
+
+    @pytest.mark.parametrize("n", [65, 128])
+    @pytest.mark.parametrize("side", ["cont", "obs"])
+    def test_large_n_matches_scipy(self, n, side):
+        rng = np.random.default_rng(n)
+        a = random_stable(rng, n, 0.95)
+        q = random_psd(rng, n)
+        w = solve_stein(a, q, side=side)
+        reference = scipy.linalg.solve_discrete_lyapunov(a if side == "cont" else a.conj().T, q)
+        assert np.linalg.norm(w - reference) <= 1e-10 * np.linalg.norm(reference)
+        assert 0.0 < spectral_radius(a) < 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 16),
+        rho=st.floats(0.2, 1.0 - 1e-6),
+        side=st.sampled_from(["cont", "obs"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_relative_residual_property(self, n, rho, side, seed):
+        rng = np.random.default_rng(seed)
+        a = random_stable(rng, n, rho)
+        q = random_psd(rng, n)
+        w = solve_stein(a, q, side=side)
+        op = a if side == "cont" else a.conj().T
+        residual = np.linalg.norm(w - op @ w @ op.conj().T - q)
+        scale = np.linalg.norm(q) + np.linalg.norm(a) ** 2 * np.linalg.norm(w)
+        assert residual <= 1e-12 * scale
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -152,8 +196,6 @@ class TestSpectralRadius:
         companion = np.array([[1.5, -0.56], [1.0, 0.0]])
         assert abs(spectral_radius(companion) - 0.8) <= 1e-9 * 0.8
 
-    def test_rejects_empty_and_oversize(self):
+    def test_rejects_empty(self):
         with pytest.raises(DimensionMismatch):
             spectral_radius(np.zeros((0, 0)))
-        with pytest.raises(SizeLimitExceeded):
-            spectral_radius(np.zeros((65, 65)))
