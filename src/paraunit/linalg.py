@@ -26,7 +26,7 @@ HERMITIAN_RTOL = 1e-10
 #: Stein solves require spectral radius < 1 - SCHUR_MARGIN.
 SCHUR_MARGIN = 1e-9
 
-# Raw drivers: scipy.linalg.schur / solve_triangular checks cost more than a
+# Raw LAPACK calls: scipy.linalg.schur / solve_triangular checks cost more than a
 # whole solve at n <= 8, and as_complex_matrix has already rejected NaN / Inf.
 _zgees = get_lapack_funcs("gees", dtype=complex)
 _ztrtrs = get_lapack_funcs("trtrs", dtype=complex)
