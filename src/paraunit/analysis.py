@@ -28,12 +28,13 @@ from .forms import (
     LaurentPolyForm,
     MFDForm,
     StateSpaceRealization,
-    evaluate,
 )
-# perfbench/tracing.py shims analysis.spectral_radius, so the name stays importable here
+# perfbench/tracing.py shims analysis.evaluate and analysis.spectral_radius, so
+# both names stay importable here
+from .forms import evaluate  # noqa: F401
 from .linalg import hermitian_eig, solve_stein, spectral_radius  # noqa: F401
 
-#: Default number of unit-circle sample points.
+#: Fewest unit-circle sample points taken by default.
 CIRCLE_SAMPLES = 64
 #: Default tolerance of the circle-sampling certificate.
 CIRCLE_TOL = 1e-8
@@ -71,31 +72,48 @@ class Certificate:
         return "Pass" if self.passed else "Fail"
 
 
-def circle_residual(form, samples: int = CIRCLE_SAMPLES, tol: float = CIRCLE_TOL) -> Certificate:
+def _circle_degree(form) -> int:
+    """Degree that sets the default circle sample count of ``form``."""
+    if isinstance(form, BlaschkePotapovForm):
+        return form.d
+    if isinstance(form, StateSpaceRealization):
+        return form.n
+    if isinstance(form, MFDForm):
+        return form.degree * form.den[0].shape[0]
+    if isinstance(form, LaurentPolyForm):
+        return form.gamma
+    raise TypeError(f"cannot sample object of type {type(form).__name__}")
+
+
+def circle_residual(form, samples: int | None = None, tol: float = CIRCLE_TOL) -> Certificate:
     """Worst deviation from (co)isometry over equispaced circle points.
 
-    Evaluates the form at ``z_k = exp(2 pi i k / N)`` and reports the largest
-    Frobenius norm of ``F*F - I_m`` (tall case) or ``F F* - I_p`` (wide
-    case).
+    Evaluates the form at ``z_k = exp(2 pi i k / N)`` in one ``eval_many``
+    call and reports the largest Frobenius norm of ``F*F - I_m`` (tall case)
+    or ``F F* - I_p`` (wide case); the witness is that matrix at the last
+    point reaching the maximum.
+
+    ``N`` defaults to ``max(CIRCLE_SAMPLES, 2 * degree + 1)``, with the
+    degree ``d`` of a product form, ``n`` of a realization, ``gamma`` of a
+    Laurent polynomial, and the polynomial degree times the denominator size
+    of a matrix fraction.  For a Laurent polynomial of degree ``g``,
+    ``F*F - I`` is a trigonometric polynomial of degree ``g``: it cannot
+    vanish at ``2 g + 1`` equispaced points unless it vanishes everywhere,
+    while ``2 g`` or fewer points can alias a failing form to a pass.
     """
+    if samples is None:
+        samples = max(CIRCLE_SAMPLES, 2 * _circle_degree(form) + 1)
     if samples < 8:
         raise ValueError(f"need at least 8 samples, got {samples}")
-    p, m = form.p, form.m
-    eye = np.eye(min(p, m))
-    worst = 0.0
-    worst_witness = None
-    for k in range(samples):
-        z = np.exp(2j * np.pi * k / samples)
-        value = evaluate(form, z)
-        if p >= m:
-            gram = value.conj().T @ value - eye
-        else:
-            gram = value @ value.conj().T - eye
-        deviation = float(np.linalg.norm(gram))
-        if deviation >= worst:
-            worst = deviation
-            worst_witness = gram
-    return Certificate("circle_residual", worst, tol, witness=worst_witness)
+    values = form.eval_many(np.exp(2j * np.pi * np.arange(samples) / samples))
+    adjoints = values.conj().swapaxes(1, 2)
+    if form.p >= form.m:
+        grams = adjoints @ values - np.eye(form.m)
+    else:
+        grams = values @ adjoints - np.eye(form.p)
+    deviations = np.linalg.norm(grams, axis=(1, 2))
+    worst = samples - 1 - int(np.argmax(deviations[::-1]))
+    return Certificate("circle_residual", float(deviations[worst]), tol, witness=grams[worst])
 
 
 def realization_check(ss: StateSpaceRealization, tol: float = REALIZATION_TOL) -> Certificate:

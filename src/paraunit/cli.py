@@ -17,7 +17,6 @@ import sys
 import numpy as np
 
 from .analysis import (
-    CIRCLE_SAMPLES,
     circle_residual,
     gramian_certificate,
     laurent_check,
@@ -118,16 +117,27 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _collect_check_certificates(obj, samples: int, tol: float | None):
+def _gramians_exist(ss: StateSpaceRealization) -> bool:
+    """Whether the gramians of ``ss`` exist; prints a note when they do not.
+
+    The Stein solver needs a spectral radius below ``1 - SCHUR_MARGIN``; a
+    lossless realization with a pole closer to the circle is still certified
+    by its realization matrix.
+    """
+    if ss.n == 0 or spectral_radius(ss.a) < 1.0 - SCHUR_MARGIN:
+        return True
+    print("note: state matrix is not Schur stable; gramian certificates skipped")
+    return False
+
+
+def _collect_check_certificates(obj, samples: int | None, tol: float | None):
     kwargs = {"tol": tol} if tol is not None else {}
     if isinstance(obj, BlaschkePotapovForm):
         return [circle_residual(obj, samples=samples, **kwargs)]
     if isinstance(obj, StateSpaceRealization):
         certs = [realization_check(obj, **kwargs)]
-        if obj.n == 0 or spectral_radius(obj.a) < 1.0 - SCHUR_MARGIN:
+        if _gramians_exist(obj):
             certs.extend(gramian_certificate(obj, **kwargs)[2])
-        else:
-            print("note: state matrix is not Schur stable; gramian certificates skipped")
         return certs
     if isinstance(obj, MFDForm):
         return [mfd_check(obj, tol=tol)]
@@ -198,9 +208,10 @@ def _cmd_gramians(args) -> int:
     if not isinstance(obj, StateSpaceRealization):
         raise DocumentError("gramians expects an ss document")
     tol = _resolve_tol(args)
-    w_cont, w_obs, certs = gramian_certificate(
-        obj, **({"tol": tol} if tol is not None else {})
-    )
+    kwargs = {"tol": tol} if tol is not None else {}
+    if not _gramians_exist(obj):
+        return _print_certificates([realization_check(obj, **kwargs)])
+    w_cont, w_obs, certs = gramian_certificate(obj, **kwargs)
     _print_matrix("W_cont", w_cont)
     _print_matrix("W_obs", w_obs)
     return _print_certificates(certs)
@@ -262,7 +273,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     chk = sub.add_parser("check", help="run every applicable certificate")
     chk.add_argument("file")
-    chk.add_argument("--samples", type=int, default=CIRCLE_SAMPLES)
+    chk.add_argument(
+        "--samples", type=int, default=None,
+        help="circle sample count (default: max(64, 2 * degree + 1))",
+    )
     chk.add_argument("--tol", type=float, default=None)
     chk.set_defaults(handler=_cmd_check)
 

@@ -11,6 +11,11 @@ of the complex plane away from its poles:
   ``N(z) Delta(z)^{-1}`` / ``Delta(z)^{-1} N(z)`` with polynomial blocks,
 * :class:`LaurentPolyForm` -- ``z^q (B_0 + z B_1 + ... + z^g B_g)``.
 
+Every form evaluates a batch of points at once with ``eval_many(zs)``,
+which returns an ``(N, p, m)`` array and checks the whole batch against the
+form's poles (or, for a matrix fraction, its denominator's condition number)
+before computing; ``form(z)`` is the one-point case of ``eval_many``.
+
 Forms are immutable: constructors validate and copy their inputs and the
 stored arrays are marked read-only.
 """
@@ -39,8 +44,10 @@ DIRECTION_NORM_SLACK = 1e-6
 DIRECTION_RENORM_SKIP = 1e-14
 #: Constant blocks must be (co)isometric within this tolerance.
 CONSTANT_ISOMETRY_TOL = 1e-10
-#: Probe points at which MFD denominators must have nonzero determinant.
+#: Probe points at which MFD denominators must be invertible.
 MFD_RANK_PROBES = (0.3 + 0.4j, 1.7 + 0.0j, -0.9j)
+#: An MFD denominator with a larger condition number counts as singular.
+MFD_COND_LIMIT = 1e12
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -99,29 +106,32 @@ class Pole:
         return "Pole(infinity)" if self.is_infinity else f"Pole({self._value!r})"
 
 
-def blaschke_scalar(pole: Pole, z: complex) -> complex:
+def blaschke_scalar(pole: Pole, z):
     """Scalar Blaschke factor ``phi(z) = (1 - conj(alpha) z) / (z - alpha)``.
 
+    ``z`` is one point or an array of points; the result has its shape.
     The pole-at-infinity limit is ``phi(z) = z``.  On the unit circle
     ``|phi(z)| = 1`` for every admissible pole.
     """
-    z = complex(z)
+    zs = np.array(z, dtype=complex)
     if pole.is_infinity:
-        return z
+        return zs[()]
     alpha = pole.value
-    if abs(z - alpha) <= 1e-12:
-        raise EvalAtPole(f"evaluation point {z} coincides with pole {alpha}")
-    return (1.0 - alpha.conjugate() * z) / (z - alpha)
-
-
-def _blaschke_many(pole: Pole, zs: np.ndarray) -> np.ndarray:
-    if pole.is_infinity:
-        return zs
-    alpha = pole.value
-    dist = np.abs(zs - alpha)
-    if np.any(dist <= 1e-12):
+    if np.any(np.abs(zs - alpha) <= 1e-12):
         raise EvalAtPole(f"an evaluation point coincides with pole {alpha}")
-    return (1.0 - alpha.conjugate() * zs) / (zs - alpha)
+    return ((1.0 - alpha.conjugate() * zs) / (zs - alpha))[()]
+
+
+def _points(zs) -> np.ndarray:
+    return np.asarray(zs, dtype=complex).reshape(-1)
+
+
+class _Form:
+    """Shared one-point evaluation; every form defines ``eval_many``."""
+
+    def __call__(self, z: complex) -> np.ndarray:
+        """Value at one point: the one-point case of ``eval_many``."""
+        return self.eval_many([complex(z)])[0]
 
 
 def _as_direction(v, k: int) -> np.ndarray:
@@ -133,7 +143,7 @@ def _as_direction(v, k: int) -> np.ndarray:
     return v
 
 
-class BlaschkePotapovForm:
+class BlaschkePotapovForm(_Form):
     """Ordered product of rank-one Blaschke factors times a constant (co)isometry.
 
     ``side="iso"`` (p >= m) represents ``F(z) = B_1(z) ... B_d(z) @ constant``
@@ -206,45 +216,28 @@ class BlaschkePotapovForm:
     def poles(self) -> tuple:
         return tuple(pole for pole, _ in self.factors)
 
-    def _check_eval_point(self, z: complex) -> None:
-        for pole in self.poles:
-            if not pole.is_infinity and abs(z - pole.value) <= EVAL_POLE_MARGIN:
-                raise EvalAtPole(f"{z} is within {EVAL_POLE_MARGIN:.0e} of pole {pole.value}")
-
-    def __call__(self, z: complex) -> np.ndarray:
-        z = complex(z)
-        self._check_eval_point(z)
-        out = np.array(self.constant, dtype=complex)
-        if self.side == ISO:
-            # Apply factors from the right end of the product outwards.
-            for pole, v in reversed(self.factors):
-                out += np.outer((blaschke_scalar(pole, z) - 1.0) * v, v.conj() @ out)
-        else:
-            for pole, v in self.factors:
-                out += np.outer(out @ v, (blaschke_scalar(pole, z) - 1.0) * v.conj())
-        return out
-
     def eval_many(self, zs) -> np.ndarray:
-        """Evaluate at a batch of points; returns an ``(n, p, m)`` array."""
-        zs = np.asarray(zs, dtype=complex).reshape(-1)
+        """Evaluate at a batch of points; returns an ``(N, p, m)`` array."""
+        zs = _points(zs)
         for pole in self.poles:
             if not pole.is_infinity and np.any(np.abs(zs - pole.value) <= EVAL_POLE_MARGIN):
                 raise EvalAtPole(f"a point is within {EVAL_POLE_MARGIN:.0e} of pole {pole.value}")
         out = np.broadcast_to(self.constant, (zs.size, self.p, self.m)).copy()
         if self.side == ISO:
+            # Apply factors from the right end of the product outwards.
             for pole, v in reversed(self.factors):
-                gain = _blaschke_many(pole, zs) - 1.0
+                gain = blaschke_scalar(pole, zs) - 1.0
                 projected = np.einsum("k,nkm->nm", v.conj(), out)
                 out += gain[:, None, None] * v[None, :, None] * projected[:, None, :]
         else:
             for pole, v in self.factors:
-                gain = _blaschke_many(pole, zs) - 1.0
+                gain = blaschke_scalar(pole, zs) - 1.0
                 projected = out @ v
                 out += gain[:, None, None] * projected[:, :, None] * v.conj()[None, None, :]
         return out
 
 
-class StateSpaceRealization:
+class StateSpaceRealization(_Form):
     """State-space form ``F(z) = C (zI - A)^{-1} B + D``.
 
     The blocks assemble into the ``(n+p) x (n+m)`` realization matrix
@@ -299,25 +292,32 @@ class StateSpaceRealization:
                 self._eigenvalues = np.linalg.eigvals(self.a)
         return self._eigenvalues
 
-    def __call__(self, z: complex) -> np.ndarray:
-        z = complex(z)
+    def eval_many(self, zs) -> np.ndarray:
+        """Evaluate at a batch of points; returns an ``(N, p, m)`` array."""
+        zs = _points(zs)
+        out = np.broadcast_to(self.d, (zs.size, self.p, self.m)).copy()
         if self.n == 0:
-            return np.array(self.d)
-        if np.any(np.abs(self.pole_candidates() - z) <= EVAL_POLE_MARGIN):
+            return out
+        near = np.abs(zs[:, None] - self.pole_candidates()) <= EVAL_POLE_MARGIN
+        if np.any(near):
+            z = zs[np.argmax(near.any(axis=1))]
             raise EvalAtPole(f"{z} is within {EVAL_POLE_MARGIN:.0e} of a pole of A")
-        resolvent = np.linalg.solve(z * np.eye(self.n) - self.a, self.b)
-        return self.d + self.c @ resolvent
+        resolvent = np.linalg.solve(zs[:, None, None] * np.eye(self.n) - self.a, self.b)
+        return out + self.c @ resolvent
 
 
-class MFDForm:
+class MFDForm(_Form):
     """Right or left matrix fraction with numerator/denominator of equal degree.
 
     ``side="right"``: ``F(z) = N(z) Delta(z)^{-1}`` with ``Delta`` of size
     ``m x m``.  ``side="left"``: ``F(z) = Delta(z)^{-1} N(z)`` with ``Delta``
     of size ``p x p``.  Coefficient lists run from the constant term upward
     and must have equal length (pad with zero matrices as needed).  The
-    denominator must have full normal rank, checked at three fixed probe
-    points.
+    denominator must have full normal rank: at each of three fixed probe
+    points its condition number must not exceed ``MFD_COND_LIMIT``.  The
+    test is relative, so a well-conditioned denominator with a small
+    determinant (such as ``chi_A(z) I`` of a high-degree realization) is
+    accepted.  Evaluation applies the same test at every point.
     """
 
     def __init__(self, side, num: Sequence, den: Sequence, validate: bool = True):
@@ -347,41 +347,44 @@ class MFDForm:
         self.num = tuple(_readonly(x) for x in num)
         self.den = tuple(_readonly(x) for x in den)
         if validate:
-            for z0 in MFD_RANK_PROBES:
-                det = np.linalg.det(self.den_at(z0))
-                if abs(det) <= 1e-12:
-                    raise SingularDenominator(
-                        f"denominator is singular at probe point {z0}"
-                    )
+            probes = np.array(MFD_RANK_PROBES)
+            z0 = _singular_point(_poly_at(self.den, probes), probes)
+            if z0 is not None:
+                raise SingularDenominator(f"denominator is singular at probe point {z0}")
 
     @property
     def degree(self) -> int:
         return len(self.num) - 1
 
-    def num_at(self, z: complex) -> np.ndarray:
-        return _poly_at(self.num, z)
-
-    def den_at(self, z: complex) -> np.ndarray:
-        return _poly_at(self.den, z)
-
-    def __call__(self, z: complex) -> np.ndarray:
-        z = complex(z)
-        den = self.den_at(z)
-        if np.linalg.cond(den) > 1e12:
-            raise SingularDenominator(f"denominator is not invertible at {z}")
+    def eval_many(self, zs) -> np.ndarray:
+        """Evaluate at a batch of points; returns an ``(N, p, m)`` array."""
+        zs = _points(zs)
+        den = _poly_at(self.den, zs)
+        z0 = _singular_point(den, zs)
+        if z0 is not None:
+            raise SingularDenominator(f"denominator is not invertible at {z0}")
+        num = _poly_at(self.num, zs)
         if self.side == RIGHT:
-            return np.linalg.solve(den.conj().T, self.num_at(z).conj().T).conj().T
-        return np.linalg.solve(den, self.num_at(z))
+            return np.linalg.solve(den.swapaxes(1, 2), num.swapaxes(1, 2)).swapaxes(1, 2)
+        return np.linalg.solve(den, num)
 
 
-def _poly_at(coeffs, z: complex) -> np.ndarray:
-    out = np.zeros_like(coeffs[0])
+def _poly_at(coeffs, zs: np.ndarray) -> np.ndarray:
+    """Horner evaluation of a matrix polynomial at every point of ``zs``."""
+    out = np.zeros((zs.size, *coeffs[0].shape), dtype=complex)
     for coeff in reversed(coeffs):
-        out = z * out + coeff
+        out *= zs[:, None, None]
+        out += coeff
     return out
 
 
-class LaurentPolyForm:
+def _singular_point(den: np.ndarray, zs: np.ndarray) -> complex | None:
+    """First point whose denominator value exceeds ``MFD_COND_LIMIT``, if any."""
+    singular = np.linalg.cond(den) > MFD_COND_LIMIT
+    return complex(zs[np.argmax(singular)]) if singular.any() else None
+
+
+class LaurentPolyForm(_Form):
     """Laurent polynomial ``F(z) = z^q (B_0 + z B_1 + ... + z^g B_g)``.
 
     Leading or trailing coefficients may be zero; no normalization is
@@ -405,11 +408,12 @@ class LaurentPolyForm:
     def gamma(self) -> int:
         return len(self.coeffs) - 1
 
-    def __call__(self, z: complex) -> np.ndarray:
-        z = complex(z)
-        if self.q < 0 and abs(z) <= EVAL_POLE_MARGIN:
+    def eval_many(self, zs) -> np.ndarray:
+        """Evaluate at a batch of points; returns an ``(N, p, m)`` array."""
+        zs = _points(zs)
+        if self.q < 0 and np.any(np.abs(zs) <= EVAL_POLE_MARGIN):
             raise EvalAtPole("Laurent form with q < 0 has a pole at the origin")
-        return (z ** self.q) * _poly_at(self.coeffs, z)
+        return (zs ** self.q)[:, None, None] * _poly_at(self.coeffs, zs)
 
 
 def evaluate(form, z: complex) -> np.ndarray:

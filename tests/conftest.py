@@ -5,6 +5,7 @@ from paraunit import (
     COISO,
     ISO,
     BlaschkePotapovForm,
+    Pole,
     build_paraunitary,
     random_params,
 )
@@ -19,6 +20,16 @@ def random_unitary(rng, k):
     x = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
     q, r = np.linalg.qr(x)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def fir_form(seed, p=3, m=3):
+    """Iso product form with poles at infinity, the origin and infinity."""
+    rng = np.random.default_rng(seed)
+    factors = []
+    for pole in [Pole.infinity(), Pole(0.0), Pole.infinity()]:
+        v = rng.normal(size=p) + 1j * rng.normal(size=p)
+        factors.append((pole, v / np.linalg.norm(v)))
+    return BlaschkePotapovForm(ISO, p, m, factors, random_unitary(rng, p)[:, :m])
 
 
 def perturb_direction(form, scale=1.01, index=0):

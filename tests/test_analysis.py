@@ -17,6 +17,7 @@ from paraunit import (
     SideMismatch,
     StateSpaceRealization,
     block_hankel,
+    bp_to_laurent,
     bp_to_realization,
     circle_residual,
     flip_poles,
@@ -27,7 +28,7 @@ from paraunit import (
     realization_check,
     ss_to_mfd,
 )
-from conftest import perturb_direction, random_form, random_unitary
+from conftest import fir_form, perturb_direction, random_form, random_unitary
 from golden import (
     SQRT2,
     row_example_bp,
@@ -52,6 +53,39 @@ def scipy_hankel_rank(ss, rank_tol):
     root = vectors @ np.diag(np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
     product = root @ (0.5 * (w_obs + w_obs.conj().T)) @ root
     return int(np.count_nonzero(np.linalg.eigvalsh(product) > rank_tol))
+
+
+def circle_test_form(kind, broken):
+    """A lossless form of the given kind, or its negative control."""
+    scale = 1.01 if broken else 1.0
+    if kind == "bp_coiso":
+        return perturb_direction(random_form(61, COISO, 2, 3, 3), scale)
+    if kind == "laurent":
+        return bp_to_laurent(perturb_direction(fir_form(62, 3, 2), scale))
+    form = perturb_direction(random_form(60, ISO, 3, 2, 4, schur_only=True), scale)
+    if kind == "bp":
+        return form
+    ss = bp_to_realization(form, validate=False)
+    return ss if kind == "ss" else ss_to_mfd(ss, RIGHT)
+
+
+def reference_circle_residual(form, samples):
+    """Point-by-point circle sampling: ``(worst deviation, its gram matrix)``.
+
+    Ties go to the last point, as in ``circle_residual``.
+    """
+    eye = np.eye(min(form.p, form.m))
+    worst, witness = 0.0, None
+    for k in range(samples):
+        value = form(np.exp(2j * np.pi * k / samples))
+        if form.p >= form.m:
+            gram = value.conj().T @ value - eye
+        else:
+            gram = value @ value.conj().T - eye
+        deviation = float(np.linalg.norm(gram))
+        if deviation >= worst:
+            worst, witness = deviation, gram
+    return worst, witness
 
 
 def test_certificate_verdict_matches_threshold():
@@ -87,6 +121,29 @@ class TestCircleResidual:
     def test_requires_enough_samples(self):
         with pytest.raises(ValueError):
             circle_residual(row_example_bp(0.5), samples=4)
+
+    def test_default_samples_track_degree(self):
+        # cos(.3) + i sin(.3) z^32 is not lossless; 64 samples alias it to a pass
+        coeffs = [np.zeros((1, 1), dtype=complex) for _ in range(33)]
+        coeffs[0][0, 0] = np.cos(0.3)
+        coeffs[-1][0, 0] = 1j * np.sin(0.3)
+        fir = LaurentPolyForm(0, coeffs)
+        cert = circle_residual(fir)
+        assert not cert.passed
+        assert abs(cert.residual - 0.56) <= 0.01
+        assert circle_residual(fir, samples=64).residual <= 1e-13
+
+    @pytest.mark.parametrize("broken", [False, True])
+    @pytest.mark.parametrize("kind", ["bp", "bp_coiso", "ss", "mfd", "laurent"])
+    def test_matches_reference_loop(self, kind, broken):
+        form = circle_test_form(kind, broken)
+        samples = 72
+        worst, witness = reference_circle_residual(form, samples)
+        cert = circle_residual(form, samples=samples)
+        assert abs(cert.residual - worst) <= 1e-13
+        if broken:
+            # the maximum is unique, so both must report the same point
+            assert np.linalg.norm(cert.witness - witness) <= 1e-13
 
 
 class TestRealizationCheck:

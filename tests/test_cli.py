@@ -14,6 +14,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def write_edge_unitary_ss(tmp_path):
+    """One-state unitary realization with its pole 5e-10 inside the circle."""
+    a = 1.0 - 5e-10
+    s = np.sqrt(1.0 - abs(a) ** 2)
+    path = tmp_path / "edge.json"
+    write_document(path, StateSpaceRealization([[a]], [[s]], [[s]], [[-np.conj(a)]]))
+    return path
+
+
 class TestGenerateAndCheck:
     def test_generate_then_check(self, tmp_path, capsys):
         path = tmp_path / "f.json"
@@ -36,10 +45,7 @@ class TestGenerateAndCheck:
         assert code == 0
 
     def test_check_pole_inside_schur_margin_skips_gramians(self, tmp_path, capsys):
-        a = 1.0 - 5e-10
-        s = np.sqrt(1.0 - abs(a) ** 2)
-        path = tmp_path / "edge.json"
-        write_document(path, StateSpaceRealization([[a]], [[s]], [[s]], [[-np.conj(a)]]))
+        path = write_edge_unitary_ss(tmp_path)
         code, out, _ = run(capsys, "check", str(path))
         assert code == 0
         assert "gramian certificates skipped" in out
@@ -161,6 +167,14 @@ class TestGramians:
                 values[name] = float(value)
         assert abs(values["W_cont"] - 1.0) <= 1e-10
         assert abs(values["W_obs"] - 0.5) <= 1e-10
+
+    def test_pole_inside_schur_margin_exits_by_realization(self, tmp_path, capsys):
+        path = write_edge_unitary_ss(tmp_path)
+        code, out, err = run(capsys, "gramians", str(path))
+        assert code == 0, err
+        assert "gramian certificates skipped" in out
+        assert "realization_unitary" in out and "verdict=Pass" in out
+        assert "W_cont" not in out
 
 
 class TestEval:

@@ -19,7 +19,7 @@ from paraunit import (
     evaluate,
     ss_to_mfd,
 )
-from conftest import circle_points, off_circle_probes, random_form, random_unitary
+from conftest import circle_points, fir_form, off_circle_probes, random_form, random_unitary
 from golden import row_example_bp, row_example_ss_unnormalized, row_example_value
 
 
@@ -104,11 +104,21 @@ class TestBlaschkePotapovForm:
         form = row_example_bp(0.5)
         with pytest.raises(EvalAtPole):
             form(0.5 + 1e-10)
+        with pytest.raises(EvalAtPole):
+            form.eval_many([0.2, 0.5 + 1e-10, 2.0])
 
-    def test_eval_many_matches_scalar_eval(self):
-        form = random_form(42, ISO, 3, 2, 4)
+    @pytest.mark.parametrize("kind", ["bp", "bp_coiso", "ss", "mfd", "laurent"])
+    def test_eval_many_matches_scalar_eval(self, kind):
+        form = {
+            "bp": lambda: random_form(42, ISO, 3, 2, 4),
+            "bp_coiso": lambda: random_form(43, COISO, 2, 3, 3),
+            "ss": lambda: bp_to_realization(random_form(44, ISO, 3, 2, 4, schur_only=True)),
+            "mfd": lambda: ss_to_mfd(bp_to_realization(random_form(45, COISO, 2, 3, 3, schur_only=True)), "left"),
+            "laurent": lambda: bp_to_laurent(fir_form(46)),
+        }[kind]()
         probes = off_circle_probes(0, 10)
         batch = form.eval_many(probes)
+        assert batch.shape == (10, form.p, form.m)
         for i, z in enumerate(probes):
             assert np.allclose(batch[i], form(z), atol=1e-13)
 
@@ -131,6 +141,8 @@ class TestStateSpaceRealization:
         ss = row_example_ss_unnormalized(0.5)
         with pytest.raises(EvalAtPole):
             ss(0.5)
+        with pytest.raises(EvalAtPole):
+            ss.eval_many([2.0, 0.5, -0.3j])
 
     def test_shape_validation(self):
         with pytest.raises(DimensionMismatch):
@@ -157,6 +169,8 @@ class TestMFDForm:
         mfd = MFDForm("right", num, den)
         with pytest.raises(SingularDenominator):
             mfd(0.5)
+        with pytest.raises(SingularDenominator):
+            mfd.eval_many([2.0, 0.5, -0.3j])
 
 
 class TestLaurentPolyForm:
@@ -169,6 +183,8 @@ class TestLaurentPolyForm:
         lp = LaurentPolyForm(-1, [np.array([[1.0]])])
         with pytest.raises(EvalAtPole):
             lp(0.0)
+        with pytest.raises(EvalAtPole):
+            lp.eval_many([1.0, 0.0])
 
     def test_nonnegative_shift_at_origin(self):
         lp = LaurentPolyForm(0, [np.array([[3.0]]), np.array([[1.0]])])
@@ -185,22 +201,23 @@ class TestCrossFormAgreement:
         form = random_form(seed, side, p, m, d, schur_only=True)
         ss = bp_to_realization(form)
         mfd = ss_to_mfd(ss, "right" if p >= m else "left")
-        for z in off_circle_probes(seed, 9):
+        probes = off_circle_probes(seed, 9)
+        for z in probes:
             reference = form(z)
             assert np.linalg.norm(ss(z) - reference) <= 1e-9
             assert np.linalg.norm(mfd(z) - reference) <= 1e-9
+        reference = form.eval_many(probes)
+        assert np.max(np.linalg.norm(ss.eval_many(probes) - reference, axis=(1, 2))) <= 1e-9
+        assert np.max(np.linalg.norm(mfd.eval_many(probes) - reference, axis=(1, 2))) <= 1e-9
 
     def test_fir_bp_matches_laurent(self):
-        rng = np.random.default_rng(8)
-        poles = [Pole.infinity(), Pole(0.0), Pole.infinity()]
-        factors = []
-        for pole in poles:
-            v = rng.normal(size=3) + 1j * rng.normal(size=3)
-            factors.append((pole, v / np.linalg.norm(v)))
-        form = BlaschkePotapovForm(ISO, 3, 3, factors, random_unitary(rng, 3))
+        form = fir_form(8)
         lp = bp_to_laurent(form)
-        for z in off_circle_probes(80, 16):
+        probes = off_circle_probes(80, 16)
+        for z in probes:
             assert np.linalg.norm(form(z) - lp(z)) <= 1e-9
+        gaps = np.linalg.norm(lp.eval_many(probes) - form.eval_many(probes), axis=(1, 2))
+        assert np.max(gaps) <= 1e-9
 
 
 class TestConjugate:

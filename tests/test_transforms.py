@@ -353,6 +353,15 @@ class TestSsToMfd:
         assert np.allclose(mfd.num[1], np.array([[-0.5, 1.0]]) / SQRT2, atol=1e-14)
         assert mfd_check(mfd).passed
 
+    @pytest.mark.parametrize("d", [20, 24, 32])
+    def test_high_degree_denominator_is_accepted(self, d):
+        # chi_A(z) I has a determinant below 1e-12 at a probe point here, but
+        # it is perfectly conditioned
+        ss = bp_to_realization(random_form(d, ISO, 4, 2, d, schur_only=True))
+        mfd = ss_to_mfd(ss, RIGHT)
+        assert mfd.degree == d
+        assert mfd_check(mfd).passed
+
     def test_random_stable_pointwise(self):
         rng = np.random.default_rng(91)
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
