@@ -133,8 +133,7 @@ def _decode(x: np.ndarray, template: ParaunitaryParam) -> ParaunitaryParam:
             position += 2
         else:
             poles.append(pole)
-    k = template.p if template.side == ISO else template.m
-    per_factor = 2 * (k - 1)
+    per_factor = 2 * (template.factor_dimension - 1)
     directions = []
     for _ in range(template.d):
         row = np.mod(x[position : position + per_factor], two_pi)
@@ -152,23 +151,21 @@ def _optimal_frame_angles(x: np.ndarray, template: ParaunitaryParam, samples: Sa
 
     On (or near) the unit circle the factor chain is pointwise unitary, so
     minimizing over the constant alone is an orthogonal Procrustes problem;
-    its polar-factor solution is converted back to chart angles.
+    its polar-factor solution is converted back to chart angles.  A coiso
+    form ``U C(z)`` is fitted as its transpose ``C(z)^T U^T``.
     """
-    params = _decode(x, template)
-    k = params.p if params.side == ISO else params.m
-    chain = BlaschkePotapovForm(
-        params.side, k, k, build_paraunitary(params).factors, np.eye(k, dtype=complex)
-    )
+    form = build_paraunitary(_decode(x, template))
+    targets = samples.targets
+    if form.side == COISO:
+        form, targets = form.transpose(), targets.swapaxes(1, 2)
+    k = form.p
+    chain = BlaschkePotapovForm(ISO, k, k, form.factors, np.eye(k, dtype=complex))
     values = chain.eval_many(samples.zs)
-    if params.side == ISO:
-        accumulated = np.einsum("nij,nil->jl", values.conj(), samples.targets)
-        w, _, vh = np.linalg.svd(accumulated)
-        best = w[:, : params.m] @ vh
-        return angles_for_isometry(best)
-    accumulated = np.einsum("nij,nlj->il", samples.targets, values.conj())
+    accumulated = np.einsum("nij,nil->jl", values.conj(), targets)
     w, _, vh = np.linalg.svd(accumulated)
-    best = w @ vh[: params.p, :]
-    return angles_for_isometry(best.conj().T)
+    best = w[:, : form.m] @ vh
+    # the coiso chart holds the adjoint U*, the conjugate of the U^T found here
+    return angles_for_isometry(best if template.side == ISO else best.conj())
 
 
 def _splice_optimal_frame(x: np.ndarray, template: ParaunitaryParam, samples: SampleSet) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AngleCountMismatch, DimensionMismatch
-from .forms import COISO, ISO, BlaschkePotapovForm, Pole
+from .forms import COISO, ISO, POLE_CIRCLE_MARGIN, BlaschkePotapovForm, Pole, _factor_dimension
 from .linalg import unitary_completion
 
 #: Random polar radii keep this margin from the unit circle.
@@ -44,7 +44,7 @@ class PoleParam:
         if self.kind == POLAR:
             if self.r <= 0.0:
                 raise ValueError("polar radius must be positive")
-            if abs(self.r - 1.0) <= 1e-8:
+            if abs(self.r - 1.0) <= POLE_CIRCLE_MARGIN:
                 raise ValueError("polar radius must stay off the unit circle")
 
     @classmethod
@@ -116,8 +116,7 @@ class ParaunitaryParam:
         for pole in self.poles:
             if not isinstance(pole, PoleParam):
                 raise TypeError("pole slots must be PoleParam instances")
-        k = self.p if self.side == ISO else self.m
-        per_factor = 2 * (k - 1)
+        per_factor = 2 * (self.factor_dimension - 1)
         object.__setattr__(
             self,
             "directions",
@@ -138,6 +137,11 @@ class ParaunitaryParam:
                 f"frame needs {angle_count - per_factor * self.d} angles, "
                 f"got {len(self.frame)}"
             )
+
+    @property
+    def factor_dimension(self) -> int:
+        """Size of each factor direction, by the product form's rule."""
+        return _factor_dimension(self.side, self.p, self.m)
 
     def angle_vector(self) -> np.ndarray:
         """All angles flattened: direction rows in order, then the frame."""
@@ -250,7 +254,7 @@ def build_paraunitary(params: ParaunitaryParam) -> BlaschkePotapovForm:
     The result is (co)isometric on the unit circle by construction for any
     admissible parameter values.
     """
-    k = params.p if params.side == ISO else params.m
+    k = params.factor_dimension
     factors = []
     for pole_param, row in zip(params.poles, params.directions):
         polar = row[: k - 1]
@@ -302,8 +306,7 @@ def random_params(
             else:
                 r = rng.uniform(1.0 + RADIUS_MARGIN, RADIUS_MAX)
             poles.append(PoleParam.polar(r, rng.uniform(0.0, two_pi)))
-    k = p if side == ISO else m
-    per_factor = 2 * (k - 1)
+    per_factor = 2 * (_factor_dimension(side, p, m) - 1)
     directions = tuple(
         tuple(rng.uniform(0.0, two_pi, size=per_factor)) for _ in range(d)
     )

@@ -22,6 +22,7 @@ from .errors import (
 )
 from .forms import (
     COISO,
+    CONSTANT_ISOMETRY_TOL,
     ISO,
     LEFT,
     RIGHT,
@@ -30,11 +31,11 @@ from .forms import (
     MFDForm,
     Pole,
     StateSpaceRealization,
-    _fold_left,
     _fold_right,
     _phase_correction,
+    _unit_direction,
 )
-from .linalg import unitary_completion
+from .linalg import ISOMETRY_TOL, SCHUR_MARGIN, unitary_completion
 
 #: A realization must satisfy its (co)isometry condition this well before
 #: all-pass embedding is attempted.
@@ -68,15 +69,11 @@ def factor_realization(pole, v, validate: bool = True) -> StateSpaceRealization:
     if pole.is_infinity:
         raise PoleNotInDisk("pole at infinity has no one-state realization")
     alpha = pole.value
-    if abs(alpha) >= 1.0 - 1e-9:
+    if abs(alpha) >= 1.0 - SCHUR_MARGIN:
         raise PoleNotInDisk(f"|{alpha}| is not strictly below one")
     v = np.asarray(v, dtype=complex).reshape(-1)
     if validate:
-        norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"direction norm {norm} is not one")
-        if abs(norm - 1.0) > 1e-14:
-            v = v / norm
+        v = _unit_direction(v)
     p = v.size
     scale = np.sqrt(1.0 - abs(alpha) ** 2)
     a = np.array([[alpha]], dtype=complex)
@@ -128,23 +125,21 @@ def bp_to_realization(f: BlaschkePotapovForm, validate: bool = True) -> StateSpa
     unitarity the realization matrix is isometric (iso side) or coisometric
     (coiso side) to machine precision.  ``validate=False`` realizes forms
     with out-of-contract directions faithfully (their realization matrix
-    then fails the (co)isometry certificate, as it should).
+    then fails the (co)isometry certificate, as it should).  A coiso form
+    gets the transposed cascade of ``f.transpose()``.
     """
+    if f.side == COISO:
+        return bp_to_realization(f.transpose(), validate=validate).transpose()
     for pole in f.poles:
         if pole.is_infinity or abs(pole.value) >= 1.0:
             raise ImproperFunction(
                 "all poles must lie strictly inside the open unit disk; "
                 "flip offending poles first"
             )
-    if f.side == ISO:
-        ss = constant_system(f.constant)
-        for pole, v in reversed(f.factors):
-            ss = series_cascade(factor_realization(pole, v, validate=validate), ss)
-        return ss
-    ss = constant_system(np.eye(f.m, dtype=complex))
+    ss = constant_system(f.constant)
     for pole, v in reversed(f.factors):
         ss = series_cascade(factor_realization(pole, v, validate=validate), ss)
-    return StateSpaceRealization(ss.a, ss.b, f.constant @ ss.c, f.constant @ ss.d)
+    return ss
 
 
 def allpass_embed(ss: StateSpaceRealization, tol: float = EMBED_RESIDUAL_TOL) -> StateSpaceRealization:
@@ -152,33 +147,24 @@ def allpass_embed(ss: StateSpaceRealization, tol: float = EMBED_RESIDUAL_TOL) ->
 
     For ``p > m`` extra input columns are appended (``B`` and ``D`` widen),
     for ``m > p`` extra output rows (``C`` and ``D`` grow); ``p == m``
-    returns the input unchanged.  The original blocks are preserved
-    verbatim and the output realization matrix is unitary.
+    returns the input unchanged once it is found unitary.  The original
+    blocks are preserved verbatim and the output realization matrix is unitary.
     """
+    if ss.m > ss.p:
+        return allpass_embed(ss.transpose(), tol).transpose()
     r = ss.realization_matrix
-    p, m, n = ss.p, ss.m, ss.n
-    if p == m:
-        return ss
-    if p > m:
-        residual = float(np.linalg.norm(r.conj().T @ r - np.eye(n + m)))
-        if residual > tol:
-            raise NotCoIsometricRealization(
-                f"realization matrix is not isometric: residual {residual:.3e}"
-            )
-        w = unitary_completion(r, tol=max(tol, 1e-10))
-        b = np.hstack([ss.b, w[:n]])
-        d = np.hstack([ss.d, w[n:]])
-        return StateSpaceRealization(ss.a, b, ss.c, d)
-    residual = float(np.linalg.norm(r @ r.conj().T - np.eye(n + p)))
+    n, m = ss.n, ss.m
+    residual = float(np.linalg.norm(r.conj().T @ r - np.eye(n + m)))
     if residual > tol:
         raise NotCoIsometricRealization(
-            f"realization matrix is not coisometric: residual {residual:.3e}"
+            f"realization matrix is not (co)isometric: residual {residual:.3e}"
         )
-    w = unitary_completion(r.conj().T, tol=max(tol, 1e-10))
-    rows = w.conj().T
-    c = np.vstack([ss.c, rows[:, :n]])
-    d = np.vstack([ss.d, rows[:, n:]])
-    return StateSpaceRealization(ss.a, ss.b, c, d)
+    if ss.p == m:
+        return ss
+    w = unitary_completion(r, tol=max(tol, ISOMETRY_TOL))
+    b = np.hstack([ss.b, w[:n]])
+    d = np.hstack([ss.d, w[n:]])
+    return StateSpaceRealization(ss.a, b, ss.c, d)
 
 
 def extract_constant(r_big, ss: StateSpaceRealization, tol: float = EXTRACT_TOL) -> np.ndarray:
@@ -190,38 +176,31 @@ def extract_constant(r_big, ss: StateSpaceRealization, tol: float = EXTRACT_TOL)
     reconstruction within ``tol``.
     """
     r_big = np.asarray(r_big, dtype=complex)
-    r = ss.realization_matrix
     n, p, m = ss.n, ss.p, ss.m
     k = r_big.shape[0]
     if r_big.shape != (k, k):
         raise DimensionMismatch(f"embedding matrix must be square, got {r_big.shape}")
+    if k != n + p:
+        if k != n + m:
+            raise DimensionMismatch(
+                f"embedding size {k} matches neither n+p={n + p} nor n+m={n + m}"
+            )
+        big = StateSpaceRealization(r_big[:n, :n], r_big[:n, n:], r_big[n:, :n], r_big[n:, n:])
+        return extract_constant(big.transpose().realization_matrix, ss.transpose(), tol).T
     unitarity = float(np.linalg.norm(r_big.conj().T @ r_big - np.eye(k)))
-    if unitarity > 1e-10:
+    if unitarity > ISOMETRY_TOL:
         raise InconsistentPair(
             f"embedding matrix is not unitary: residual {unitarity:.3e}"
         )
-    if k == n + p:
-        u = (r_big.conj().T @ r)[n:, n:]
-        padded = np.block(
-            [
-                [np.eye(n, dtype=complex), np.zeros((n, m), dtype=complex)],
-                [np.zeros((p, n), dtype=complex), u],
-            ]
-        )
-        residual = float(np.linalg.norm(r - r_big @ padded))
-    elif k == n + m:
-        u = (r @ r_big.conj().T)[n:, n:]
-        padded = np.block(
-            [
-                [np.eye(n, dtype=complex), np.zeros((n, m), dtype=complex)],
-                [np.zeros((p, n), dtype=complex), u],
-            ]
-        )
-        residual = float(np.linalg.norm(r - padded @ r_big))
-    else:
-        raise DimensionMismatch(
-            f"embedding size {k} matches neither n+p={n + p} nor n+m={n + m}"
-        )
+    r = ss.realization_matrix
+    u = (r_big.conj().T @ r)[n:, n:]
+    padded = np.block(
+        [
+            [np.eye(n, dtype=complex), np.zeros((n, m), dtype=complex)],
+            [np.zeros((p, n), dtype=complex), u],
+        ]
+    )
+    residual = float(np.linalg.norm(r - r_big @ padded))
     if residual > tol:
         raise InconsistentPair(
             f"reconstruction residual {residual:.3e} exceeds {tol:.1e}"
@@ -261,23 +240,14 @@ def truncate_to_rect(
     rows, cols = constant.shape
     if side is None:
         side = ISO if rows >= cols else COISO
-    if side == ISO:
-        if rows != k or cols > k:
-            raise DimensionMismatch(
-                f"iso constant must be {k}x(m<={k}), got {constant.shape}"
-            )
-        gram = constant.conj().T @ constant - np.eye(cols)
-        if float(np.linalg.norm(gram)) > 1e-10:
-            raise NotIsometricConstant("constant columns are not orthonormal")
-        return BlaschkePotapovForm(ISO, k, cols, f_sq.factors, constant)
-    if cols != k or rows > k:
-        raise DimensionMismatch(
-            f"coiso constant must be (p<={k})x{k}, got {constant.shape}"
-        )
-    gram = constant @ constant.conj().T - np.eye(rows)
-    if float(np.linalg.norm(gram)) > 1e-10:
-        raise NotIsometricConstant("constant rows are not orthonormal")
-    return BlaschkePotapovForm(COISO, rows, k, f_sq.factors, constant)
+    if side == COISO:
+        return truncate_to_rect(f_sq.transpose(), constant.T, ISO).transpose()
+    if rows != k or cols > k:
+        raise DimensionMismatch(f"constant must be {k}x(m<={k}) (coiso: transposed), got {rows}x{cols}")
+    gram = constant.conj().T @ constant - np.eye(cols)
+    if float(np.linalg.norm(gram)) > CONSTANT_ISOMETRY_TOL:
+        raise NotIsometricConstant("constant is not a (co)isometry")
+    return BlaschkePotapovForm(ISO, k, cols, f_sq.factors, constant)
 
 
 def _is_offending(pole: Pole) -> bool:
@@ -296,6 +266,8 @@ def flip_poles(f: BlaschkePotapovForm) -> BlaschkePotapovForm:
     ``F(z) * psi(z)`` with ``psi`` the product of the scalar flips, so its
     circle (co)isometry verdict matches the input's.
     """
+    if f.side == COISO:
+        return flip_poles(f.transpose()).transpose()
     k = f.factor_dimension
     items = []
     for pole, v in f.factors:
@@ -310,11 +282,8 @@ def flip_poles(f: BlaschkePotapovForm) -> BlaschkePotapovForm:
         if c != 1.0:
             complement = np.eye(k, dtype=complex) - np.outer(v, v.conj())
             items.append(np.eye(k, dtype=complex) + (c - 1.0) * complement)
-    if f.side == ISO:
-        factors, g = _fold_right(items, k)
-        return BlaschkePotapovForm(ISO, f.p, f.m, factors, g @ f.constant)
-    factors, g = _fold_left(items, k)
-    return BlaschkePotapovForm(COISO, f.p, f.m, factors, f.constant @ g)
+    factors, g = _fold_right(items, k)
+    return BlaschkePotapovForm(ISO, f.p, f.m, factors, g @ f.constant)
 
 
 def flip_scalar(f: BlaschkePotapovForm, z: complex) -> complex:
@@ -360,9 +329,6 @@ def ss_to_mfd(ss: StateSpaceRealization, side: str = RIGHT) -> MFDForm:
     if side not in (RIGHT, LEFT):
         raise ValueError(f"side must be {RIGHT!r} or {LEFT!r}, got {side!r}")
     n, p, m = ss.n, ss.p, ss.m
-    if n == 0:
-        eye = np.eye(m if side == RIGHT else p, dtype=complex)
-        return MFDForm(side, [np.array(ss.d)], [eye])
     chi, adj = _leverrier_faddeev(ss.a)
     num = []
     for j in range(n + 1):
@@ -383,6 +349,9 @@ def bp_to_laurent(f: BlaschkePotapovForm) -> LaurentPolyForm:
     coefficient list always has ``d + 1`` entries even when leading or
     trailing blocks vanish.
     """
+    if f.side == COISO:
+        lp = bp_to_laurent(f.transpose())
+        return LaurentPolyForm(lp.q, [c.T for c in lp.coeffs])
     k = f.factor_dimension
     for pole in f.poles:
         if not pole.is_infinity and pole.value != 0:
@@ -400,11 +369,7 @@ def bp_to_laurent(f: BlaschkePotapovForm) -> LaurentPolyForm:
             factor_coeffs = [projector, complement]
             shift -= 1
         coeffs = _poly_multiply(coeffs, factor_coeffs)
-    if f.side == ISO:
-        coeffs = [c @ f.constant for c in coeffs]
-    else:
-        coeffs = [f.constant @ c for c in coeffs]
-    return LaurentPolyForm(shift, coeffs)
+    return LaurentPolyForm(shift, [c @ f.constant for c in coeffs])
 
 
 def _poly_multiply(left, right):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paraunit import (
     COISO,
@@ -362,6 +364,40 @@ class TestCharacterizationEquivalence:
             assert circle_residual(broken).residual >= 1e-4
             assert realization_check(broken_ss).residual >= 1e-4
             assert mfd_check(broken_mfd).residual >= 1e-4
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(
+        side=st.sampled_from([ISO, COISO]),
+        dims=st.tuples(st.integers(1, 4), st.integers(1, 4)).map(sorted),
+        d=st.integers(1, 80),
+        seed=st.integers(0, 2**16),
+        fir=st.booleans(),
+    )
+    def test_transpose_keeps_every_verdict(self, side, dims, d, seed, fir):
+        small, large = dims
+        p, m = (large, small) if side == ISO else (small, large)
+        form = random_form(seed, side, p, m, d, schur_only=True)
+        if fir:
+            poles = [Pole(0.0) if j % 2 else Pole.infinity() for j in range(d)]
+            form = BlaschkePotapovForm(
+                side, p, m, [(pole, v) for pole, (_, v) in zip(poles, form.factors)], form.constant
+            )
+        for f, lossless in [(form, True), (perturb_direction(form, index=d // 2), False)]:
+            verdicts = []
+            for g in (f, f.transpose()):
+                certs = [circle_residual(g)]
+                if fir:
+                    certs.append(laurent_check(bp_to_laurent(g)))
+                else:
+                    ss = bp_to_realization(g, validate=False)
+                    certs.append(realization_check(ss))
+                    certs.extend(gramian_certificate(ss)[2])
+                verdicts.append([cert.passed for cert in certs])
+            assert verdicts[0] == verdicts[1]
+            if lossless:
+                assert all(verdicts[0])
+            else:
+                assert verdicts[0][:2] == [False, False]
 
     def test_gramian_identity_without_minimality(self):
         # tall cascade realizations satisfy I - A*A = C*C structurally

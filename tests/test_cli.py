@@ -143,6 +143,17 @@ class TestFlipAndEmbed:
         r = embedded.realization_matrix
         assert np.linalg.norm(r.conj().T @ r - np.eye(3)) <= 1e-10
 
+    def test_embed_non_lossless_ss_exits_two(self, tmp_path, capsys):
+        # square (residual 0.75) and tall realizations that are not lossless
+        for c, d in [([[1.0]], [[0.0]]), ([[1.0], [0.0]], [[0.0], [1.0]])]:
+            source = tmp_path / "bad.json"
+            write_document(source, StateSpaceRealization([[0.5]], [[1.0]], c, d))
+            out_path = tmp_path / "embedded.json"
+            code, _, err = run(capsys, "embed", str(source), "-o", str(out_path))
+            assert code == 2
+            assert "not (co)isometric" in err
+            assert not out_path.exists()
+
     def test_embed_bp_prints_constant(self, tmp_path, capsys):
         source = tmp_path / "bp.json"
         write_document(source, row_example_bp())

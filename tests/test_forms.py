@@ -19,7 +19,14 @@ from paraunit import (
     evaluate,
     ss_to_mfd,
 )
-from conftest import circle_points, fir_form, off_circle_probes, random_form, random_unitary
+from conftest import (
+    circle_points,
+    fir_form,
+    off_circle_probes,
+    perturb_direction,
+    random_form,
+    random_unitary,
+)
 from golden import row_example_bp, row_example_ss_unnormalized, row_example_value
 
 
@@ -121,6 +128,47 @@ class TestBlaschkePotapovForm:
             assert batch.shape == (10, form.p, form.m)
             for i, z in enumerate(probes):
                 assert np.allclose(batch[i], form(z), atol=1e-13)
+
+
+def transpose_cases():
+    """Product forms of both sides, a negative control, and realizations."""
+    coiso = random_form(47, COISO, 2, 3, 3)
+    rng = np.random.default_rng(48)
+    return [
+        random_form(46, ISO, 3, 2, 4),
+        coiso,
+        perturb_direction(coiso),
+        bp_to_realization(random_form(49, COISO, 1, 3, 4, schur_only=True)),
+        StateSpaceRealization(*(rng.normal(size=shape) for shape in [(3, 3), (3, 2), (4, 3), (4, 2)])),
+    ]
+
+
+class TestTranspose:
+    def test_involution_is_bit_exact(self):
+        for form in transpose_cases():
+            twice = form.transpose().transpose()
+            if isinstance(form, BlaschkePotapovForm):
+                assert (twice.side, twice.p, twice.m) == (form.side, form.p, form.m)
+                assert twice.poles == form.poles
+                for (_, v), (_, w) in zip(form.factors, twice.factors):
+                    assert np.array_equal(v, w)
+                assert np.array_equal(twice.constant, form.constant)
+            else:
+                for x, y in zip((form.a, form.b, form.c, form.d), (twice.a, twice.b, twice.c, twice.d)):
+                    assert np.array_equal(x, y)
+
+    def test_negative_control_stays_broken(self):
+        broken = perturb_direction(random_form(47, COISO, 2, 3, 3)).transpose()
+        assert abs(np.linalg.norm(broken.factors[-1][1]) - 1.01) < 1e-14
+
+    def test_values_are_transposed(self):
+        probes = off_circle_probes(50, 12)
+        for form in transpose_cases():
+            transposed = form.transpose()
+            assert (transposed.p, transposed.m) == (form.m, form.p)
+            expected = form.eval_many(probes).swapaxes(1, 2)
+            gaps = np.linalg.norm(transposed.eval_many(probes) - expected, axis=(1, 2))
+            assert np.max(gaps / np.linalg.norm(expected, axis=(1, 2))) <= 1e-13
 
 
 class TestStateSpaceRealization:

@@ -114,6 +114,20 @@ class TestBpToRealization:
         for z in off_circle_probes(5, 16):
             assert np.linalg.norm(ss(z) - form(z)) <= 1e-9
 
+    def test_coiso_degree_32_matches_product_values(self):
+        # the coiso cascade is built through the transpose; a plain
+        # (A^T, C^T, B^T, D^T) there loses two to five digits inside the disk
+        for seed in range(5, 10):
+            for m in (2, 3):
+                form = random_form(seed, COISO, 1, m, 32, schur_only=True)
+                ss = bp_to_realization(form)
+                assert ss.n == 32 and realization_check(ss).passed
+                probes = off_circle_probes(seed, 16)
+                probes = probes[np.abs(probes) < 1.0]
+                reference = form.eval_many(probes)
+                gaps = np.linalg.norm(ss.eval_many(probes) - reference, axis=(1, 2))
+                assert np.max(gaps / np.linalg.norm(reference, axis=(1, 2))) <= 1e-13
+
     def test_rejects_improper(self):
         form = BlaschkePotapovForm(
             ISO, 2, 2, [(Pole.infinity(), [1.0, 0.0])], np.eye(2)
@@ -165,6 +179,11 @@ class TestAllpassEmbed:
         ss = StateSpaceRealization([[0.5]], [[1.0, 0.0]], [[1.0]], [[0.0, 1.0]])
         with pytest.raises(NotCoIsometricRealization):
             allpass_embed(ss)
+        # a square input is checked as well before it is returned unchanged
+        square = StateSpaceRealization([[0.5]], [[1.0]], [[1.0]], [[0.0]])
+        assert abs(realization_check(square).residual - 0.75) < 1e-15
+        with pytest.raises(NotCoIsometricRealization):
+            allpass_embed(square)
 
 
 class TestExtractConstant:
