@@ -185,6 +185,7 @@ def extract_constant(r_big, ss: StateSpaceRealization, tol: float = EXTRACT_TOL)
             raise DimensionMismatch(
                 f"embedding size {k} matches neither n+p={n + p} nor n+m={n + m}"
             )
+        # R = diag(I, U) r_big transposes to the tall case R^T = r_big^T diag(I, U^T)
         big = StateSpaceRealization(r_big[:n, :n], r_big[:n, n:], r_big[n:, :n], r_big[n:, n:])
         return extract_constant(big.transpose().realization_matrix, ss.transpose(), tol).T
     unitarity = float(np.linalg.norm(r_big.conj().T @ r_big - np.eye(k)))
