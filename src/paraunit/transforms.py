@@ -1,10 +1,13 @@
 """Conversions and structural moves between the representations.
 
-The key building block is a one-state realization of a single Blaschke
-factor whose realization matrix is exactly unitary; cascading such blocks
-(series interconnection) keeps the realization matrix (co)isometric, which
-is what makes the realization-based certificate hold for converted product
-forms without any balancing step.
+A product form is realized as the series cascade of one-state realizations
+of its Blaschke factors.  Each has an exactly unitary realization matrix, so
+the cascade's is (co)isometric, which is what makes the realization-based
+certificate hold for converted product forms without any balancing step.
+:func:`bp_to_realization` writes the cascade's blocks down directly, in one
+backward sweep of rank-one updates over the factors (lossless cascade
+synthesis); :func:`factor_realization` and :func:`series_cascade` are the
+same construction one factor at a time.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .forms import (
     StateSpaceRealization,
     _fold_right,
     _phase_correction,
+    _transposed_factors,
     _unit_direction,
 )
 from .linalg import ISOMETRY_TOL, SCHUR_MARGIN, unitary_completion
@@ -121,25 +125,71 @@ def constant_system(d) -> StateSpaceRealization:
 def bp_to_realization(f: BlaschkePotapovForm, validate: bool = True) -> StateSpaceRealization:
     """Cascade realization of a product form with all poles inside the disk.
 
-    The state dimension equals the factor count, and by factor-level
-    unitarity the realization matrix is isometric (iso side) or coisometric
-    (coiso side) to machine precision.  ``validate=False`` realizes forms
-    with out-of-contract directions faithfully (their realization matrix
-    then fails the (co)isometry certificate, as it should).  A coiso form
-    gets the transposed cascade of ``f.transpose()``.
+    The result equals the series cascade of the :func:`factor_realization`
+    blocks, outer factor first, so state ``j`` belongs to factor ``j``.
+    With ``s_i = sqrt(1 - |alpha_i|^2)``,
+    ``D_i = I - (1 + conj(alpha_i)) v_i v_i*`` and ``K`` the constant, the
+    iso blocks are
+
+    * ``A = diag(alpha)`` plus, above the diagonal,
+      ``A[i, j] = s_i v_i* D_{i+1} ... D_{j-1} v_j s_j``;
+    * ``B[i] = s_i v_i* D_{i+1} ... D_d K``;
+    * ``C[:, j] = D_1 ... D_{j-1} s_j v_j``;
+    * ``D = D_1 ... D_d K``,
+
+    built by one backward sweep of rank-one updates (see
+    :func:`_cascade_blocks`).  The state dimension equals the factor count,
+    and by factor-level unitarity the realization matrix is isometric (iso
+    side) or coisometric (coiso side) to machine precision.
+    ``validate=False`` realizes forms with out-of-contract directions
+    faithfully (their realization matrix then fails the (co)isometry
+    certificate, as it should).  A coiso form gets the transposed cascade of
+    its transposed factor list.
     """
-    if f.side == COISO:
-        return bp_to_realization(f.transpose(), validate=validate).transpose()
     for pole in f.poles:
         if pole.is_infinity or abs(pole.value) >= 1.0:
             raise ImproperFunction(
                 "all poles must lie strictly inside the open unit disk; "
                 "flip offending poles first"
             )
-    ss = constant_system(f.constant)
-    for pole, v in reversed(f.factors):
-        ss = series_cascade(factor_realization(pole, v, validate=validate), ss)
-    return ss
+    if f.side == COISO:
+        blocks = _cascade_blocks(_transposed_factors(f.factors), f.constant.T, validate)
+        return StateSpaceRealization(*blocks).transpose()
+    return StateSpaceRealization(*_cascade_blocks(f.factors, f.constant, validate))
+
+
+def _cascade_blocks(factors, constant: np.ndarray, validate: bool):
+    """Blocks ``(A, B, C, D)`` of the iso cascade ``B_1 ... B_d @ constant``.
+
+    The sweep runs from the innermost factor outwards and keeps the
+    ``p x (d + m)`` work array ``[C | D]`` of the cascade built so far.  Step
+    ``i`` projects the work array onto ``v_i`` once: the projection times
+    ``s_i`` is row ``i`` of ``[A | B]`` right of the diagonal, and it gives
+    the rank-one update by ``D_i``; column ``i`` of ``C`` is then
+    ``s_i v_i``.  Poles are checked against ``SCHUR_MARGIN`` and (with
+    ``validate``) directions against unit norm in the order
+    :func:`factor_realization` would meet them.
+    """
+    d = len(factors)
+    p, m = constant.shape
+    top = np.zeros((d, d + m), dtype=complex)
+    work = np.empty((p, d + m), dtype=complex)
+    work[:, d:] = constant
+    for i in range(d - 1, -1, -1):
+        pole, v = factors[i]
+        alpha = pole.value
+        if abs(alpha) >= 1.0 - SCHUR_MARGIN:
+            raise PoleNotInDisk(f"|{alpha}| is not strictly below one")
+        if validate:
+            v = _unit_direction(v)
+        scale = np.sqrt(1.0 - abs(alpha) ** 2)
+        tail = work[:, i + 1:]
+        projected = v.conj() @ tail
+        top[i, i] = alpha
+        top[i, i + 1:] = scale * projected
+        tail -= ((1.0 + alpha.conjugate()) * v)[:, None] * projected
+        work[:, i] = scale * v
+    return top[:, :d], top[:, d:], work[:, :d], work[:, d:]
 
 
 def allpass_embed(ss: StateSpaceRealization, tol: float = EMBED_RESIDUAL_TOL) -> StateSpaceRealization:
@@ -173,21 +223,35 @@ def extract_constant(r_big, ss: StateSpaceRealization, tol: float = EXTRACT_TOL)
     Given a unitary ``r_big`` and a realization whose matrix ``R`` satisfies
     ``R = r_big @ diag(I_n, U)`` (tall case) or ``R = diag(I_n, U) @ r_big``
     (wide case), returns the ``p x m`` block ``U`` and verifies the
-    reconstruction within ``tol``.
+    reconstruction within ``tol``.  The size of ``r_big`` tells the cases
+    apart unless ``p == m``; then the tall reconstruction is tried first and
+    the wide one if it fails, and ``InconsistentPair`` is raised only when
+    both fail.
     """
     r_big = np.asarray(r_big, dtype=complex)
     n, p, m = ss.n, ss.p, ss.m
     k = r_big.shape[0]
     if r_big.shape != (k, k):
         raise DimensionMismatch(f"embedding matrix must be square, got {r_big.shape}")
-    if k != n + p:
-        if k != n + m:
-            raise DimensionMismatch(
-                f"embedding size {k} matches neither n+p={n + p} nor n+m={n + m}"
-            )
-        # R = diag(I, U) r_big transposes to the tall case R^T = r_big^T diag(I, U^T)
-        big = StateSpaceRealization(r_big[:n, :n], r_big[:n, n:], r_big[n:, :n], r_big[n:, n:])
-        return extract_constant(big.transpose().realization_matrix, ss.transpose(), tol).T
+    if k not in (n + p, n + m):
+        raise DimensionMismatch(
+            f"embedding size {k} matches neither n+p={n + p} nor n+m={n + m}"
+        )
+    if k == n + p:
+        try:
+            return _extract_tall(r_big, ss, tol)
+        except InconsistentPair:
+            if p != m:
+                raise
+    # R = diag(I, U) r_big transposes to the tall case R^T = r_big^T diag(I, U^T)
+    big = StateSpaceRealization(r_big[:n, :n], r_big[:n, n:], r_big[n:, :n], r_big[n:, n:])
+    return _extract_tall(big.transpose().realization_matrix, ss.transpose(), tol).T
+
+
+def _extract_tall(r_big: np.ndarray, ss: StateSpaceRealization, tol: float) -> np.ndarray:
+    """``U`` with ``R = r_big @ diag(I_n, U)``, for a ``(n + p)``-square ``r_big``."""
+    n, p, m = ss.n, ss.p, ss.m
+    k = r_big.shape[0]
     unitarity = float(np.linalg.norm(r_big.conj().T @ r_big - np.eye(k)))
     if unitarity > ISOMETRY_TOL:
         raise InconsistentPair(
@@ -228,7 +292,9 @@ def truncate_to_rect(
 ) -> BlaschkePotapovForm:
     """Absorb a constant (co)isometry into a square product form.
 
-    Inverse of :func:`embed_to_square`.  ``side`` picks where the constant
+    Inverse of :func:`embed_to_square`: the result evaluates to
+    ``f_sq(z) @ constant`` (iso) or ``constant @ f_sq(z)`` (coiso), so the
+    constant of ``f_sq`` is kept.  ``side`` picks where the constant
     multiplies for a square constant (``"iso"`` on the right, ``"coiso"`` on
     the left); rectangular constants determine it from their shape.
     """
@@ -248,7 +314,12 @@ def truncate_to_rect(
     gram = constant.conj().T @ constant - np.eye(cols)
     if float(np.linalg.norm(gram)) > CONSTANT_ISOMETRY_TOL:
         raise NotIsometricConstant("constant is not a (co)isometry")
-    return BlaschkePotapovForm(ISO, k, cols, f_sq.factors, constant)
+    if f_sq.side == ISO:
+        factors, g = f_sq.factors, f_sq.constant
+    else:
+        # K B_1 ... B_d with K unitary equals B_1' ... B_d' K, v_i' = K v_i
+        factors, g = _fold_right([f_sq.constant, *f_sq.factors], k)
+    return BlaschkePotapovForm(ISO, k, cols, factors, g @ constant)
 
 
 def _is_offending(pole: Pole) -> bool:

@@ -31,9 +31,11 @@ from paraunit import (
     mfd_check,
     realization_check,
     ss_to_mfd,
+    series_cascade,
     truncate_to_rect,
 )
-from conftest import off_circle_probes, random_form, random_unitary
+from paraunit import transforms
+from conftest import off_circle_probes, perturb_direction, random_form, random_unitary
 from golden import (
     SQRT2,
     row_example_bp,
@@ -46,6 +48,23 @@ from golden import (
 def random_direction(rng, k):
     v = rng.normal(size=k) + 1j * rng.normal(size=k)
     return v / np.linalg.norm(v)
+
+
+def reference_cascade(f, validate=True):
+    """Series cascade of one-state factor realizations, outer factor first."""
+    if f.side == COISO:
+        return reference_cascade(f.transpose(), validate).transpose()
+    ss = transforms.constant_system(f.constant)
+    for pole, v in reversed(f.factors):
+        ss = series_cascade(factor_realization(pole, v, validate=validate), ss)
+    return ss
+
+
+def near_circle_pole(radius):
+    """A pole object past ``Pole``'s own circle margin (bypasses its check)."""
+    pole = Pole.__new__(Pole)
+    pole._value = complex(radius)
+    return pole
 
 
 class TestFactorRealization:
@@ -138,6 +157,77 @@ class TestBpToRealization:
         with pytest.raises(ImproperFunction):
             bp_to_realization(form)
 
+    @pytest.mark.parametrize("side,p,m", [(ISO, 4, 2), (ISO, 3, 3), (COISO, 2, 4), (COISO, 1, 3)])
+    @pytest.mark.parametrize("d", [0, 1, 6, 64])
+    def test_blocks_match_reference_cascade(self, side, p, m, d):
+        form = random_form(300 + d, side, p, m, d, schur_only=True)
+        ss, reference = bp_to_realization(form), reference_cascade(form)
+        for block, expected in [(ss.a, reference.a), (ss.b, reference.b), (ss.c, reference.c), (ss.d, reference.d)]:
+            assert block.shape == expected.shape
+            assert np.linalg.norm(block - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("side,p,m", [(ISO, 3, 2), (COISO, 2, 3)])
+    def test_all_origin_poles(self, side, p, m):
+        rng = np.random.default_rng(310)
+        k = p if side == ISO else m
+        factors = [(Pole(0.0), random_direction(rng, k)) for _ in range(5)]
+        constant = random_unitary(rng, k)[:, : min(p, m)]
+        form = BlaschkePotapovForm(side, p, m, factors, constant if side == ISO else constant.T)
+        ss, reference = bp_to_realization(form), reference_cascade(form)
+        assert np.array_equal(np.diag(ss.a), np.zeros(5))
+        assert np.array_equal(np.tril(ss.a), np.zeros((5, 5)))
+        assert np.linalg.norm(ss.realization_matrix - reference.realization_matrix) <= 1e-13
+        assert realization_check(ss).passed
+
+    @pytest.mark.parametrize("side,p,m", [(ISO, 4, 2), (COISO, 2, 4)])
+    def test_unvalidated_negative_control_stays_broken(self, side, p, m):
+        broken = perturb_direction(random_form(320, side, p, m, 6, schur_only=True), 1.01, index=2)
+        check = realization_check(bp_to_realization(broken, validate=False))
+        expected = realization_check(reference_cascade(broken, validate=False))
+        assert not check.passed
+        assert abs(check.residual - expected.residual) <= 1e-12
+        with pytest.raises(ValueError):
+            bp_to_realization(broken)
+
+    def test_pole_within_schur_margin(self):
+        v = np.array([1.0, 0.0])
+        form = BlaschkePotapovForm(
+            ISO, 2, 2, [(Pole(0.3), 1.01 * v), (near_circle_pole(1.0 - 5e-10), v)], np.eye(2),
+            validate=False,
+        )
+        # the innermost factor is met first, so its pole fails before the direction
+        for validate in (True, False):
+            with pytest.raises(PoleNotInDisk):
+                reference_cascade(form, validate=validate)
+            with pytest.raises(PoleNotInDisk):
+                bp_to_realization(form, validate=validate)
+            with pytest.raises(PoleNotInDisk):
+                bp_to_realization(form.transpose(), validate=validate)
+
+    @pytest.mark.parametrize("side,p,m", [(ISO, 4, 2), (COISO, 2, 4)])
+    def test_degree_128_is_lossless(self, side, p, m):
+        ss = bp_to_realization(random_form(330, side, p, m, 128, schur_only=True))
+        assert ss.n == 128
+        assert realization_check(ss).residual <= 1e-13
+
+    def test_iso_path_builds_one_realization(self, monkeypatch):
+        built = []
+        init = StateSpaceRealization.__init__
+
+        def counting_init(self, *blocks):
+            built.append(1)
+            init(self, *blocks)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the cascade must not be built factor by factor")
+
+        monkeypatch.setattr(StateSpaceRealization, "__init__", counting_init)
+        monkeypatch.setattr(transforms, "factor_realization", forbidden)
+        monkeypatch.setattr(transforms, "series_cascade", forbidden)
+        ss = bp_to_realization(random_form(340, ISO, 3, 2, 16, schur_only=True))
+        assert ss.n == 16
+        assert len(built) == 1
+
 
 class TestAllpassEmbed:
     def test_worked_example_matches_reference_up_to_row_phase(self):
@@ -221,6 +311,21 @@ class TestExtractConstant:
         with pytest.raises(InconsistentPair):
             extract_constant(random_unitary(rng, 3), ss)
 
+    def test_square_pair_tall_or_wide(self, rng):
+        # with p == m the size of r_big cannot tell the embeddings apart
+        n, k = 2, 2
+        for _ in range(5):
+            big = random_unitary(rng, n + k)
+            u = random_unitary(rng, k)
+            padded = np.block([[np.eye(n), np.zeros((n, k))], [np.zeros((k, n)), u]])
+            for r in (big @ padded, padded @ big):
+                ss = StateSpaceRealization(r[:n, :n], r[:n, n:], r[n:, :n], r[n:, n:])
+                assert np.linalg.norm(extract_constant(big, ss) - u) <= 1e-10
+            r = random_unitary(rng, n + k)
+            ss = StateSpaceRealization(r[:n, :n], r[:n, n:], r[n:, :n], r[n:, n:])
+            with pytest.raises(InconsistentPair):
+                extract_constant(big, ss)
+
 
 class TestSquareEmbedding:
     def test_worked_example_identity(self):
@@ -271,6 +376,20 @@ class TestSquareEmbedding:
         assert rebuilt.side == COISO
         for z in off_circle_probes(67, 4):
             assert np.array_equal(rebuilt(z), form(z))
+
+    @pytest.mark.parametrize("square_side", [ISO, COISO])
+    @pytest.mark.parametrize("side", [ISO, COISO])
+    def test_keeps_square_constant(self, rng, square_side, side):
+        square = random_form(70, square_side, 3, 3, 3, schur_only=True)
+        square = BlaschkePotapovForm(square_side, 3, 3, square.factors, random_unitary(rng, 3))
+        constant = random_unitary(rng, 3)[:, :2]
+        if side == COISO:
+            constant = constant.T
+        rebuilt = truncate_to_rect(square, constant, side=side)
+        assert rebuilt.side == side
+        for z in off_circle_probes(71, 8):
+            expected = square(z) @ constant if side == ISO else constant @ square(z)
+            assert np.linalg.norm(rebuilt(z) - expected) <= 1e-12
 
     def test_rejects_non_isometric_constant(self):
         form = random_form(68, ISO, 2, 2, 1, schur_only=True)
