@@ -7,9 +7,14 @@ Three independent characterizations are implemented:
   state-space forms, together with the gramian certificates,
 * block-Hankel conditions on matrix-fraction and Laurent coefficients.
 
-Sampling is a necessary-condition screen; the Hankel and realization tests
-are exact certificates.  Every test returns a :class:`Certificate` carrying
-the raw residual so callers can re-threshold.
+The Hankel and realization tests are exact certificates.  For a form of
+degree ``g``, ``F*F - I`` on the circle is a ratio of trigonometric
+polynomials of degree at most ``g``, so in exact arithmetic a zero defect at
+the default ``>= 2 g + 1`` sample points proves that the defect vanishes on
+the whole circle; a positive tolerance still does not bound the defect
+between samples.  Every test returns a :class:`Certificate` carrying the raw
+residual so callers can re-threshold; default tolerances come from
+:mod:`paraunit.tolerances`.
 """
 
 from __future__ import annotations
@@ -20,8 +25,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, SideMismatch
 from .forms import (
-    COISO,
-    ISO,
     LEFT,
     RIGHT,
     BlaschkePotapovForm,
@@ -33,20 +36,14 @@ from .forms import (
 # both names stay importable here
 from .forms import evaluate  # noqa: F401
 from .linalg import hermitian_eig, solve_stein, spectral_radius  # noqa: F401
-
-#: Fewest unit-circle sample points taken by default.
-CIRCLE_SAMPLES = 64
-#: Default tolerance of the circle-sampling certificate.
-CIRCLE_TOL = 1e-8
-#: Default tolerance of the realization-matrix certificate.
-REALIZATION_TOL = 1e-10
-#: Default tolerance of the gramian certificates.
-GRAMIAN_TOL = 1e-8
-#: Base tolerance of the Hankel certificates (scaled by coefficient mass
-#: for the matrix-fraction test).
-HANKEL_TOL = 1e-9
-#: Eigenvalues of the gramian product above this count toward the degree.
-DEGREE_RANK_TOL = 1e-9
+from .tolerances import (
+    CIRCLE_SAMPLES,
+    CIRCLE_TOL,
+    DEGREE_RANK_TOL,
+    GRAMIAN_TOL,
+    HANKEL_TOL,
+    REALIZATION_TOL,
+)
 
 
 @dataclass(frozen=True)
@@ -96,8 +93,9 @@ def circle_residual(form, samples: int | None = None, tol: float = CIRCLE_TOL) -
     ``N`` defaults to ``max(CIRCLE_SAMPLES, 2 * degree + 1)``, with the
     degree ``d`` of a product form, ``n`` of a realization, ``gamma`` of a
     Laurent polynomial, and the polynomial degree times the denominator size
-    of a matrix fraction.  For a Laurent polynomial of degree ``g``,
-    ``F*F - I`` is a trigonometric polynomial of degree ``g``: it cannot
+    of a matrix fraction.  For such a degree ``g``, ``F*F - I`` on the circle
+    is a ratio of trigonometric polynomials of degree at most ``g`` (a
+    trigonometric polynomial for a Laurent form): its numerator cannot
     vanish at ``2 g + 1`` equispaced points unless it vanishes everywhere,
     while ``2 g`` or fewer points can alias a failing form to a pass.
     """
@@ -262,12 +260,12 @@ def laurent_check(lp: LaurentPolyForm, tol: float = HANKEL_TOL) -> Certificate:
     return Certificate(name, float(np.linalg.norm(witness)), tol, witness=witness)
 
 
-def mcmillan_degree(ss: StateSpaceRealization, rank_tol: float = DEGREE_RANK_TOL) -> int:
+def mcmillan_degree(ss: StateSpaceRealization) -> int:
     """Hankel rank of a Schur-stable realization.
 
     Counts the eigenvalues of the symmetrized gramian product
     ``W_cont^{1/2} W_obs W_cont^{1/2}`` (the squared Hankel singular
-    values) exceeding ``rank_tol``.
+    values) exceeding ``DEGREE_RANK_TOL``.
     """
     if ss.n == 0:
         return 0
@@ -275,4 +273,4 @@ def mcmillan_degree(ss: StateSpaceRealization, rank_tol: float = DEGREE_RANK_TOL
     values, vectors = hermitian_eig(w_cont)
     root = vectors @ np.diag(np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
     product_values, _ = hermitian_eig(root @ w_obs @ root)
-    return int(np.count_nonzero(product_values > rank_tol))
+    return int(np.count_nonzero(product_values > DEGREE_RANK_TOL))

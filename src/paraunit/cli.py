@@ -5,12 +5,14 @@ Subcommands: ``generate``, ``check``, ``convert``, ``embed``, ``flip``,
 are written to files only.  Exit codes: 0 when every requested certificate
 passed (or the operation succeeded), 1 when a certificate failed, 2 on
 usage or input errors.  The ``PARAUNIT_TOL`` environment variable overrides
-the default certificate tolerance; ``--tol`` overrides both.
+the default certificate tolerance; ``--tol`` overrides both.  Either must be
+a finite number ``>= 0``, or the command exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -37,8 +39,9 @@ from .forms import (
     StateSpaceRealization,
     evaluate,
 )
-from .linalg import SCHUR_MARGIN, spectral_radius
+from .linalg import spectral_radius
 from .params import build_paraunitary, random_params
+from .tolerances import SCHUR_MARGIN
 from .transforms import (
     allpass_embed,
     bp_to_laurent,
@@ -83,15 +86,21 @@ def _print_certificates(certs) -> int:
 
 
 def _resolve_tol(args) -> float | None:
+    """``--tol``, else ``PARAUNIT_TOL``, else ``None``; either must be finite and >= 0."""
     if getattr(args, "tol", None) is not None:
-        return args.tol
-    env = os.environ.get("PARAUNIT_TOL")
-    if env:
+        source, tol = "--tol", args.tol
+    else:
+        env = os.environ.get("PARAUNIT_TOL")
+        if not env:
+            return None
+        source = "PARAUNIT_TOL"
         try:
-            return float(env)
+            tol = float(env)
         except ValueError as exc:
             raise DocumentError(f"PARAUNIT_TOL is not a number: {env!r}") from exc
-    return None
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise DocumentError(f"{source} must be a finite number >= 0, got {tol!r}")
+    return tol
 
 
 def _parse_point(text: str) -> complex:

@@ -20,13 +20,13 @@ from .errors import DimensionMismatch
 from .forms import COISO, ISO, BlaschkePotapovForm
 from .params import (
     POLAR,
-    RADIUS_MARGIN,
     ParaunitaryParam,
     PoleParam,
     angles_for_isometry,
     build_paraunitary,
     random_params,
 )
+from .tolerances import RADIUS_MARGIN
 
 #: Objective below this counts as converged outright.
 CONVERGED_OBJECTIVE = 1e-12

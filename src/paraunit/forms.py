@@ -27,27 +27,23 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EvalAtPole, SingularDenominator
-from .linalg import as_complex_matrix
+from .linalg import as_complex_matrix, isometry_residual
+from .tolerances import (
+    DIRECTION_NORM_SLACK,
+    DIRECTION_RENORM_SKIP,
+    EVAL_POLE_MARGIN,
+    ISOMETRY_TOL,
+    MFD_COND_LIMIT,
+    POLE_CIRCLE_MARGIN,
+)
 
 ISO = "iso"
 COISO = "coiso"
 RIGHT = "right"
 LEFT = "left"
 
-#: Finite poles must keep at least this margin from the unit circle.
-POLE_CIRCLE_MARGIN = 1e-8
-#: Evaluation refuses points closer than this to a pole.
-EVAL_POLE_MARGIN = 1e-9
-#: Direction vectors within this distance of unit norm are renormalized.
-DIRECTION_NORM_SLACK = 1e-6
-#: Norms this close to one are left untouched, keeping round trips bit-exact.
-DIRECTION_RENORM_SKIP = 1e-14
-#: Constant blocks must be (co)isometric within this tolerance.
-CONSTANT_ISOMETRY_TOL = 1e-10
 #: Probe points at which MFD denominators must be invertible.
 MFD_RANK_PROBES = (0.3 + 0.4j, 1.7 + 0.0j, -0.9j)
-#: An MFD denominator with a larger condition number counts as singular.
-MFD_COND_LIMIT = 1e12
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -69,10 +65,6 @@ class Pole:
                     f"pole {value} is within {POLE_CIRCLE_MARGIN:.0e} of the unit circle"
                 )
         self._value = value
-
-    @classmethod
-    def finite(cls, alpha: complex) -> "Pole":
-        return cls(complex(alpha))
 
     @classmethod
     def infinity(cls) -> "Pole":
@@ -111,14 +103,16 @@ def blaschke_scalar(pole: Pole, z):
 
     ``z`` is one point or an array of points; the result has its shape.
     The pole-at-infinity limit is ``phi(z) = z``.  On the unit circle
-    ``|phi(z)| = 1`` for every admissible pole.
+    ``|phi(z)| = 1`` for every admissible pole.  Points within
+    ``EVAL_POLE_MARGIN`` of the pole raise ``EvalAtPole``, as in every
+    form's ``eval_many``.
     """
     zs = np.array(z, dtype=complex)
     if pole.is_infinity:
         return zs[()]
     alpha = pole.value
-    if np.any(np.abs(zs - alpha) <= 1e-12):
-        raise EvalAtPole(f"an evaluation point coincides with pole {alpha}")
+    if np.any(np.abs(zs - alpha) <= EVAL_POLE_MARGIN):
+        raise EvalAtPole(f"a point is within {EVAL_POLE_MARGIN:.0e} of pole {alpha}")
     return ((1.0 - alpha.conjugate() * zs) / (zs - alpha))[()]
 
 
@@ -204,10 +198,8 @@ class BlaschkePotapovForm(_Form):
                 f"constant must be {p}x{m}, got {constant.shape}"
             )
         if validate:
-            tall = constant if side == ISO else constant.T
-            gram = tall.conj().T @ tall - np.eye(tall.shape[1])
-            residual = float(np.linalg.norm(gram))
-            if residual > CONSTANT_ISOMETRY_TOL:
+            residual = isometry_residual(constant if side == ISO else constant.T)
+            if residual > ISOMETRY_TOL:
                 raise ValueError(
                     f"constant is not a (co)isometry: residual {residual:.3e}"
                 )

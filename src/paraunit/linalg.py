@@ -1,9 +1,10 @@
 """Dense complex linear-algebra kernels.
 
-Thin, contract-pinning wrappers around LAPACK: exact tolerances,
-symmetrization on return and stability margins are fixed here so the rest of
-the package can rely on them.  Every kernel is O(n^3) in time and O(n^2) in
-memory, with no size cap.  All functions are pure and take 2-D complex arrays.
+Thin, contract-pinning wrappers around LAPACK: symmetrization on return and
+the stability and symmetry tests (thresholds from :mod:`paraunit.tolerances`)
+are fixed here so the rest of the package can rely on them.  Every kernel is
+O(n^3) in time and O(n^2) in memory, with no size cap.  All functions are
+pure and take 2-D complex arrays.
 """
 
 from __future__ import annotations
@@ -18,13 +19,7 @@ from .errors import (
     NotIsometric,
     NotSchurStable,
 )
-
-#: Largest allowed deviation of V*V from the identity for isometry inputs.
-ISOMETRY_TOL = 1e-10
-#: Relative Hermitian-symmetry tolerance for eigensolver inputs.
-HERMITIAN_RTOL = 1e-10
-#: Stein solves require spectral radius < 1 - SCHUR_MARGIN.
-SCHUR_MARGIN = 1e-9
+from .tolerances import HERMITIAN_RTOL, ISOMETRY_TOL, SCHUR_MARGIN, STEIN_HERMITIAN_RTOL
 
 # Raw LAPACK calls: scipy.linalg.schur / solve_triangular checks cost more than a
 # whole solve at n <= 8, and as_complex_matrix has already rejected NaN / Inf.
@@ -46,6 +41,11 @@ def _require_square(a: np.ndarray, name: str) -> int:
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
     return a.shape[0]
+
+
+def isometry_residual(v: np.ndarray) -> float:
+    """Frobenius deviation ``||V*V - I||_F`` of a 2-D array from an isometry."""
+    return float(np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1])))
 
 
 def unitary_completion(v, tol: float = ISOMETRY_TOL) -> np.ndarray:
@@ -75,7 +75,7 @@ def unitary_completion(v, tol: float = ISOMETRY_TOL) -> np.ndarray:
     k, r = v.shape
     if r > k:
         raise DimensionMismatch(f"cannot complete a {k}x{r} matrix with r > k")
-    residual = float(np.linalg.norm(v.conj().T @ v - np.eye(r)))
+    residual = isometry_residual(v)
     if residual > tol:
         raise NotIsometric(
             f"columns are not orthonormal: residual {residual:.3e} exceeds {tol:.1e}"
@@ -88,7 +88,7 @@ def unitary_completion(v, tol: float = ISOMETRY_TOL) -> np.ndarray:
     return q[:, r:]
 
 
-def solve_stein(a, q, side: str = "cont", hermitian_tol: float = 1e-12) -> np.ndarray:
+def solve_stein(a, q, side: str = "cont") -> np.ndarray:
     """Solve a discrete-time Stein equation with a Schur-stable matrix.
 
     Parameters
@@ -96,7 +96,8 @@ def solve_stein(a, q, side: str = "cont", hermitian_tol: float = 1e-12) -> np.nd
     a : (n, n) array_like
         Schur-stable matrix (spectral radius strictly below one).
     q : (n, n) array_like
-        Hermitian right-hand side.
+        Hermitian right-hand side, within ``STEIN_HERMITIAN_RTOL`` relative
+        to ``max(1, ||Q||_F)``.
     side : {"cont", "obs"}
         ``"cont"`` solves ``W - A W A* = Q`` (controllability convention),
         ``"obs"`` solves ``W - A* W A = Q`` (observability convention).
@@ -121,7 +122,7 @@ def solve_stein(a, q, side: str = "cont", hermitian_tol: float = 1e-12) -> np.nd
     if side not in ("cont", "obs"):
         raise ValueError(f"side must be 'cont' or 'obs', got {side!r}")
     herm_residual = float(np.linalg.norm(q - q.conj().T))
-    if herm_residual > hermitian_tol * max(1.0, float(np.linalg.norm(q))):
+    if herm_residual > STEIN_HERMITIAN_RTOL * max(1.0, float(np.linalg.norm(q))):
         raise NotHermitian(f"q is not Hermitian: residual {herm_residual:.3e}")
     if n == 0:
         return q.copy()
@@ -145,13 +146,13 @@ def solve_stein(a, q, side: str = "cont", hermitian_tol: float = 1e-12) -> np.nd
     return 0.5 * (w + w.conj().T)
 
 
-def hermitian_eig(m, rtol: float = HERMITIAN_RTOL):
+def hermitian_eig(m):
     """Eigen-decomposition of a Hermitian matrix.
 
     Parameters
     ----------
     m : (n, n) array_like
-        Matrix with ``||M - M*||_F <= rtol * ||M||_F``.
+        Matrix with ``||M - M*||_F <= HERMITIAN_RTOL * ||M||_F``.
 
     Returns
     -------
@@ -162,7 +163,7 @@ def hermitian_eig(m, rtol: float = HERMITIAN_RTOL):
     m = as_complex_matrix(m, "m")
     _require_square(m, "m")
     norm = float(np.linalg.norm(m))
-    if float(np.linalg.norm(m - m.conj().T)) > rtol * norm:
+    if float(np.linalg.norm(m - m.conj().T)) > HERMITIAN_RTOL * norm:
         raise NotHermitian("matrix deviates from Hermitian symmetry beyond tolerance")
     values, vectors = np.linalg.eigh(0.5 * (m + m.conj().T))
     return values, vectors

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AngleCountMismatch, DimensionMismatch
-from .forms import COISO, ISO, POLE_CIRCLE_MARGIN, BlaschkePotapovForm, Pole, _factor_dimension
+from .forms import COISO, ISO, BlaschkePotapovForm, Pole, _factor_dimension
 from .linalg import unitary_completion
+from .tolerances import POLE_CIRCLE_MARGIN, RADIUS_MARGIN
 
-#: Random polar radii keep this margin from the unit circle.
-RADIUS_MARGIN = 1e-3
 #: Upper bound on random outside-the-disk radii (infinity covers the far limit).
 RADIUS_MAX = 10.0
 
@@ -150,23 +149,21 @@ class ParaunitaryParam:
         return np.asarray(flat, dtype=float)
 
 
-def unit_vector_from_angles(k, polar, phases, fix_global_phase: bool = False) -> np.ndarray:
+def unit_vector_from_angles(k, polar, phases) -> np.ndarray:
     """Hyperspherical unit vector in ``C^k``.
 
     Component ``j`` has magnitude ``cos(t_j) * prod_{i<j} sin(t_i)`` (the
-    last one is the pure sine product) and phase ``phases[j]``; with
-    ``fix_global_phase`` the first phase is forced to zero, leaving the
-    ``2(k - 1)`` angles that matter for the rank-one projector ``v v*``.
+    last one is the pure sine product) and phase ``phases[j]``.  A zero
+    first phase leaves the ``2(k - 1)`` angles that matter for the rank-one
+    projector ``v v*``.
     """
     k = int(k)
     polar = np.asarray(polar, dtype=float).reshape(-1)
-    phases = np.asarray(phases, dtype=float).reshape(-1).copy()
+    phases = np.asarray(phases, dtype=float).reshape(-1)
     if polar.shape != (k - 1,):
         raise AngleCountMismatch(f"need {k - 1} polar angles, got {polar.size}")
     if phases.shape != (k,):
         raise AngleCountMismatch(f"need {k} phases, got {phases.size}")
-    if fix_global_phase and k > 0:
-        phases[0] = 0.0
     magnitudes = np.ones(k)
     sines = 1.0
     for j in range(k - 1):
@@ -259,7 +256,7 @@ def build_paraunitary(params: ParaunitaryParam) -> BlaschkePotapovForm:
     for pole_param, row in zip(params.poles, params.directions):
         polar = row[: k - 1]
         phases = (0.0,) + row[k - 1 :]
-        direction = unit_vector_from_angles(k, polar, phases, fix_global_phase=True)
+        direction = unit_vector_from_angles(k, polar, phases)
         factors.append((pole_param.to_pole(), direction))
     if params.side == ISO:
         constant = isometry_from_angles(params.p, params.m, params.frame)

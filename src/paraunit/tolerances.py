@@ -1,0 +1,66 @@
+"""Every margin, tolerance and limit of the package, defined once.
+
+Each characterization of circle (co)isometry (realization matrix,
+Blaschke-Potapov product, matrix fraction) reaches its verdict by comparing
+a residual with one of these thresholds, and every constructor and kernel
+that refuses an input does so against one of them.  No other module defines
+a threshold; this module imports nothing.
+
+The code relies on two orderings:
+
+* ``RADIUS_MARGIN > POLE_CIRCLE_MARGIN``, so random and fitted polar radii
+  are legal poles.
+* ``POLE_CIRCLE_MARGIN > SCHUR_MARGIN``, so every legal pole inside the disk
+  passes the Stein and cascade stability tests.  ``bp_to_realization``'s
+  ``PoleNotInDisk`` band ``1 - SCHUR_MARGIN <= |alpha| < 1`` is therefore
+  reachable only by a pole built past ``Pole``'s own check.
+"""
+
+# Poles and evaluation points
+
+#: Finite poles must keep at least this margin from the unit circle.
+POLE_CIRCLE_MARGIN = 1e-8
+#: Random and fitted polar radii keep this margin from the unit circle.
+RADIUS_MARGIN = 1e-3
+#: Evaluation refuses points closer than this to a pole.
+EVAL_POLE_MARGIN = 1e-9
+#: Stein solves and cascade factors require a spectral radius (a pole
+#: modulus) below ``1 - SCHUR_MARGIN``, which keeps every pivot nonzero.
+SCHUR_MARGIN = 1e-9
+
+# Input contracts
+
+#: Direction vectors within this distance of unit norm are renormalized.
+DIRECTION_NORM_SLACK = 1e-6
+#: Norms this close to one are left untouched, keeping round trips bit-exact.
+DIRECTION_RENORM_SKIP = 1e-14
+#: Largest ``||V*V - I||_F`` of a matrix that counts as an isometry.
+ISOMETRY_TOL = 1e-10
+#: Relative Hermitian-symmetry tolerance for eigensolver inputs.
+HERMITIAN_RTOL = 1e-10
+#: Hermitian-symmetry tolerance of a Stein right-hand side ``Q``, relative
+#: to ``max(1, ||Q||_F)``: the solution is symmetrized on return.
+STEIN_HERMITIAN_RTOL = 1e-12
+#: An MFD denominator with a larger condition number counts as singular.
+MFD_COND_LIMIT = 1e12
+#: A realization must satisfy its (co)isometry condition this well before
+#: all-pass embedding is attempted.
+EMBED_RESIDUAL_TOL = 1e-8
+#: Reconstruction tolerance when splitting off the constant (co)isometry.
+EXTRACT_TOL = 1e-9
+
+# Certificates (each certificate's ``tol`` argument overrides its default)
+
+#: Fewest unit-circle sample points taken by default.
+CIRCLE_SAMPLES = 64
+#: Default tolerance of the circle-sampling certificate.
+CIRCLE_TOL = 1e-8
+#: Default tolerance of the realization-matrix certificate.
+REALIZATION_TOL = 1e-10
+#: Default tolerance of the gramian certificates.
+GRAMIAN_TOL = 1e-8
+#: Base tolerance of the Hankel certificates (scaled by coefficient mass
+#: for the matrix-fraction test).
+HANKEL_TOL = 1e-9
+#: Eigenvalues of the gramian product above this count toward the degree.
+DEGREE_RANK_TOL = 1e-9

@@ -25,7 +25,6 @@ from .errors import (
 )
 from .forms import (
     COISO,
-    CONSTANT_ISOMETRY_TOL,
     ISO,
     LEFT,
     RIGHT,
@@ -39,13 +38,8 @@ from .forms import (
     _transposed_factors,
     _unit_direction,
 )
-from .linalg import ISOMETRY_TOL, SCHUR_MARGIN, unitary_completion
-
-#: A realization must satisfy its (co)isometry condition this well before
-#: all-pass embedding is attempted.
-EMBED_RESIDUAL_TOL = 1e-8
-#: Reconstruction tolerance when splitting off the constant (co)isometry.
-EXTRACT_TOL = 1e-9
+from .linalg import isometry_residual, unitary_completion
+from .tolerances import EMBED_RESIDUAL_TOL, EXTRACT_TOL, ISOMETRY_TOL, SCHUR_MARGIN
 
 
 def factor_realization(pole, v, validate: bool = True) -> StateSpaceRealization:
@@ -192,38 +186,39 @@ def _cascade_blocks(factors, constant: np.ndarray, validate: bool):
     return top[:, :d], top[:, d:], work[:, :d], work[:, d:]
 
 
-def allpass_embed(ss: StateSpaceRealization, tol: float = EMBED_RESIDUAL_TOL) -> StateSpaceRealization:
+def allpass_embed(ss: StateSpaceRealization) -> StateSpaceRealization:
     """Complete a (co)isometric realization matrix to a unitary one.
 
     For ``p > m`` extra input columns are appended (``B`` and ``D`` widen),
     for ``m > p`` extra output rows (``C`` and ``D`` grow); ``p == m``
-    returns the input unchanged once it is found unitary.  The original
-    blocks are preserved verbatim and the output realization matrix is unitary.
+    returns the input unchanged once it is found unitary.  The input must
+    pass within ``EMBED_RESIDUAL_TOL``.  The original blocks are preserved
+    verbatim and the output realization matrix is unitary.
     """
     if ss.m > ss.p:
-        return allpass_embed(ss.transpose(), tol).transpose()
+        return allpass_embed(ss.transpose()).transpose()
     r = ss.realization_matrix
     n, m = ss.n, ss.m
-    residual = float(np.linalg.norm(r.conj().T @ r - np.eye(n + m)))
-    if residual > tol:
+    residual = isometry_residual(r)
+    if residual > EMBED_RESIDUAL_TOL:
         raise NotCoIsometricRealization(
             f"realization matrix is not (co)isometric: residual {residual:.3e}"
         )
     if ss.p == m:
         return ss
-    w = unitary_completion(r, tol=max(tol, ISOMETRY_TOL))
+    w = unitary_completion(r, tol=EMBED_RESIDUAL_TOL)
     b = np.hstack([ss.b, w[:n]])
     d = np.hstack([ss.d, w[n:]])
     return StateSpaceRealization(ss.a, b, ss.c, d)
 
 
-def extract_constant(r_big, ss: StateSpaceRealization, tol: float = EXTRACT_TOL) -> np.ndarray:
+def extract_constant(r_big, ss: StateSpaceRealization) -> np.ndarray:
     """Recover the constant (co)isometry linking ``ss`` to its embedding.
 
     Given a unitary ``r_big`` and a realization whose matrix ``R`` satisfies
     ``R = r_big @ diag(I_n, U)`` (tall case) or ``R = diag(I_n, U) @ r_big``
     (wide case), returns the ``p x m`` block ``U`` and verifies the
-    reconstruction within ``tol``.  The size of ``r_big`` tells the cases
+    reconstruction within ``EXTRACT_TOL``.  The size of ``r_big`` tells the cases
     apart unless ``p == m``; then the tall reconstruction is tried first and
     the wide one if it fails, and ``InconsistentPair`` is raised only when
     both fail.
@@ -239,20 +234,19 @@ def extract_constant(r_big, ss: StateSpaceRealization, tol: float = EXTRACT_TOL)
         )
     if k == n + p:
         try:
-            return _extract_tall(r_big, ss, tol)
+            return _extract_tall(r_big, ss)
         except InconsistentPair:
             if p != m:
                 raise
     # R = diag(I, U) r_big transposes to the tall case R^T = r_big^T diag(I, U^T)
     big = StateSpaceRealization(r_big[:n, :n], r_big[:n, n:], r_big[n:, :n], r_big[n:, n:])
-    return _extract_tall(big.transpose().realization_matrix, ss.transpose(), tol).T
+    return _extract_tall(big.transpose().realization_matrix, ss.transpose()).T
 
 
-def _extract_tall(r_big: np.ndarray, ss: StateSpaceRealization, tol: float) -> np.ndarray:
+def _extract_tall(r_big: np.ndarray, ss: StateSpaceRealization) -> np.ndarray:
     """``U`` with ``R = r_big @ diag(I_n, U)``, for a ``(n + p)``-square ``r_big``."""
     n, p, m = ss.n, ss.p, ss.m
-    k = r_big.shape[0]
-    unitarity = float(np.linalg.norm(r_big.conj().T @ r_big - np.eye(k)))
+    unitarity = isometry_residual(r_big)
     if unitarity > ISOMETRY_TOL:
         raise InconsistentPair(
             f"embedding matrix is not unitary: residual {unitarity:.3e}"
@@ -266,9 +260,9 @@ def _extract_tall(r_big: np.ndarray, ss: StateSpaceRealization, tol: float) -> n
         ]
     )
     residual = float(np.linalg.norm(r - r_big @ padded))
-    if residual > tol:
+    if residual > EXTRACT_TOL:
         raise InconsistentPair(
-            f"reconstruction residual {residual:.3e} exceeds {tol:.1e}"
+            f"reconstruction residual {residual:.3e} exceeds {EXTRACT_TOL:.1e}"
         )
     return u
 
@@ -311,8 +305,7 @@ def truncate_to_rect(
         return truncate_to_rect(f_sq.transpose(), constant.T, ISO).transpose()
     if rows != k or cols > k:
         raise DimensionMismatch(f"constant must be {k}x(m<={k}) (coiso: transposed), got {rows}x{cols}")
-    gram = constant.conj().T @ constant - np.eye(cols)
-    if float(np.linalg.norm(gram)) > CONSTANT_ISOMETRY_TOL:
+    if isometry_residual(constant) > ISOMETRY_TOL:
         raise NotIsometricConstant("constant is not a (co)isometry")
     if f_sq.side == ISO:
         factors, g = f_sq.factors, f_sq.constant
@@ -429,30 +422,20 @@ def bp_to_laurent(f: BlaschkePotapovForm) -> LaurentPolyForm:
         if not pole.is_infinity and pole.value != 0:
             raise NotFIR(f"pole {pole.value} is neither zero nor infinity")
     shift = 0
-    coeffs = [np.eye(k, dtype=complex)]
+    coeffs = np.eye(k, dtype=complex)[None]
     for pole, v in f.factors:
         projector = np.outer(v, v.conj())
         complement = np.eye(k, dtype=complex) - projector
         if pole.is_infinity:
             # I + (z - 1) v v* = complement + z * projector
-            factor_coeffs = [complement, projector]
+            low, high = complement, projector
         else:
             # I + (1/z - 1) v v* = z^{-1} (projector + z * complement)
-            factor_coeffs = [projector, complement]
+            low, high = projector, complement
             shift -= 1
-        coeffs = _poly_multiply(coeffs, factor_coeffs)
-    return LaurentPolyForm(shift, [c @ f.constant for c in coeffs])
-
-
-def _poly_multiply(left, right):
-    """Coefficient convolution of matrix polynomials (left factors on the left)."""
-    rows, inner = left[0].shape
-    cols = right[0].shape[1]
-    out = [
-        np.zeros((rows, cols), dtype=complex)
-        for _ in range(len(left) + len(right) - 1)
-    ]
-    for i, li in enumerate(left):
-        for j, rj in enumerate(right):
-            out[i + j] += li @ rj
-    return out
+        # multiply by low + z * high: one coefficient more per factor
+        out = np.zeros((len(coeffs) + 1, k, k), dtype=complex)
+        out[:-1] = coeffs @ low
+        out[1:] += coeffs @ high
+        coeffs = out
+    return LaurentPolyForm(shift, coeffs @ f.constant)

@@ -369,7 +369,7 @@ class TestCharacterizationEquivalence:
     @given(
         side=st.sampled_from([ISO, COISO]),
         dims=st.tuples(st.integers(1, 4), st.integers(1, 4)).map(sorted),
-        d=st.integers(1, 80),
+        d=st.integers(1, 96),
         seed=st.integers(0, 2**16),
         fir=st.booleans(),
     )
@@ -392,12 +392,15 @@ class TestCharacterizationEquivalence:
                     ss = bp_to_realization(g, validate=False)
                     certs.append(realization_check(ss))
                     certs.extend(gramian_certificate(ss)[2])
+                    certs.append(mfd_check(ss_to_mfd(ss, RIGHT if g.p >= g.m else LEFT)))
                 verdicts.append([cert.passed for cert in certs])
             assert verdicts[0] == verdicts[1]
             if lossless:
                 assert all(verdicts[0])
             else:
                 assert verdicts[0][:2] == [False, False]
+                if not fir:
+                    assert not verdicts[0][-1]  # the mfd check fails too
 
     def test_gramian_identity_without_minimality(self):
         # tall cascade realizations satisfy I - A*A = C*C structurally

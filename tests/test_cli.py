@@ -72,6 +72,24 @@ class TestGenerateAndCheck:
         code, _, _ = run(capsys, "check", str(path))
         assert code == 0
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("source", ["--tol", "PARAUNIT_TOL"])
+    @pytest.mark.parametrize("command", ["check", "gramians"])
+    def test_rejects_tol_not_finite_nonnegative(
+        self, tmp_path, capsys, monkeypatch, command, source, value
+    ):
+        path = tmp_path / "f.json"
+        lossless = row_example_bp() if command == "check" else row_example_ss_normalized()
+        write_document(path, lossless)
+        argv = [command, str(path)]
+        if source == "--tol":
+            argv.append(f"--tol={value}")
+        else:
+            monkeypatch.setenv("PARAUNIT_TOL", value)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert source in err and "verdict" not in out
+
 
 class TestConvert:
     def test_bp_chain_preserves_pass(self, tmp_path, capsys):

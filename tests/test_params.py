@@ -70,8 +70,6 @@ class TestUnitVectorFromAngles:
     def test_scalar(self):
         v = unit_vector_from_angles(1, [], [0.7])
         assert abs(v[0] - np.exp(0.7j)) < 1e-15
-        v = unit_vector_from_angles(1, [], [0.7], fix_global_phase=True)
-        assert abs(v[0] - 1.0) < 1e-15
 
     def test_first_basis_vector(self):
         v = unit_vector_from_angles(3, [0.0, 0.0], [0.0, 0.0, 0.0])
