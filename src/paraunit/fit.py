@@ -5,8 +5,18 @@ dimensions to target samples.  Candidates always live inside the feasible
 set (the chart maps onto it), so the search never needs a penalty term: the
 discrete pole tags (origin vs. polar) are frozen per restart from the
 seeded draw, polar radii run through a smooth bijection from the real line
-onto ``(0, 1 - 1e-3)``, and all angles are unconstrained reals wrapped
-modulo ``2 pi`` when decoded.
+onto ``(0, 1 - RADIUS_MARGIN)``, and all angles are unconstrained reals
+wrapped modulo ``2 pi`` when decoded.
+
+Each restart builds one :class:`_ChartKernel` from its frozen template and
+the samples, and the search evaluates :func:`_chart_objective`, which takes
+the coordinate vector straight to the objective with array operations: the
+origin-pole gains and the (transposed, for coiso) targets are computed once,
+the directions come from one batched chart call, and the constant from the
+Householder chain of :func:`~paraunit.params.isometry_from_angles`.  It
+builds no parameter object and no product form, yet makes every check that
+path makes.  :func:`objective` stays the public path; the reported
+objective of a fit comes from it.
 """
 
 from __future__ import annotations
@@ -16,22 +26,35 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import DimensionMismatch
-from .forms import COISO, ISO, BlaschkePotapovForm
+from .errors import AngleCountMismatch, DimensionMismatch, EvalAtPole
+from .forms import COISO, ISO, BlaschkePotapovForm, _iso_product, blaschke_scalar
+from .linalg import isometry_residual
 from .params import (
     POLAR,
     ParaunitaryParam,
     PoleParam,
+    _with_leading_phase,
     angles_for_isometry,
     build_paraunitary,
+    isometry_from_angles,
     random_params,
+    unit_vector_from_angles,
 )
-from .tolerances import RADIUS_MARGIN
+from .tolerances import (
+    DIRECTION_NORM_SLACK,
+    EVAL_POLE_MARGIN,
+    ISOMETRY_TOL,
+    POLE_CIRCLE_MARGIN,
+    RADIUS_CHART_MARGIN,
+    RADIUS_MARGIN,
+)
 
 #: Objective below this counts as converged outright.
 CONVERGED_OBJECTIVE = 1e-12
 #: Simplex size tolerance passed to the optimizer.
 SIMPLEX_XATOL = 1e-10
+#: Simplex objective-spread tolerance passed to the optimizer.
+SIMPLEX_FATOL = 1e-14
 #: Cap on simplex rounds per restart; a restart also stops as soon as a
 #: round fails to halve the objective.
 MAX_ROUNDS = 6
@@ -95,20 +118,20 @@ def objective(params: ParaunitaryParam, samples: SampleSet) -> float:
 
 def _radius_to_real(r: float) -> float:
     top = 1.0 - RADIUS_MARGIN
-    r = min(max(r, 1e-12), top - 1e-12)
+    r = min(max(r, RADIUS_CHART_MARGIN), top - RADIUS_CHART_MARGIN)
     return float(np.log(r / (top - r)))
 
 
-def _real_to_radius(x: float) -> float:
-    # logistic map onto (0, 1 - margin), saturation-safe: extreme simplex
-    # steps must not underflow the radius to an invalid 0
-    top = 1.0 - RADIUS_MARGIN
-    if x >= 0.0:
-        r = top / (1.0 + np.exp(-x))
-    else:
-        scale = np.exp(x)
-        r = top * scale / (1.0 + scale)
-    return float(min(max(r, 1e-12), top))
+def _real_to_radius(x):
+    """Logistic map of one coordinate or an array onto ``(0, 1 - RADIUS_MARGIN)``.
+
+    Saturation-safe: extreme simplex steps must not underflow the radius to
+    an invalid 0, so the exponent is never positive.
+    """
+    scale = np.exp(-np.abs(x))
+    r = (1.0 - RADIUS_MARGIN) * np.where(np.greater_equal(x, 0.0), 1.0, scale) / (1.0 + scale)
+    # the quotient never exceeds 1 - RADIUS_MARGIN; it can underflow to 0
+    return np.maximum(r, RADIUS_CHART_MARGIN)
 
 
 def _encode(params: ParaunitaryParam) -> np.ndarray:
@@ -127,7 +150,7 @@ def _decode(x: np.ndarray, template: ParaunitaryParam) -> ParaunitaryParam:
     poles = []
     for pole in template.poles:
         if pole.kind == POLAR:
-            radius = _real_to_radius(x[position])
+            radius = float(_real_to_radius(x[position]))
             theta = float(np.mod(x[position + 1], two_pi))
             poles.append(PoleParam.polar(radius, theta))
             position += 2
@@ -144,6 +167,76 @@ def _decode(x: np.ndarray, template: ParaunitaryParam) -> ParaunitaryParam:
         template.side, template.p, template.m, template.d,
         tuple(poles), tuple(directions), frame,
     )
+
+
+class _ChartKernel:
+    """What :func:`_chart_objective` needs of one restart, computed once.
+
+    The template fixes the pole tags, so the gains ``phi - 1`` of origin and
+    infinity poles are the same at every call; only the rows of polar poles
+    are recomputed.  A coiso form is evaluated as its transpose, an iso
+    product, against targets transposed here.
+    """
+
+    def __init__(self, template: ParaunitaryParam, samples: SampleSet):
+        if template.p != samples.p or template.m != samples.m:
+            raise DimensionMismatch(
+                f"params are {template.p}x{template.m} but samples are "
+                f"{samples.p}x{samples.m}"
+            )
+        self.iso = template.side == ISO
+        self.zs = samples.zs
+        self.targets = samples.targets if self.iso else samples.targets.swapaxes(1, 2).copy()
+        self.k = template.factor_dimension
+        self.frame_shape = (template.p, template.m) if self.iso else (template.m, template.p)
+        self.polar_rows = np.flatnonzero([pole.kind == POLAR for pole in template.poles])
+        self.gains = np.empty((template.d, samples.zs.size), dtype=complex)
+        for j, pole in enumerate(template.poles):
+            if pole.kind != POLAR:
+                self.gains[j] = blaschke_scalar(pole.to_pole(), samples.zs) - 1.0
+        radii_end = 2 * self.polar_rows.size
+        self.radii = slice(0, radii_end, 2)
+        self.thetas = slice(1, radii_end, 2)
+        self.direction_shape = (template.d, 2 * (self.k - 1))
+        self.directions = slice(radii_end, radii_end + template.d * 2 * (self.k - 1))
+        self.frame = slice(self.directions.stop, None)
+        self.size = self.directions.stop + len(template.frame)
+
+
+def _chart_objective(x, kernel: _ChartKernel) -> float:
+    """``objective(_decode(x, template), samples)`` for the kernel's template,
+    computed with array operations and the same checks in the same order."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (kernel.size,):
+        raise AngleCountMismatch(f"need {kernel.size} coordinates, got shape {x.shape}")
+    wrapped = np.mod(x, 2.0 * np.pi)
+    radii = _real_to_radius(x[kernel.radii])
+    if (np.abs(radii - 1.0) <= POLE_CIRCLE_MARGIN).any():
+        raise ValueError("polar radius must stay off the unit circle")
+    alphas = radii * np.exp(1j * wrapped[kernel.thetas])
+    k = kernel.k
+    rows = wrapped[kernel.directions].reshape(kernel.direction_shape)
+    directions = unit_vector_from_angles(k, rows[:, : k - 1], _with_leading_phase(rows[:, k - 1 :]))
+    if not (np.abs(np.linalg.norm(directions, axis=1) - 1.0) <= DIRECTION_NORM_SLACK).all():
+        raise ValueError(f"a direction norm is further than {DIRECTION_NORM_SLACK:.0e} from one")
+    constant = isometry_from_angles(*kernel.frame_shape, wrapped[kernel.frame])
+    residual = isometry_residual(constant)
+    if not residual <= ISOMETRY_TOL:
+        raise ValueError(f"constant is not a (co)isometry: residual {residual:.3e}")
+    offsets = kernel.zs - alphas[:, None]
+    near = np.abs(offsets) <= EVAL_POLE_MARGIN
+    if near.any():
+        alpha = alphas[np.argmax(near.any(axis=1))]
+        raise EvalAtPole(f"a point is within {EVAL_POLE_MARGIN:.0e} of pole {alpha}")
+    gains = kernel.gains.copy()
+    gains[kernel.polar_rows] = (1.0 - alphas.conj()[:, None] * kernel.zs) / offsets - 1.0
+    if kernel.iso:
+        values = _iso_product(gains, directions, constant)
+    else:
+        # the coiso constant is the adjoint of the chart's isometry
+        values = _iso_product(gains[::-1], directions[::-1].conj(), constant.conj())
+    deviation = values - kernel.targets
+    return float(np.vdot(deviation, deviation).real)
 
 
 def _optimal_frame_angles(x: np.ndarray, template: ParaunitaryParam, samples: SampleSet) -> np.ndarray:
@@ -216,28 +309,26 @@ def fit_lossless(
     simplex_converged = False
     for restart in range(restarts):
         template = random_params(seed + restart, side, p, m, d, schur_only=True)
-
-        def fun(x, template=template):
-            return objective(_decode(x, template), samples)
-
+        kernel = _ChartKernel(template, samples)
         x = _encode(template)
-        value = fun(x)
+        value = _chart_objective(x, kernel)
         for _ in range(MAX_ROUNDS):
             if x.size == 0:
                 break
             trial = _splice_optimal_frame(x, template, samples)
-            trial_value = fun(trial)
+            trial_value = _chart_objective(trial, kernel)
             if trial_value < value:
                 x, value = trial, trial_value
             if value < CONVERGED_OBJECTIVE:
                 break
             result = minimize(
-                fun,
+                _chart_objective,
                 x,
+                args=(kernel,),
                 method="Nelder-Mead",
                 options={
                     "xatol": SIMPLEX_XATOL,
-                    "fatol": 1e-14,
+                    "fatol": SIMPLEX_FATOL,
                     "maxiter": 600 * max(1, x.size),
                     "maxfev": 600 * max(1, x.size),
                 },

@@ -221,13 +221,15 @@ class BlaschkePotapovForm(_Form):
     def eval_many(self, zs) -> np.ndarray:
         """Evaluate at a batch of points; returns an ``(N, p, m)`` array."""
         zs = _points(zs)
-        for pole in self.poles:
-            if not pole.is_infinity and np.any(np.abs(zs - pole.value) <= EVAL_POLE_MARGIN):
-                raise EvalAtPole(f"a point is within {EVAL_POLE_MARGIN:.0e} of pole {pole.value}")
+        gains = np.empty((self.d, zs.size), dtype=complex)
+        for row, pole in zip(gains, self.poles):
+            # blaschke_scalar is the pole check: EvalAtPole within EVAL_POLE_MARGIN
+            row[:] = blaschke_scalar(pole, zs) - 1.0
+        directions = [v for _, v in self.factors]
         if self.side == ISO:
-            return _iso_product(self.factors, self.constant, zs)
+            return _iso_product(gains, directions, self.constant)
         # F(z)^T is the iso product of transpose(); no form is built per call
-        transposed = _iso_product(_transposed_factors(self.factors), self.constant.T, zs)
+        transposed = _iso_product(gains[::-1], [v.conj() for v in reversed(directions)], self.constant.T)
         return transposed.swapaxes(1, 2)
 
     def transpose(self) -> "BlaschkePotapovForm":
@@ -249,14 +251,19 @@ def _transposed_factors(factors) -> list:
     return [(pole, v.conj()) for pole, v in reversed(factors)]
 
 
-def _iso_product(factors, constant: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """Values of ``B_1(z) ... B_d(z) @ constant`` at every point of ``zs``."""
-    out = np.broadcast_to(constant, (zs.size, *constant.shape)).copy()
+def _iso_product(gains, directions, constant: np.ndarray) -> np.ndarray:
+    """Values of ``B_1(z) ... B_d(z) @ constant`` at ``N`` points.
+
+    Row ``j`` of the ``(d, N)`` array ``gains`` holds ``phi_j(z) - 1`` at
+    every point, and ``directions[j]`` is the unit vector ``v_j`` of factor
+    ``j``; points and poles enter only through the gains.
+    """
+    out = np.empty((gains.shape[1], *constant.shape), dtype=complex)
+    out[:] = constant
     # Apply factors from the right end of the product outwards.
-    for pole, v in reversed(factors):
-        gain = blaschke_scalar(pole, zs) - 1.0
-        projected = np.einsum("k,nkm->nm", v.conj(), out)
-        out += gain[:, None, None] * v[None, :, None] * projected[:, None, :]
+    for gain, v in zip(gains[::-1], directions[::-1]):
+        projected = v.conj() @ out
+        out += (gain[:, None] * projected)[:, None, :] * v[:, None]
     return out
 
 

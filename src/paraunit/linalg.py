@@ -45,7 +45,9 @@ def _require_square(a: np.ndarray, name: str) -> int:
 
 def isometry_residual(v: np.ndarray) -> float:
     """Frobenius deviation ``||V*V - I||_F`` of a 2-D array from an isometry."""
-    return float(np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1])))
+    gram = v.conj().T @ v
+    gram.flat[:: v.shape[1] + 1] -= 1.0
+    return float(np.linalg.norm(gram))
 
 
 def unitary_completion(v, tol: float = ISOMETRY_TOL) -> np.ndarray:

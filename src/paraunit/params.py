@@ -12,14 +12,15 @@ never needs a feasibility penalty.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AngleCountMismatch, DimensionMismatch
+from .errors import AngleCountMismatch, DimensionMismatch, NotIsometric
 from .forms import COISO, ISO, BlaschkePotapovForm, Pole, _factor_dimension
-from .linalg import unitary_completion
-from .tolerances import POLE_CIRCLE_MARGIN, RADIUS_MARGIN
+from .linalg import isometry_residual
+from .tolerances import ISOMETRY_TOL, POLE_CIRCLE_MARGIN, RADIUS_MARGIN
 
 #: Upper bound on random outside-the-disk radii (infinity covers the far limit).
 RADIUS_MAX = 10.0
@@ -150,77 +151,65 @@ class ParaunitaryParam:
 
 
 def unit_vector_from_angles(k, polar, phases) -> np.ndarray:
-    """Hyperspherical unit vector in ``C^k``.
+    """Hyperspherical unit vector in ``C^k``, or a stack of them.
 
     Component ``j`` has magnitude ``cos(t_j) * prod_{i<j} sin(t_i)`` (the
     last one is the pure sine product) and phase ``phases[j]``.  A zero
     first phase leaves the ``2(k - 1)`` angles that matter for the rank-one
-    projector ``v v*``.
+    projector ``v v*``.  ``polar`` of shape ``(..., k - 1)`` and ``phases``
+    of shape ``(..., k)`` give vectors of shape ``(..., k)``.
     """
     k = int(k)
-    polar = np.asarray(polar, dtype=float).reshape(-1)
-    phases = np.asarray(phases, dtype=float).reshape(-1)
-    if polar.shape != (k - 1,):
-        raise AngleCountMismatch(f"need {k - 1} polar angles, got {polar.size}")
-    if phases.shape != (k,):
-        raise AngleCountMismatch(f"need {k} phases, got {phases.size}")
-    magnitudes = np.ones(k)
-    sines = 1.0
-    for j in range(k - 1):
-        magnitudes[j] = np.cos(polar[j]) * sines
-        sines *= np.sin(polar[j])
-    magnitudes[k - 1] = sines
+    polar = np.asarray(polar, dtype=float)
+    phases = np.asarray(phases, dtype=float)
+    if polar.ndim == 0 or polar.shape[-1] != k - 1:
+        raise AngleCountMismatch(f"need {k - 1} polar angles, got shape {polar.shape}")
+    if phases.ndim == 0 or phases.shape != polar.shape[:-1] + (k,):
+        raise AngleCountMismatch(f"need {k} phases, got shape {phases.shape}")
+    magnitudes = np.empty(phases.shape)
+    magnitudes[..., :-1] = np.cos(polar)
+    magnitudes[..., -1] = 1.0
+    magnitudes[..., 1:] *= np.multiply.accumulate(np.sin(polar), axis=-1)
     return magnitudes * np.exp(1j * phases)
 
 
 def _angles_for_unit_vector(v: np.ndarray):
-    """Invert the hyperspherical chart for one unit vector."""
-    k = v.size
-    two_pi = 2.0 * np.pi
-    phases = np.mod(np.angle(v), two_pi)
-    polar = np.zeros(max(k - 1, 0))
-    tail = 1.0
-    for j in range(k - 1):
-        cos_part = abs(v[j]) / tail if tail > 1e-300 else 0.0
-        polar[j] = np.arccos(np.clip(cos_part, -1.0, 1.0))
-        tail *= np.sin(polar[j])
-    return polar, phases
+    """Invert the hyperspherical chart for one unit vector.
 
-
-def angles_for_isometry(u) -> np.ndarray:
-    """Chart angles reproducing a given isometry (inverse of
-    :func:`isometry_from_angles`).
-
-    Useful for warm-starting searches at a known constant block:
-    ``isometry_from_angles(p, m, angles_for_isometry(u))`` rebuilds ``u`` to
-    machine precision.
+    ``t_j = atan2(||v[j+1:]||, |v_j|)``: the sines of the earlier angles
+    multiply to ``||v[j:]||``, so no division by their product is needed.
     """
-    u = np.asarray(u, dtype=complex)
-    p, m = u.shape
-    if p < m:
-        raise DimensionMismatch(f"need p >= m, got p={p}, m={m}")
-    angles = []
-    columns = []
-    for j in range(m):
-        if j == 0:
-            coords = u[:, 0]
-        else:
-            basis = unitary_completion(np.column_stack(columns))
-            coords = basis.conj().T @ u[:, j]
-        polar, phases = _angles_for_unit_vector(coords)
-        angles.extend(polar)
-        angles.extend(phases)
-        columns.append(u[:, j])
-    return np.asarray(angles, dtype=float)
+    magnitudes = np.abs(v)
+    tails = np.sqrt(np.cumsum(magnitudes[::-1] ** 2)[::-1])
+    polar = np.arctan2(tails[1:], magnitudes[:-1])
+    return polar, np.mod(np.angle(v), 2.0 * np.pi)
+
+
+def _reflector(u: np.ndarray):
+    """Householder reflector ``H = I - tau w w*`` with ``H* u = beta e_1``.
+
+    LAPACK ``zlarfg`` convention: ``beta = -sign(Re u_0) ||u||``,
+    ``tau = (beta - u_0) / beta`` and ``w = [1; u[1:] / (u_0 - beta)]``.
+    For a unit ``u``, ``|u_0 - beta| >= 1``, so the division is safe.
+    """
+    a = u[0]
+    beta = -math.copysign(math.sqrt(np.vdot(u, u).real), a.real)
+    w = u / (a - beta)
+    w[0] = 1.0
+    return (beta - a) / beta, w
 
 
 def isometry_from_angles(p: int, m: int, angles) -> np.ndarray:
     """Isometry ``U`` (``U* U = I_m``) from ``m (2p - m)`` angles.
 
-    Column ``j`` is a hyperspherical unit vector in ``C^{p-j}`` mapped
-    through an orthonormal basis of the complement of the earlier columns,
-    so the angle budget telescopes: ``sum_j (2(p - j) - 1) = m(2p - m)``.
-    Every isometry is reachable this way.
+    Column ``j`` is ``H_0 ... H_{j-1} [0; u_j]``: ``u_j`` is a
+    hyperspherical unit vector in ``C^{p-j}`` and ``H_i``, acting on rows
+    ``i:``, the Householder reflector of ``u_i`` (see :func:`_reflector`).
+    The trailing columns of ``H_0 ... H_{j-1}`` span the
+    complement of the earlier columns, and they are the ones a complete QR
+    of those columns returns, so the chart is the sequential-completion
+    chart with no factorization per column.  The angle budget telescopes:
+    ``sum_j (2(p - j) - 1) = m(2p - m)``.  Every isometry is reachable.
     """
     p, m = int(p), int(m)
     if p < m or m < 1:
@@ -229,20 +218,56 @@ def isometry_from_angles(p: int, m: int, angles) -> np.ndarray:
     needed = m * (2 * p - m)
     if angles.size != needed:
         raise AngleCountMismatch(f"need {needed} angles, got {angles.size}")
-    columns = []
+    # Column j's unit vector sits in rows j: of a p-vector whose leading j
+    # polar angles are pi/2 (their sines are exactly 1, so the trailing
+    # magnitudes are those of u_j) and whose leading entries are then zeroed.
+    polar = np.full((m, p - 1), 0.5 * np.pi)
+    phases = np.zeros((m, p))
     position = 0
     for j in range(m):
         dim = p - j
-        polar = angles[position : position + dim - 1]
-        phases = angles[position + dim - 1 : position + 2 * dim - 1]
+        polar[j, j:] = angles[position : position + dim - 1]
+        phases[j, j:] = angles[position + dim - 1 : position + 2 * dim - 1]
         position += 2 * dim - 1
-        u = unit_vector_from_angles(dim, polar, phases)
-        if j == 0:
-            columns.append(u)
-        else:
-            basis = unitary_completion(np.column_stack(columns))
-            columns.append(basis @ u)
-    return np.column_stack(columns)
+    u = unit_vector_from_angles(p, polar, phases).T
+    for j in range(1, m):
+        u[:j, j] = 0.0
+    # column j needs H_{j-1} first, so apply the reflectors last to first
+    for i in range(m - 2, -1, -1):
+        tau, w = _reflector(u[i:, i])
+        block = u[i:, i + 1 :]
+        block -= (tau * w)[:, None] * (w.conj() @ block)
+    return u
+
+
+def angles_for_isometry(u) -> np.ndarray:
+    """Chart angles reproducing a given isometry (inverse of
+    :func:`isometry_from_angles`).
+
+    Applies the adjoints of the chart's reflectors in turn, as a QR
+    factorization would, and reads each column's unit vector off the
+    remaining rows.  Useful for warm-starting searches at a known constant
+    block: ``isometry_from_angles(p, m, angles_for_isometry(u))`` rebuilds
+    ``u`` to machine precision.
+    """
+    u = np.array(u, dtype=complex)
+    p, m = u.shape
+    if p < m:
+        raise DimensionMismatch(f"need p >= m, got p={p}, m={m}")
+    residual = isometry_residual(u)
+    if residual > ISOMETRY_TOL:
+        raise NotIsometric(f"columns are not orthonormal: residual {residual:.3e}")
+    angles = []
+    for j in range(m):
+        coords = u[j:, j]
+        polar, phases = _angles_for_unit_vector(coords)
+        angles.extend(polar)
+        angles.extend(phases)
+        if j + 1 < m:
+            tau, w = _reflector(coords)
+            block = u[j:, j + 1 :]
+            block -= (np.conj(tau) * w)[:, None] * (w.conj() @ block)
+    return np.asarray(angles, dtype=float)
 
 
 def build_paraunitary(params: ParaunitaryParam) -> BlaschkePotapovForm:
@@ -252,17 +277,19 @@ def build_paraunitary(params: ParaunitaryParam) -> BlaschkePotapovForm:
     admissible parameter values.
     """
     k = params.factor_dimension
-    factors = []
-    for pole_param, row in zip(params.poles, params.directions):
-        polar = row[: k - 1]
-        phases = (0.0,) + row[k - 1 :]
-        direction = unit_vector_from_angles(k, polar, phases)
-        factors.append((pole_param.to_pole(), direction))
+    rows = np.reshape(params.directions, (params.d, 2 * (k - 1)))
+    directions = unit_vector_from_angles(k, rows[:, : k - 1], _with_leading_phase(rows[:, k - 1 :]))
+    factors = [(pole.to_pole(), v) for pole, v in zip(params.poles, directions)]
     if params.side == ISO:
         constant = isometry_from_angles(params.p, params.m, params.frame)
     else:
         constant = isometry_from_angles(params.m, params.p, params.frame).conj().T
     return BlaschkePotapovForm(params.side, params.p, params.m, factors, constant)
+
+
+def _with_leading_phase(phases: np.ndarray) -> np.ndarray:
+    """Direction phase rows with the redundant leading phase fixed to zero."""
+    return np.concatenate([np.zeros((phases.shape[0], 1)), phases], axis=1)
 
 
 def random_params(
@@ -276,7 +303,8 @@ def random_params(
     """Deterministic random parameter draw.
 
     Pole slots come from the full admissible set (origin, infinity, or a
-    polar radius in ``(0, 1 - 1e-3) u (1 + 1e-3, 10]``) or, with
+    polar radius in ``(0, 1 - RADIUS_MARGIN) u (1 + RADIUS_MARGIN,
+    RADIUS_MAX]``) or, with
     ``schur_only``, from the stable subset (origin or radius below one).
     All angles are uniform on ``[0, 2 pi)``.
     """

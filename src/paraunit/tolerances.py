@@ -22,6 +22,9 @@ The code relies on two orderings:
 POLE_CIRCLE_MARGIN = 1e-8
 #: Random and fitted polar radii keep this margin from the unit circle.
 RADIUS_MARGIN = 1e-3
+#: The fit's radius chart clamps radii to at least this, and encodes them
+#: at least this far below ``1 - RADIUS_MARGIN``, so its logarithm is finite.
+RADIUS_CHART_MARGIN = 1e-12
 #: Evaluation refuses points closer than this to a pole.
 EVAL_POLE_MARGIN = 1e-9
 #: Stein solves and cascade factors require a spectral radius (a pole

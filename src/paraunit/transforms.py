@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    EvalAtPole,
     ImproperFunction,
     InconsistentPair,
     NotCoIsometricRealization,
@@ -37,9 +38,16 @@ from .forms import (
     _phase_correction,
     _transposed_factors,
     _unit_direction,
+    blaschke_scalar,
 )
 from .linalg import isometry_residual, unitary_completion
-from .tolerances import EMBED_RESIDUAL_TOL, EXTRACT_TOL, ISOMETRY_TOL, SCHUR_MARGIN
+from .tolerances import (
+    EMBED_RESIDUAL_TOL,
+    EVAL_POLE_MARGIN,
+    EXTRACT_TOL,
+    ISOMETRY_TOL,
+    SCHUR_MARGIN,
+)
 
 
 def factor_realization(pole, v, validate: bool = True) -> StateSpaceRealization:
@@ -352,16 +360,23 @@ def flip_poles(f: BlaschkePotapovForm) -> BlaschkePotapovForm:
 
 
 def flip_scalar(f: BlaschkePotapovForm, z: complex) -> complex:
-    """The scalar all-pass ``psi(z)`` that :func:`flip_poles` multiplies in."""
+    """The scalar all-pass ``psi(z)`` that :func:`flip_poles` multiplies in:
+    the product of ``1 / phi_alpha(z)`` over the offending poles.
+
+    A point within ``EVAL_POLE_MARGIN`` of a zero of one of these ``phi``
+    (``1/conj(alpha)``, or the origin for a pole at infinity) or of an
+    offending pole raises ``EvalAtPole``, as every ``eval_many`` does.
+    """
+    z = complex(z)
     value = 1.0 + 0.0j
     for pole in f.poles:
-        if _is_offending(pole):
-            if pole.is_infinity:
-                value /= complex(z)
-            else:
-                alpha = pole.value
-                value *= (complex(z) - alpha) / (1.0 - alpha.conjugate() * complex(z))
-    return value
+        if not _is_offending(pole):
+            continue
+        zero = 0.0 if pole.is_infinity else 1.0 / pole.value.conjugate()
+        if abs(z - zero) <= EVAL_POLE_MARGIN:
+            raise EvalAtPole(f"{z} is within {EVAL_POLE_MARGIN:.0e} of the zero {zero} of phi for {pole}")
+        value /= blaschke_scalar(pole, z)
+    return complex(value)
 
 
 def _leverrier_faddeev(a: np.ndarray):

@@ -4,6 +4,7 @@ import pytest
 from paraunit import (
     COISO,
     DimensionMismatch,
+    EvalAtPole,
     ISO,
     SampleSet,
     build_paraunitary,
@@ -12,6 +13,7 @@ from paraunit import (
     objective,
     random_params,
 )
+from paraunit.fit import _ChartKernel, _chart_objective, _decode, _encode
 from conftest import circle_points
 
 
@@ -48,6 +50,51 @@ class TestObjective:
         samples = samples_from_params(other, count=4)
         with pytest.raises(DimensionMismatch):
             objective(params, samples)
+
+
+def random_template(rng, seed):
+    """A Schur-stable template of random side and shape, ``p, m, d <= 4``."""
+    side = ISO if seed % 2 else COISO
+    small, large = sorted(int(n) for n in rng.integers(1, 5, size=2))
+    p, m = (large, small) if side == ISO else (small, large)
+    return random_params(seed, side, p, m, int(rng.integers(0, 5)), schur_only=True)
+
+
+class TestChartKernel:
+    def test_matches_public_objective(self):
+        rng = np.random.default_rng(31)
+        for seed in range(200):
+            template = random_template(rng, seed)
+            count = 9
+            zs = rng.uniform(0.2, 3.0, count) * np.exp(1j * rng.uniform(0, 2 * np.pi, count))
+            targets = rng.normal(size=(count, template.p, template.m)) + 1j * rng.normal(
+                size=(count, template.p, template.m)
+            )
+            samples = SampleSet(list(zip(zs, targets)))
+            kernel = _ChartKernel(template, samples)
+            start = _encode(template)
+            x = start + rng.normal(scale=3.0, size=start.size)
+            expected = objective(_decode(x, template), samples)
+            assert abs(_chart_objective(x, kernel) - expected) <= 1e-12 * expected
+
+    def test_sample_on_a_decoded_pole_raises_on_both_paths(self):
+        rng = np.random.default_rng(32)
+        checked = 0
+        for seed in range(40):
+            template = random_template(rng, seed)
+            x = _encode(template) + rng.normal(size=_encode(template).size)
+            params = _decode(x, template)
+            poles = [pole.to_pole().value for pole in params.poles if pole.kind == "polar"]
+            if not poles:
+                continue
+            zs = np.append(circle_points(8), poles[-1])
+            samples = SampleSet([(z, np.zeros((template.p, template.m))) for z in zs])
+            with pytest.raises(EvalAtPole):
+                objective(params, samples)
+            with pytest.raises(EvalAtPole):
+                _chart_objective(x, _ChartKernel(template, samples))
+            checked += 1
+        assert checked >= 20
 
 
 class TestSampleSet:

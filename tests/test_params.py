@@ -21,6 +21,7 @@ from paraunit import (
     unit_vector_from_angles,
     unitary_completion,
 )
+from paraunit.params import angles_for_isometry as package_angles_for_isometry
 from conftest import off_circle_probes
 
 TWO_PI = 2.0 * np.pi
@@ -57,6 +58,21 @@ def angles_for_isometry(u):
     return np.array(angles)
 
 
+def isometry_by_completion(p, m, angles):
+    """Sequential-completion chart with a QR per column (oracle for the
+    Householder chain of ``isometry_from_angles``)."""
+    columns = []
+    position = 0
+    for j in range(m):
+        dim = p - j
+        u = unit_vector_from_angles(
+            dim, angles[position : position + dim - 1], angles[position + dim - 1 : position + 2 * dim - 1]
+        )
+        position += 2 * dim - 1
+        columns.append(u if j == 0 else unitary_completion(np.column_stack(columns)) @ u)
+    return np.column_stack(columns)
+
+
 def two_by_two_unitary(a, b, g, dlt):
     return np.array(
         [
@@ -84,6 +100,16 @@ class TestUnitVectorFromAngles:
             )
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
 
+    def test_stacked_rows_match_single_calls(self):
+        rng = np.random.default_rng(5)
+        for k in range(1, 6):
+            polar = rng.uniform(0, TWO_PI, (4, k - 1))
+            phases = rng.uniform(0, TWO_PI, (4, k))
+            stacked = unit_vector_from_angles(k, polar, phases)
+            for row in range(4):
+                single = unit_vector_from_angles(k, polar[row], phases[row])
+                assert np.array_equal(stacked[row], single)
+
     def test_magnitude_pattern(self):
         polar = np.array([0.3, 1.1, 2.0])
         v = unit_vector_from_angles(4, polar, np.zeros(4))
@@ -107,11 +133,15 @@ class TestIsometryFromAngles:
 
     def test_random_outputs_are_isometric(self):
         rng = np.random.default_rng(3)
-        for _ in range(30):
-            p = int(rng.integers(1, 6))
+        for _ in range(200):
+            p = int(rng.integers(1, 7))
             m = int(rng.integers(1, p + 1))
-            u = isometry_from_angles(p, m, rng.uniform(0, TWO_PI, m * (2 * p - m)))
+            angles = rng.uniform(0, TWO_PI, m * (2 * p - m))
+            u = isometry_from_angles(p, m, angles)
             assert np.linalg.norm(u.conj().T @ u - np.eye(m)) <= 1e-12
+            assert np.linalg.norm(u - isometry_by_completion(p, m, angles)) <= 1e-13
+            rebuilt = isometry_from_angles(p, m, package_angles_for_isometry(u))
+            assert np.linalg.norm(rebuilt - u) <= 1e-13
 
     def test_reaches_full_two_by_two_family(self):
         rng = np.random.default_rng(4)

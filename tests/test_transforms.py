@@ -8,6 +8,7 @@ from paraunit import (
     RIGHT,
     BlaschkePotapovForm,
     DimensionMismatch,
+    EvalAtPole,
     ImproperFunction,
     InconsistentPair,
     NotCoIsometricRealization,
@@ -438,6 +439,17 @@ class TestFlipPoles:
         assert circle_residual(flipped).passed
         for z in off_circle_probes(73, 8):
             assert np.linalg.norm(flipped(z) - flip_scalar(form, z) * form(z)) <= 1e-9
+
+    def test_flip_scalar_refuses_the_zeros_of_its_factors(self):
+        # psi = z^-1 (z - 2) / (1 - 2 z) vanishes nowhere but is infinite
+        # at the reflected pole 1/conj(2) and, for the pole at infinity, at 0
+        form = BlaschkePotapovForm(
+            ISO, 2, 1, [(Pole(2.0), [1.0, 0.0]), (Pole.infinity(), [0.0, 1.0])], [[1.0], [0.0]]
+        )
+        for z in (0.5, 0.0):
+            with pytest.raises(EvalAtPole):
+                flip_scalar(form, z)
+        assert abs(flip_scalar(form, 0.25) - (0.25 - 2.0) / (0.25 * 0.5)) <= 1e-12
 
     def test_circle_singular_values_unchanged(self):
         # the flip multiplies by a unit-modulus scalar on the circle
