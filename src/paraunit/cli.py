@@ -12,6 +12,7 @@ a finite number ``>= 0``, or the command exits 2.
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import os
 import sys
@@ -106,13 +107,13 @@ def _resolve_tol(args) -> float | None:
 def _parse_point(text: str) -> complex:
     parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        if len(parts) in (1, 2):
+            z = complex(float(parts[0]), float(parts[1]) if len(parts) == 2 else 0.0)
+            if cmath.isfinite(z):
+                return z
     except ValueError:
         pass
-    raise DocumentError(f"--at expects 're,im', got {text!r}")
+    raise DocumentError(f"--at expects finite 're,im', got {text!r}")
 
 
 def _cmd_generate(args) -> int:

@@ -1,18 +1,26 @@
 """JSON document format shared by the command-line tools.
 
 Every file is one JSON object ``{"format_version": "paraunit/1", "kind":
-..., "payload": ...}``.  Complex scalars are two-element ``[re, im]``
-arrays; matrices are row-major nested arrays with explicit ``rows`` and
-``cols`` fields.  Numbers survive a write/read round trip bit-exactly.
+..., "payload": ...}``.  The kinds are ``bp`` (Blaschke–Potapov product),
+``ss`` (realization), ``mfd`` (matrix fraction), ``laurent`` (Laurent
+polynomial), ``params`` (parameter vector) and ``samples`` (fit targets).
+Complex scalars are two-element ``[re, im]`` arrays; matrices are row-major
+nested arrays with explicit ``rows`` and ``cols`` fields.  Numbers survive a
+write/read round trip bit-exactly.
+
+Reading checks the JSON type of every field: ``p``, ``m``, ``d``, ``q``,
+``rows`` and ``cols`` are integers, every other number is a finite float or
+integer, and a boolean is never a number.  A malformed document raises
+:class:`DocumentError` naming the path of the offending field.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 
-from .analysis import Certificate
 from .errors import DocumentError
 from .fit import SampleSet
 from .forms import (
@@ -22,15 +30,65 @@ from .forms import (
     Pole,
     StateSpaceRealization,
 )
-from .params import ParaunitaryParam, PoleParam
+from .params import INFINITY, POLAR, ZERO, ParaunitaryParam, PoleParam
 
 FORMAT_VERSION = "paraunit/1"
-KINDS = ("bp", "ss", "mfd", "laurent", "params", "samples", "report")
+
+_JSON_TYPES = {
+    "object": dict,
+    "array": list,
+    "string": str,
+    "integer": int,
+    "number": (int, float),
+}
+
+
+def _read(value, path: str, json_type):
+    """``value`` checked against ``json_type``.
+
+    ``json_type`` is a key of ``_JSON_TYPES`` or a decoder
+    ``(value, path) -> object`` for a nested value.  A number must be finite
+    and fit in a float.
+    """
+    if callable(json_type):
+        return json_type(value, path)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, _JSON_TYPES[json_type])
+        or (json_type == "number" and not abs(value) <= sys.float_info.max)
+    ):
+        raise DocumentError(f"{path}: expected {json_type}, got {value!r:.60}")
+    return value
+
+
+def _field(obj, key: str, path: str, json_type):
+    """Field ``key`` of the object ``obj`` at ``path``, read as ``json_type``."""
+    _read(obj, path, "object")
+    if key not in obj:
+        raise DocumentError(f"{path}.{key}: missing field")
+    return _read(obj[key], f"{path}.{key}", json_type)
+
+
+def _list_of(json_type):
+    """Decoder of an array, as a tuple of its items each read as ``json_type``."""
+
+    def decode(value, path: str) -> tuple:
+        items = _read(value, path, "array")
+        return tuple(_read(item, f"{path}[{i}]", json_type) for i, item in enumerate(items))
+
+    return decode
 
 
 def _encode_complex(z) -> list:
     z = complex(z)
     return [z.real, z.imag]
+
+
+def _decode_complex(value, path: str) -> complex:
+    if not isinstance(value, list) or len(value) != 2:
+        raise DocumentError(f"{path}: expected a [re, im] pair, got {value!r:.60}")
+    re, im = value
+    return complex(_read(re, f"{path}[0]", "number"), _read(im, f"{path}[1]", "number"))
 
 
 def _encode_matrix(a) -> dict:
@@ -42,32 +100,19 @@ def _encode_matrix(a) -> dict:
     return {"rows": rows, "cols": cols, "entries": entries}
 
 
-def _decode_complex(value, path: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(x, (int, float)) for x in value)
-    ):
-        raise DocumentError(f"{path}: expected a [re, im] pair, got {value!r}")
-    return complex(float(value[0]), float(value[1]))
-
-
 def _decode_matrix(value, path: str) -> np.ndarray:
-    if not isinstance(value, dict):
-        raise DocumentError(f"{path}: expected a matrix object")
-    for key in ("rows", "cols", "entries"):
-        if key not in value:
-            raise DocumentError(f"{path}.{key}: missing field")
-    rows, cols = value["rows"], value["cols"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 0 or cols < 0:
+    rows = _field(value, "rows", path, "integer")
+    cols = _field(value, "cols", path, "integer")
+    entries = _field(value, "entries", path, "array")
+    if rows < 0 or cols < 0:
         raise DocumentError(f"{path}: rows/cols must be non-negative integers")
-    entries = value["entries"]
-    if not isinstance(entries, list) or len(entries) != rows:
+    if len(entries) != rows:
         raise DocumentError(f"{path}.entries: expected {rows} rows")
-    out = np.zeros((rows, cols), dtype=complex)
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != cols:
             raise DocumentError(f"{path}.entries[{i}]: expected {cols} entries")
+    out = np.empty((rows, cols), dtype=complex)
+    for i, row in enumerate(entries):
         for j, cell in enumerate(row):
             out[i, j] = _decode_complex(cell, f"{path}.entries[{i}][{j}]")
     return out
@@ -80,107 +125,118 @@ def _encode_pole(pole: Pole) -> dict:
 
 
 def _decode_pole(value, path: str) -> Pole:
-    if not isinstance(value, dict) or "type" not in value:
-        raise DocumentError(f"{path}: expected a pole object with a 'type' field")
-    if value["type"] == "infinity":
+    pole_type = _field(value, "type", path, "string")
+    if pole_type == "infinity":
         return Pole.infinity()
-    if value["type"] == "finite":
-        if "value" not in value:
-            raise DocumentError(f"{path}.value: missing field")
-        return Pole(_decode_complex(value["value"], f"{path}.value"))
-    raise DocumentError(f"{path}.type: unknown pole type {value['type']!r}")
+    if pole_type == "finite":
+        return Pole(_field(value, "value", path, _decode_complex))
+    raise DocumentError(f"{path}.type: unknown pole type {pole_type!r}")
+
+
+def _decode_factor(value, path: str) -> tuple:
+    pole = _field(value, "pole", path, _decode_pole)
+    return pole, _field(value, "direction", path, _decode_matrix).reshape(-1)
+
+
+def _encode_pole_param(pole: PoleParam) -> dict:
+    if pole.kind == POLAR:
+        return {"kind": pole.kind, "r": pole.r, "theta": pole.theta}
+    return {"kind": pole.kind}
+
+
+def _decode_pole_param(value, path: str) -> PoleParam:
+    kind = _field(value, "kind", path, "string")
+    if kind == POLAR:
+        return PoleParam.polar(
+            _field(value, "r", path, "number"), _field(value, "theta", path, "number")
+        )
+    if kind in (ZERO, INFINITY):
+        return PoleParam(kind)
+    raise DocumentError(f"{path}.kind: unknown kind {kind!r}")
+
+
+def _decode_point(value, path: str) -> tuple:
+    return _field(value, "z", path, _decode_complex), _field(value, "value", path, _decode_matrix)
+
+
+# kind -> (class, payload encoder, payload fields (key, json_type) in the
+# order of the class's constructor arguments)
+_KIND_TABLE = {
+    "bp": (
+        BlaschkePotapovForm,
+        lambda bp: {
+            "side": bp.side,
+            "p": bp.p,
+            "m": bp.m,
+            "factors": [
+                {"pole": _encode_pole(pole), "direction": _encode_matrix(v)}
+                for pole, v in bp.factors
+            ],
+            "constant": _encode_matrix(bp.constant),
+        },
+        (("side", "string"), ("p", "integer"), ("m", "integer"),
+         ("factors", _list_of(_decode_factor)), ("constant", _decode_matrix)),
+    ),
+    "ss": (
+        StateSpaceRealization,
+        lambda ss: {name: _encode_matrix(getattr(ss, name)) for name in "abcd"},
+        tuple((name, _decode_matrix) for name in "abcd"),
+    ),
+    "mfd": (
+        MFDForm,
+        lambda mfd: {
+            "side": mfd.side,
+            "num": [_encode_matrix(x) for x in mfd.num],
+            "den": [_encode_matrix(x) for x in mfd.den],
+        },
+        (("side", "string"), ("num", _list_of(_decode_matrix)), ("den", _list_of(_decode_matrix))),
+    ),
+    "laurent": (
+        LaurentPolyForm,
+        lambda lp: {"q": lp.q, "coeffs": [_encode_matrix(x) for x in lp.coeffs]},
+        (("q", "integer"), ("coeffs", _list_of(_decode_matrix))),
+    ),
+    "params": (
+        ParaunitaryParam,
+        lambda params: {
+            "side": params.side,
+            "p": params.p,
+            "m": params.m,
+            "d": params.d,
+            "poles": [_encode_pole_param(pole) for pole in params.poles],
+            "directions": [list(row) for row in params.directions],
+            "frame": list(params.frame),
+        },
+        (("side", "string"), ("p", "integer"), ("m", "integer"), ("d", "integer"),
+         ("poles", _list_of(_decode_pole_param)),
+         ("directions", _list_of(_list_of("number"))), ("frame", _list_of("number"))),
+    ),
+    "samples": (
+        SampleSet,
+        lambda samples: {
+            "points": [
+                {"z": _encode_complex(z), "value": _encode_matrix(g)}
+                for z, g in samples.pairs()
+            ]
+        },
+        (("points", _list_of(_decode_point)),),
+    ),
+}
+KINDS = tuple(_KIND_TABLE)
 
 
 def kind_of(obj) -> str:
     """Document kind string for a serializable object."""
-    if isinstance(obj, BlaschkePotapovForm):
-        return "bp"
-    if isinstance(obj, StateSpaceRealization):
-        return "ss"
-    if isinstance(obj, MFDForm):
-        return "mfd"
-    if isinstance(obj, LaurentPolyForm):
-        return "laurent"
-    if isinstance(obj, ParaunitaryParam):
-        return "params"
-    if isinstance(obj, SampleSet):
-        return "samples"
-    if isinstance(obj, (list, tuple)) and all(isinstance(c, Certificate) for c in obj):
-        return "report"
+    for kind, (cls, _, _) in _KIND_TABLE.items():
+        if isinstance(obj, cls):
+            return kind
     raise DocumentError(f"cannot serialize object of type {type(obj).__name__}")
 
 
 def encode_document(obj) -> dict:
     kind = kind_of(obj)
-    if kind == "bp":
-        payload = {
-            "side": obj.side,
-            "p": obj.p,
-            "m": obj.m,
-            "factors": [
-                {"pole": _encode_pole(pole), "direction": _encode_matrix(v)}
-                for pole, v in obj.factors
-            ],
-            "constant": _encode_matrix(obj.constant),
-        }
-    elif kind == "ss":
-        payload = {
-            "a": _encode_matrix(obj.a),
-            "b": _encode_matrix(obj.b),
-            "c": _encode_matrix(obj.c),
-            "d": _encode_matrix(obj.d),
-        }
-    elif kind == "mfd":
-        payload = {
-            "side": obj.side,
-            "num": [_encode_matrix(x) for x in obj.num],
-            "den": [_encode_matrix(x) for x in obj.den],
-        }
-    elif kind == "laurent":
-        payload = {"q": obj.q, "coeffs": [_encode_matrix(x) for x in obj.coeffs]}
-    elif kind == "params":
-        poles = []
-        for pole in obj.poles:
-            entry = {"kind": pole.kind}
-            if pole.kind == "polar":
-                entry["r"] = pole.r
-                entry["theta"] = pole.theta
-            poles.append(entry)
-        payload = {
-            "side": obj.side,
-            "p": obj.p,
-            "m": obj.m,
-            "d": obj.d,
-            "poles": poles,
-            "directions": [list(row) for row in obj.directions],
-            "frame": list(obj.frame),
-        }
-    elif kind == "samples":
-        payload = {
-            "points": [
-                {"z": _encode_complex(z), "value": _encode_matrix(g)}
-                for z, g in obj.pairs()
-            ]
-        }
-    else:
-        payload = {
-            "certificates": [
-                {
-                    "name": c.name,
-                    "residual": c.residual,
-                    "tolerance": c.tolerance,
-                    "verdict": c.verdict,
-                }
-                for c in obj
-            ]
-        }
-    return {"format_version": FORMAT_VERSION, "kind": kind, "payload": payload}
-
-
-def _payload_field(payload, key, path="payload"):
-    if key not in payload:
-        raise DocumentError(f"{path}.{key}: missing field")
-    return payload[key]
+    _, encode, _ = _KIND_TABLE[kind]
+    return {"format_version": FORMAT_VERSION, "kind": kind, "payload": encode(obj)}
 
 
 def decode_document(data: dict):
@@ -191,100 +247,13 @@ def decode_document(data: dict):
     if version != FORMAT_VERSION:
         raise DocumentError(f"format_version: expected {FORMAT_VERSION!r}, got {version!r}")
     kind = data.get("kind")
-    if kind not in KINDS:
+    if kind not in KINDS:  # a tuple: an unhashable kind compares unequal
         raise DocumentError(f"kind: expected one of {KINDS}, got {kind!r}")
     payload = data.get("payload")
     if not isinstance(payload, dict):
         raise DocumentError("payload: missing or not an object")
-    if kind == "bp":
-        factors = []
-        for i, item in enumerate(_payload_field(payload, "factors")):
-            pole = _decode_pole(_payload_field(item, "pole", f"payload.factors[{i}]"), f"payload.factors[{i}].pole")
-            direction = _decode_matrix(
-                _payload_field(item, "direction", f"payload.factors[{i}]"),
-                f"payload.factors[{i}].direction",
-            )
-            factors.append((pole, direction.reshape(-1)))
-        return BlaschkePotapovForm(
-            _payload_field(payload, "side"),
-            _payload_field(payload, "p"),
-            _payload_field(payload, "m"),
-            factors,
-            _decode_matrix(_payload_field(payload, "constant"), "payload.constant"),
-        )
-    if kind == "ss":
-        return StateSpaceRealization(
-            _decode_matrix(_payload_field(payload, "a"), "payload.a"),
-            _decode_matrix(_payload_field(payload, "b"), "payload.b"),
-            _decode_matrix(_payload_field(payload, "c"), "payload.c"),
-            _decode_matrix(_payload_field(payload, "d"), "payload.d"),
-        )
-    if kind == "mfd":
-        return MFDForm(
-            _payload_field(payload, "side"),
-            [
-                _decode_matrix(x, f"payload.num[{i}]")
-                for i, x in enumerate(_payload_field(payload, "num"))
-            ],
-            [
-                _decode_matrix(x, f"payload.den[{i}]")
-                for i, x in enumerate(_payload_field(payload, "den"))
-            ],
-        )
-    if kind == "laurent":
-        return LaurentPolyForm(
-            _payload_field(payload, "q"),
-            [
-                _decode_matrix(x, f"payload.coeffs[{i}]")
-                for i, x in enumerate(_payload_field(payload, "coeffs"))
-            ],
-        )
-    if kind == "params":
-        poles = []
-        for i, entry in enumerate(_payload_field(payload, "poles")):
-            pole_kind = _payload_field(entry, "kind", f"payload.poles[{i}]")
-            if pole_kind == "polar":
-                poles.append(
-                    PoleParam.polar(
-                        _payload_field(entry, "r", f"payload.poles[{i}]"),
-                        _payload_field(entry, "theta", f"payload.poles[{i}]"),
-                    )
-                )
-            elif pole_kind == "zero":
-                poles.append(PoleParam.zero())
-            elif pole_kind == "infinity":
-                poles.append(PoleParam.infinity())
-            else:
-                raise DocumentError(f"payload.poles[{i}].kind: unknown kind {pole_kind!r}")
-        return ParaunitaryParam(
-            _payload_field(payload, "side"),
-            _payload_field(payload, "p"),
-            _payload_field(payload, "m"),
-            _payload_field(payload, "d"),
-            tuple(poles),
-            tuple(tuple(row) for row in _payload_field(payload, "directions")),
-            tuple(_payload_field(payload, "frame")),
-        )
-    if kind == "samples":
-        pairs = []
-        for i, point in enumerate(_payload_field(payload, "points")):
-            z = _decode_complex(_payload_field(point, "z", f"payload.points[{i}]"), f"payload.points[{i}].z")
-            value = _decode_matrix(
-                _payload_field(point, "value", f"payload.points[{i}]"),
-                f"payload.points[{i}].value",
-            )
-            pairs.append((z, value))
-        return SampleSet(pairs)
-    certificates = []
-    for i, entry in enumerate(_payload_field(payload, "certificates")):
-        certificates.append(
-            Certificate(
-                _payload_field(entry, "name", f"payload.certificates[{i}]"),
-                _payload_field(entry, "residual", f"payload.certificates[{i}]"),
-                _payload_field(entry, "tolerance", f"payload.certificates[{i}]"),
-            )
-        )
-    return certificates
+    cls, _, fields = _KIND_TABLE[kind]
+    return cls(*(_field(payload, key, "payload", json_type) for key, json_type in fields))
 
 
 def write_document(path, obj) -> None:

@@ -22,6 +22,7 @@ stored arrays are marked read-only.
 
 from __future__ import annotations
 
+import cmath
 from typing import Sequence
 
 import numpy as np
@@ -60,6 +61,8 @@ class Pole:
     def __init__(self, value: complex | None):
         if value is not None:
             value = complex(value)
+            if not cmath.isfinite(value):
+                raise ValueError(f"pole {value} is not finite")
             if abs(abs(value) - 1.0) <= POLE_CIRCLE_MARGIN:
                 raise ValueError(
                     f"pole {value} is within {POLE_CIRCLE_MARGIN:.0e} of the unit circle"

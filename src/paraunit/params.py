@@ -42,6 +42,8 @@ class PoleParam:
         if self.kind not in (ZERO, INFINITY, POLAR):
             raise ValueError(f"unknown pole kind {self.kind!r}")
         if self.kind == POLAR:
+            if not (math.isfinite(self.r) and math.isfinite(self.theta)):
+                raise ValueError(f"polar pole {self.r}, {self.theta} is not finite")
             if self.r <= 0.0:
                 raise ValueError("polar radius must be positive")
             if abs(self.r - 1.0) <= POLE_CIRCLE_MARGIN:

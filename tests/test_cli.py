@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,14 @@ class TestEval:
         code, _, err = run(capsys, "eval", str(source), "--at", "0.5,0")
         assert code == 2
 
+    @pytest.mark.parametrize("point", ["nan,0", "inf,0", "0,-inf", "nan"])
+    def test_eval_at_non_finite_point_is_input_error(self, tmp_path, capsys, point):
+        source = tmp_path / "bp.json"
+        write_document(source, row_example_bp())
+        code, out, err = run(capsys, "eval", str(source), "--at", point)
+        assert code == 2
+        assert out == "" and "--at" in err
+
 
 class TestFit:
     def test_fit_constant(self, tmp_path, capsys):
@@ -262,6 +272,17 @@ class TestUsageErrors:
         write_document(path, row_example_bp())
         code, _, err = run(capsys, "gramians", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400])
+    def test_non_finite_pole_is_input_error(self, tmp_path, capsys, value):
+        path = tmp_path / "bp.json"
+        write_document(path, row_example_bp())
+        data = json.loads(path.read_text())
+        data["payload"]["factors"][0]["pole"]["value"][0] = value
+        path.write_text(json.dumps(data))  # NaN / Infinity tokens, or a 401-digit integer
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert "payload.factors[0].pole.value[0]" in err
 
     def test_params_document_has_no_certificates(self, tmp_path, capsys):
         from paraunit import random_params

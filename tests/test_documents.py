@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 from paraunit import (
+    BlaschkePotapovForm,
     Certificate,
     COISO,
     DocumentError,
     ISO,
     LEFT,
+    ParaunitaryParam,
+    Pole,
+    PoleParam,
     SampleSet,
     bp_to_laurent,
     bp_to_realization,
-    circle_residual,
     random_params,
     ss_to_mfd,
 )
@@ -24,8 +27,9 @@ from paraunit.documents import (
     read_document,
     write_document,
 )
-from conftest import circle_points, random_form
-from golden import row_example_bp, row_example_ss_normalized
+from paraunit.cli import execute
+from conftest import circle_points, random_form, random_unitary
+from golden import row_example_ss_normalized
 
 
 def round_trip(tmp_path, obj, name="doc.json"):
@@ -88,14 +92,6 @@ class TestRoundTrips:
         assert np.array_equal(loaded.zs, samples.zs)
         assert np.array_equal(loaded.targets, samples.targets)
 
-    def test_report(self, tmp_path):
-        certs = [circle_residual(row_example_bp())]
-        loaded = round_trip(tmp_path, certs)
-        assert loaded[0].name == certs[0].name
-        assert loaded[0].residual == certs[0].residual
-        assert loaded[0].tolerance == certs[0].tolerance
-        assert loaded[0].verdict == certs[0].verdict
-
 
 class TestErrors:
     def test_invalid_json_reports_line(self, tmp_path):
@@ -137,3 +133,92 @@ class TestErrors:
     def test_certificate_only_lists_serialize(self):
         with pytest.raises(DocumentError):
             kind_of([Certificate("x", 0.0, 1.0), "nope"])
+        with pytest.raises(DocumentError):
+            kind_of([Certificate("x", 0.0, 1.0)])
+
+
+def small_documents():
+    """One valid document of degree at most 2 of each kind, as parsed JSON."""
+    rng = np.random.default_rng(8)
+    v = rng.normal(size=2) + 1j * rng.normal(size=2)
+    v /= np.linalg.norm(v)
+    u = random_unitary(rng, 2)[:, :1]
+    bp = BlaschkePotapovForm(ISO, 2, 1, [(Pole(0.5 + 0.2j), v), (Pole.infinity(), v)], u)
+    fir = BlaschkePotapovForm(ISO, 2, 1, [(Pole(0.0), v), (Pole.infinity(), v)], u)
+    ss = bp_to_realization(random_form(9, ISO, 2, 1, 2, schur_only=True))
+    params = random_params(10, ISO, 2, 1, 2)
+    params = ParaunitaryParam(
+        ISO, 2, 1, 2, (PoleParam.polar(0.5, 1.0), PoleParam.zero()),
+        params.directions, params.frame,
+    )
+    zs = circle_points(2)
+    objects = [bp, ss, ss_to_mfd(ss, LEFT), bp_to_laurent(fir), params,
+               SampleSet(list(zip(zs, bp.eval_many(zs))))]
+    return [json.loads(json.dumps(encode_document(obj))) for obj in objects]
+
+
+def json_type(value):
+    if value is None or isinstance(value, bool):
+        return repr(value)
+    if isinstance(value, (int, float)):
+        return "number"
+    return type(value).__name__
+
+
+def mutants(node, path="document"):
+    """``(path, copy)`` of ``node`` with one of its nodes, itself included,
+    replaced by a value of another JSON type."""
+    for value in (None, True, "x", 7, [], {}):
+        if json_type(value) != json_type(node):
+            yield path, value
+    if isinstance(node, (dict, list)):
+        for key in node if isinstance(node, dict) else range(len(node)):
+            child_path = f"{path}.{key}" if isinstance(node, dict) else f"{path}[{key}]"
+            for where, mutant in mutants(node[key], child_path):
+                copy = node.copy()
+                copy[key] = mutant
+                yield where, copy
+
+
+class TestMalformedDocuments:
+    def test_every_type_change_is_a_value_error(self):
+        escaped = []
+        count = 0
+        for data in small_documents():
+            for where, mutant in mutants(data):
+                count += 1
+                try:
+                    decode_document(mutant)
+                except ValueError:
+                    continue
+                except Exception as exc:  # noqa: BLE001 - the failure being tested
+                    escaped.append(f"{data['kind']} {where}: {type(exc).__name__}: {exc}")
+                else:
+                    escaped.append(f"{data['kind']} {where}: accepted")
+        assert count > 1000
+        assert not escaped, f"{len(escaped)} of {count} mutants:\n" + "\n".join(escaped[:20])
+
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            ("bp", "factors", [5]),
+            ("bp", "factors", 5),
+            ("bp", "p", [2]),
+            ("params", "directions", [None]),
+            ("laurent", "q", None),
+            ("bp", "p", True),
+        ],
+    )
+    def test_cli_check_exits_2(self, tmp_path, capsys, kind, key, value):
+        data = next(d for d in small_documents() if d["kind"] == kind)
+        data["payload"][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert execute(["check", str(path)]) == 2
+        assert f"payload.{key}" in capsys.readouterr().err
+
+    def test_matrix_rows_checked_before_allocation(self):
+        data = small_documents()[1]
+        data["payload"]["a"].update(rows=1, cols=10**15, entries=[[]])
+        with pytest.raises(DocumentError, match=r"payload.a.entries\[0\]"):
+            decode_document(data)

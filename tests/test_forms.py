@@ -10,6 +10,7 @@ from paraunit import (
     LaurentPolyForm,
     MFDForm,
     Pole,
+    PoleParam,
     SingularDenominator,
     StateSpaceRealization,
     blaschke_scalar,
@@ -37,6 +38,17 @@ class TestPole:
         with pytest.raises(ValueError):
             Pole(np.exp(0.3j) * (1.0 + 1e-9))
         Pole(np.exp(0.3j) * (1.0 + 1e-7))  # enough margin
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="not finite"):
+            Pole(value)
+        with pytest.raises(ValueError, match="not finite"):
+            Pole(complex(0.5, value))
+        with pytest.raises(ValueError, match="not finite"):
+            PoleParam.polar(value, 0.0)
+        with pytest.raises(ValueError, match="not finite"):
+            PoleParam.polar(0.5, value)
 
     def test_flip(self):
         assert Pole(0.0).flipped() == Pole.infinity()
