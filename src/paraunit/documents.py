@@ -11,7 +11,9 @@ write/read round trip bit-exactly.
 Reading checks the JSON type of every field: ``p``, ``m``, ``d``, ``q``,
 ``rows`` and ``cols`` are integers, every other number is a finite float or
 integer, and a boolean is never a number.  A malformed document raises
-:class:`DocumentError` naming the path of the offending field.
+:class:`DocumentError` naming the path of the offending field;
+:func:`read_document` also prefixes the file path, and turns the errors of a
+constructor that refuses a decoded value into :class:`DocumentError` too.
 """
 
 from __future__ import annotations
@@ -275,5 +277,6 @@ def read_document(path):
             ) from exc
     try:
         return decode_document(data)
-    except DocumentError as exc:
+    except ValueError as exc:
+        # malformed fields, and values a form constructor refuses
         raise DocumentError(f"{path}: {exc}") from exc

@@ -1,4 +1,4 @@
-"""Lossless approximation by derivative-free search over the angle chart.
+"""Lossless approximation by nonlinear least squares over the angle chart.
 
 Fits a Schur-stable unit-circle (co)isometry of prescribed degree and
 dimensions to target samples.  Candidates always live inside the feasible
@@ -9,14 +9,15 @@ onto ``(0, 1 - RADIUS_MARGIN)``, and all angles are unconstrained reals
 wrapped modulo ``2 pi`` when decoded.
 
 Each restart builds one :class:`_ChartKernel` from its frozen template and
-the samples, and the search evaluates :func:`_chart_objective`, which takes
-the coordinate vector straight to the objective with array operations: the
-origin-pole gains and the (transposed, for coiso) targets are computed once,
-the directions come from one batched chart call, and the constant from the
-Householder chain of :func:`~paraunit.params.isometry_from_angles`.  It
-builds no parameter object and no product form, yet makes every check that
-path makes.  :func:`objective` stays the public path; the reported
-objective of a fit comes from it.
+the samples, and the search evaluates :func:`_chart_residual`, which takes
+the coordinate vector straight to the real view of ``values - targets``
+with array operations: the origin-pole gains and the (transposed, for
+coiso) targets are computed once, the directions come from one batched
+chart call, and the constant from the Householder chain of
+:func:`~paraunit.params.isometry_from_angles`.  It builds no parameter
+object and no product form, yet makes every check that path makes; the
+objective is its squared norm.  :func:`objective` stays the public path;
+the reported objective of a fit comes from it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
 
 from .errors import AngleCountMismatch, DimensionMismatch, EvalAtPole
 from .forms import COISO, ISO, BlaschkePotapovForm, _iso_product, blaschke_scalar
@@ -41,23 +42,15 @@ from .params import (
     unit_vector_from_angles,
 )
 from .tolerances import (
+    CONVERGED_OBJECTIVE,
     DIRECTION_NORM_SLACK,
     EVAL_POLE_MARGIN,
+    FIT_EVAL_BUDGET,
     ISOMETRY_TOL,
     POLE_CIRCLE_MARGIN,
     RADIUS_CHART_MARGIN,
     RADIUS_MARGIN,
 )
-
-#: Objective below this counts as converged outright.
-CONVERGED_OBJECTIVE = 1e-12
-#: Simplex size tolerance passed to the optimizer.
-SIMPLEX_XATOL = 1e-10
-#: Simplex objective-spread tolerance passed to the optimizer.
-SIMPLEX_FATOL = 1e-14
-#: Cap on simplex rounds per restart; a restart also stops as soon as a
-#: round fails to halve the objective.
-MAX_ROUNDS = 6
 
 
 class SampleSet:
@@ -125,7 +118,7 @@ def _radius_to_real(r: float) -> float:
 def _real_to_radius(x):
     """Logistic map of one coordinate or an array onto ``(0, 1 - RADIUS_MARGIN)``.
 
-    Saturation-safe: extreme simplex steps must not underflow the radius to
+    Saturation-safe: extreme search steps must not underflow the radius to
     an invalid 0, so the exponent is never positive.
     """
     scale = np.exp(-np.abs(x))
@@ -170,7 +163,7 @@ def _decode(x: np.ndarray, template: ParaunitaryParam) -> ParaunitaryParam:
 
 
 class _ChartKernel:
-    """What :func:`_chart_objective` needs of one restart, computed once.
+    """What :func:`_chart_residual` needs of one restart, computed once.
 
     The template fixes the pole tags, so the gains ``phi - 1`` of origin and
     infinity poles are the same at every call; only the rows of polar poles
@@ -203,9 +196,10 @@ class _ChartKernel:
         self.size = self.directions.stop + len(template.frame)
 
 
-def _chart_objective(x, kernel: _ChartKernel) -> float:
-    """``objective(_decode(x, template), samples)`` for the kernel's template,
-    computed with array operations and the same checks in the same order."""
+def _chart_residual(x, kernel: _ChartKernel) -> np.ndarray:
+    """Real view of ``values - targets`` at ``_decode(x, template)`` for the
+    kernel's template, computed with array operations and the checks of
+    :func:`objective` in the same order."""
     x = np.asarray(x, dtype=float)
     if x.shape != (kernel.size,):
         raise AngleCountMismatch(f"need {kernel.size} coordinates, got shape {x.shape}")
@@ -235,8 +229,23 @@ def _chart_objective(x, kernel: _ChartKernel) -> float:
     else:
         # the coiso constant is the adjoint of the chart's isometry
         values = _iso_product(gains[::-1], directions[::-1].conj(), constant.conj())
-    deviation = values - kernel.targets
-    return float(np.vdot(deviation, deviation).real)
+    return (values - kernel.targets).ravel().view(float)
+
+
+def _chart_objective(x, kernel: _ChartKernel) -> float:
+    """``objective(_decode(x, template), samples)``: the squared norm of the residual."""
+    residual = _chart_residual(x, kernel)
+    return float(residual @ residual)
+
+
+def minimize(x: np.ndarray, kernel: _ChartKernel):
+    """One restart's local search from ``x``: a ``dogbox`` trust-region
+    least-squares solve of the kernel's residual, with a finite-difference
+    Jacobian and at most :data:`~paraunit.tolerances.FIT_EVAL_BUDGET`
+    residual evaluations besides the Jacobian's."""
+    return least_squares(
+        _chart_residual, x, args=(kernel,), method="dogbox", max_nfev=FIT_EVAL_BUDGET
+    )
 
 
 def _optimal_frame_angles(x: np.ndarray, template: ParaunitaryParam, samples: SampleSet) -> np.ndarray:
@@ -279,16 +288,17 @@ def fit_lossless(
     seed: int = 0,
     restarts: int = 8,
 ) -> FitResult:
-    """Best-of-restarts Nelder-Mead fit over the Schur-stable chart.
+    """Best-of-restarts least-squares fit over the Schur-stable chart.
 
     Each restart draws a fresh seeded starting point (freezing its pole tag
-    pattern) and runs up to :data:`MAX_ROUNDS` simplex rounds, each round
-    restarting the simplex at the running optimum and stopping once a round
-    fails to halve the objective.  Before every round the constant block is
-    snapped to its closed-form (Procrustes) optimum when that lowers the
-    objective; the search over poles and directions stays derivative-free.
-    The overall best candidate wins, and any returned candidate is
-    (co)isometric on the circle by construction, whatever the fit quality.
+    pattern), snaps the constant block to its closed-form (Procrustes)
+    optimum when that lowers the objective, and runs one :func:`minimize`
+    from there.  The overall best candidate wins, and any returned candidate
+    is (co)isometric on the circle by construction, whatever the fit quality.
+    ``iterations`` counts the residual evaluations of every search (scipy's
+    ``nfev``: finite-difference Jacobian evaluations are not counted), and
+    ``converged`` means the objective fell below ``CONVERGED_OBJECTIVE`` or
+    the winning restart's search stopped on a tolerance, not on its budget.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -305,46 +315,31 @@ def fit_lossless(
     best_x = None
     best_template = None
     best_value = np.inf
-    total_iterations = 0
-    simplex_converged = False
+    best_success = False
+    evaluations = 0
     for restart in range(restarts):
         template = random_params(seed + restart, side, p, m, d, schur_only=True)
         kernel = _ChartKernel(template, samples)
         x = _encode(template)
         value = _chart_objective(x, kernel)
-        for _ in range(MAX_ROUNDS):
-            if x.size == 0:
-                break
+        success = False
+        if x.size:
             trial = _splice_optimal_frame(x, template, samples)
             trial_value = _chart_objective(trial, kernel)
             if trial_value < value:
                 x, value = trial, trial_value
-            if value < CONVERGED_OBJECTIVE:
-                break
-            result = minimize(
-                _chart_objective,
-                x,
-                args=(kernel,),
-                method="Nelder-Mead",
-                options={
-                    "xatol": SIMPLEX_XATOL,
-                    "fatol": SIMPLEX_FATOL,
-                    "maxiter": 600 * max(1, x.size),
-                    "maxfev": 600 * max(1, x.size),
-                },
-            )
-            total_iterations += int(result.nit)
-            previous = value
-            if result.fun < value:
-                x, value = result.x, float(result.fun)
-            if result.success:
-                simplex_converged = True
-            if value < CONVERGED_OBJECTIVE or value > 0.5 * previous:
-                break
+            if value >= CONVERGED_OBJECTIVE:
+                result = minimize(x, kernel)
+                evaluations += int(result.nfev)
+                success = bool(result.success)
+                # scipy's cost is half the squared residual norm
+                if 2.0 * result.cost < value:
+                    x, value = result.x, 2.0 * float(result.cost)
         if value < best_value:
             best_value = value
             best_x = x
             best_template = template
+            best_success = success
         if best_value < CONVERGED_OBJECTIVE:
             break
     best_params = _decode(np.asarray(best_x, dtype=float), best_template)
@@ -352,6 +347,6 @@ def fit_lossless(
     return FitResult(
         params=best_params,
         objective=best_value,
-        iterations=total_iterations,
-        converged=bool(best_value < CONVERGED_OBJECTIVE or simplex_converged),
+        iterations=evaluations,
+        converged=bool(best_value < CONVERGED_OBJECTIVE or best_success),
     )

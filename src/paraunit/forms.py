@@ -133,7 +133,8 @@ class _Form:
 
 def _unit_direction(v: np.ndarray) -> np.ndarray:
     """``v`` at unit norm; raises if its norm is further than ``DIRECTION_NORM_SLACK`` from one."""
-    norm = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, refused below
+        norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > DIRECTION_NORM_SLACK:
         raise ValueError(
             f"direction norm {norm} is further than {DIRECTION_NORM_SLACK:.0e} from one"

@@ -9,6 +9,8 @@ pure and take 2-D complex arrays.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
@@ -44,10 +46,16 @@ def _require_square(a: np.ndarray, name: str) -> int:
 
 
 def isometry_residual(v: np.ndarray) -> float:
-    """Frobenius deviation ``||V*V - I||_F`` of a 2-D array from an isometry."""
-    gram = v.conj().T @ v
-    gram.flat[:: v.shape[1] + 1] -= 1.0
-    return float(np.linalg.norm(gram))
+    """Frobenius deviation ``||V*V - I||_F`` of a 2-D array from an isometry.
+
+    Entries large enough to overflow the Gram matrix give ``inf``, never a
+    ``nan`` that every ``residual > tol`` test would let pass.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = v.conj().T @ v
+        gram.flat[:: v.shape[1] + 1] -= 1.0
+        residual = float(np.linalg.norm(gram))
+    return residual if math.isfinite(residual) else math.inf
 
 
 def unitary_completion(v, tol: float = ISOMETRY_TOL) -> np.ndarray:

@@ -67,3 +67,16 @@ GRAMIAN_TOL = 1e-8
 HANKEL_TOL = 1e-9
 #: Eigenvalues of the gramian product above this count toward the degree.
 DEGREE_RANK_TOL = 1e-9
+
+# Fit
+
+#: A fit restart whose objective falls below this has recovered its target,
+#: and the remaining restarts are skipped.  Recoveries land far below it (the
+#: criterion-8 fits at 6e-21 or less) and misses far above (1.36 or more on
+#: the seeded sweep of ``tests/test_fit.py``).
+CONVERGED_OBJECTIVE = 1e-12
+#: Residual evaluations one restart's least-squares search may spend, the
+#: finite-difference Jacobian's not counted.  On the seeded sweep a budget
+#: of 2000 recovers the same 27 of 30 targets as 200 in 2.4 times the time:
+#: a larger budget only lengthens the restarts that do not recover.
+FIT_EVAL_BUDGET = 200

@@ -3,7 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from paraunit import BlaschkePotapovForm, ISO, Pole, SampleSet, StateSpaceRealization
+from paraunit import (
+    BlaschkePotapovForm,
+    ISO,
+    Pole,
+    SampleSet,
+    StateSpaceRealization,
+    build_paraunitary,
+    random_params,
+)
 from paraunit.cli import execute
 from paraunit.documents import read_document, write_document
 from conftest import circle_points, random_form, random_unitary
@@ -22,6 +30,16 @@ def write_edge_unitary_ss(tmp_path):
     s = np.sqrt(1.0 - abs(a) ** 2)
     path = tmp_path / "edge.json"
     write_document(path, StateSpaceRealization([[a]], [[s]], [[s]], [[-np.conj(a)]]))
+    return path
+
+
+def edited_bp(tmp_path, edit):
+    """Path of the golden bp document with ``edit`` applied to its payload."""
+    path = tmp_path / "bp.json"
+    write_document(path, row_example_bp())
+    data = json.loads(path.read_text())
+    edit(data["payload"])
+    path.write_text(json.dumps(data))
     return path
 
 
@@ -232,6 +250,20 @@ class TestEval:
 
 
 class TestFit:
+    def test_fit_degree_one_recovers_and_checks(self, tmp_path, capsys):
+        target = build_paraunitary(random_params(17, ISO, 2, 1, 1, schur_only=True))
+        zs = circle_points(32)
+        source = tmp_path / "samples.json"
+        write_document(source, SampleSet(list(zip(zs, target.eval_many(zs)))))
+        out_path = tmp_path / "fit.json"
+        code, out, _ = run(capsys, "fit", str(source), "--degree", "1", "-o", str(out_path))
+        assert code == 0
+        objective_line = next(line for line in out.splitlines() if line.startswith("objective = "))
+        assert float(objective_line.split("=")[1]) <= 1e-8
+        assert read_document(out_path).d == 1
+        code, _, _ = run(capsys, "check", str(out_path))
+        assert code == 0
+
     def test_fit_constant(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
         u = random_unitary(rng, 2)[:, :1]
@@ -284,9 +316,37 @@ class TestUsageErrors:
         assert code == 2
         assert "payload.factors[0].pole.value[0]" in err
 
-    def test_params_document_has_no_certificates(self, tmp_path, capsys):
-        from paraunit import random_params
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda payload: payload.update(side="x"), "side must be 'iso' or 'coiso'"),
+            (
+                lambda payload: payload["factors"][0]["pole"].update(value=[1.0, 0.0]),
+                "of the unit circle",
+            ),
+        ],
+        ids=["side", "pole_on_circle"],
+    )
+    def test_constructor_error_names_the_file(self, tmp_path, capsys, edit, message):
+        path = edited_bp(tmp_path, edit)
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert out == ""
+        assert str(path) in err and message in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("field", ["direction", "constant"])
+    def test_huge_entry_is_one_error_line(self, tmp_path, capsys, field):
+        def edit(payload):
+            matrix = payload["factors"][0]["direction"] if field == "direction" else payload["constant"]
+            matrix["entries"][0][0] = [1e300, 0.0]
+
+        code, out, err = run(capsys, "check", str(edited_bp(tmp_path, edit)))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_params_document_has_no_certificates(self, tmp_path, capsys):
         path = tmp_path / "params.json"
         write_document(path, random_params(0, ISO, 2, 1, 1))
         code, _, err = run(capsys, "check", str(path))

@@ -14,6 +14,7 @@ from paraunit import (
     spectral_radius,
     unitary_completion,
 )
+from paraunit.linalg import isometry_residual
 from conftest import random_unitary
 
 
@@ -38,6 +39,15 @@ def random_stable(rng, n, rho):
 def random_psd(rng, n):
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return g @ g.conj().T
+
+
+class TestIsometryResidual:
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_gram_is_inf_not_nan(self):
+        # the off-diagonal Gram entry is inf - inf, so an unguarded norm is
+        # nan, and nan passes every `residual > tol` test
+        v = np.array([[1e300, 1e300], [1e300, -1e300]], dtype=complex)
+        assert isometry_residual(v) == np.inf
 
 
 class TestUnitaryCompletion:

@@ -6,7 +6,9 @@ from pathlib import Path
 import paraunit
 from paraunit import tolerances
 
-THRESHOLD_SUFFIXES = ("_TOL", "_RTOL", "_MARGIN", "_LIMIT", "_SLACK", "_SKIP")
+THRESHOLD_SUFFIXES = (
+    "_TOL", "_RTOL", "_MARGIN", "_LIMIT", "_SLACK", "_SKIP", "_OBJECTIVE", "_BUDGET",
+)
 
 
 def test_margin_ordering():
