@@ -19,6 +19,7 @@ residual so callers can re-threshold; default tolerances come from
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +36,7 @@ from .forms import (
 # perfbench/tracing.py shims analysis.evaluate and analysis.spectral_radius, so
 # both names stay importable here
 from .forms import evaluate  # noqa: F401
-from .linalg import hermitian_eig, solve_stein, spectral_radius  # noqa: F401
+from .linalg import _finite_norm, hermitian_eig, solve_stein, spectral_radius  # noqa: F401
 from .tolerances import (
     CIRCLE_SAMPLES,
     CIRCLE_TOL,
@@ -50,8 +51,10 @@ from .tolerances import (
 class Certificate:
     """Outcome of a single certification test.
 
-    ``verdict`` is ``"Pass"`` exactly when ``residual <= tolerance``; the
-    raw residual is always kept so callers can apply their own threshold.
+    ``verdict`` is ``"Pass"`` exactly when ``residual <= tolerance`` and the
+    residual is finite: an infinite residual marks products that overflowed,
+    and fails even a tolerance that overflowed with them.  The raw residual
+    is always kept so callers can apply their own threshold.
     ``witness`` optionally carries the residual matrix or an eigenvalue list.
     """
 
@@ -62,7 +65,7 @@ class Certificate:
 
     @property
     def passed(self) -> bool:
-        return self.residual <= self.tolerance
+        return math.isfinite(self.residual) and self.residual <= self.tolerance
 
     @property
     def verdict(self) -> str:
@@ -120,14 +123,16 @@ def realization_check(ss: StateSpaceRealization, tol: float = REALIZATION_TOL) -
     Tall systems must satisfy ``R* R = I``, wide systems ``R R* = I``;
     square systems are held to both (the reported residual is the larger
     one).  For a Schur-stable system this is the exact losslessness
-    certificate.
+    certificate.  Entries too large for the Gram products give an ``inf``
+    residual.
     """
     r = ss.realization_matrix
     n, p, m = ss.n, ss.p, ss.m
-    iso_gram = r.conj().T @ r - np.eye(n + m)
-    coiso_gram = r @ r.conj().T - np.eye(n + p)
-    iso_res = float(np.linalg.norm(iso_gram))
-    coiso_res = float(np.linalg.norm(coiso_gram))
+    with np.errstate(over="ignore", invalid="ignore"):
+        iso_gram = r.conj().T @ r - np.eye(n + m)
+        coiso_gram = r @ r.conj().T - np.eye(n + p)
+        iso_res = _finite_norm(iso_gram)
+        coiso_res = _finite_norm(coiso_gram)
     if p > m:
         return Certificate("realization_isometry", iso_res, tol, witness=iso_gram)
     if m > p:
@@ -216,7 +221,8 @@ def mfd_check(mfd: MFDForm, tol: float | None = None) -> Certificate:
     ``(H_den* H_den - H_num* H_num) @ [I_m; 0] = 0`` and left fractions
     (``m >= p``) the mirrored ``[I_p 0]``-column condition.  Coprimeness of
     the fraction is not required.  The default tolerance scales with the
-    squared Frobenius mass of the denominator coefficients.
+    squared Frobenius mass of the denominator coefficients.  Coefficients too
+    large for the Hankel products give an ``inf`` residual.
     """
     p, m = mfd.p, mfd.m
     if mfd.side == RIGHT and p < m:
@@ -225,18 +231,20 @@ def mfd_check(mfd: MFDForm, tol: float | None = None) -> Certificate:
         raise SideMismatch(f"left-side test requires m >= p, got p={p}, m={m}")
     h_num = block_hankel(mfd.num)
     h_den = block_hankel(mfd.den)
-    den_mass = float(sum(np.linalg.norm(c) ** 2 for c in mfd.den))
+    with np.errstate(over="ignore", invalid="ignore"):
+        den_mass = float(sum(np.linalg.norm(c) ** 2 for c in mfd.den))
+        if mfd.side == RIGHT:
+            gap = h_den.conj().T @ h_den - h_num.conj().T @ h_num
+            witness = gap[:, :m]
+            name = "mfd_hankel_right"
+        else:
+            gap = h_den @ h_den.conj().T - h_num @ h_num.conj().T
+            witness = gap[:, :p]
+            name = "mfd_hankel_left"
+        residual = _finite_norm(witness)
     if tol is None:
         tol = HANKEL_TOL * (1.0 + den_mass)
-    if mfd.side == RIGHT:
-        gap = h_den.conj().T @ h_den - h_num.conj().T @ h_num
-        witness = gap[:, :m]
-        name = "mfd_hankel_right"
-    else:
-        gap = h_den @ h_den.conj().T - h_num @ h_num.conj().T
-        witness = gap[:, :p]
-        name = "mfd_hankel_left"
-    return Certificate(name, float(np.linalg.norm(witness)), tol, witness=witness)
+    return Certificate(name, residual, tol, witness=witness)
 
 
 def laurent_check(lp: LaurentPolyForm, tol: float = HANKEL_TOL) -> Certificate:

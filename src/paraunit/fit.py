@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import AngleCountMismatch, DimensionMismatch, EvalAtPole
 from .forms import COISO, ISO, BlaschkePotapovForm, _iso_product, blaschke_scalar
@@ -242,7 +241,11 @@ def minimize(x: np.ndarray, kernel: _ChartKernel):
     """One restart's local search from ``x``: a ``dogbox`` trust-region
     least-squares solve of the kernel's residual, with a finite-difference
     Jacobian and at most :data:`~paraunit.tolerances.FIT_EVAL_BUDGET`
-    residual evaluations besides the Jacobian's."""
+    residual evaluations besides the Jacobian's.  scipy.optimize is imported
+    here, on the first fit, because loading it costs more than most CLI
+    commands and only the fit calls it."""
+    from scipy.optimize import least_squares
+
     return least_squares(
         _chart_residual, x, args=(kernel,), method="dogbox", max_nfev=FIT_EVAL_BUDGET
     )
@@ -297,8 +300,8 @@ def fit_lossless(
     is (co)isometric on the circle by construction, whatever the fit quality.
     ``iterations`` counts the residual evaluations of every search (scipy's
     ``nfev``: finite-difference Jacobian evaluations are not counted), and
-    ``converged`` means the objective fell below ``CONVERGED_OBJECTIVE`` or
-    the winning restart's search stopped on a tolerance, not on its budget.
+    ``converged`` means the reported objective is below
+    ``CONVERGED_OBJECTIVE``.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -315,14 +318,12 @@ def fit_lossless(
     best_x = None
     best_template = None
     best_value = np.inf
-    best_success = False
     evaluations = 0
     for restart in range(restarts):
         template = random_params(seed + restart, side, p, m, d, schur_only=True)
         kernel = _ChartKernel(template, samples)
         x = _encode(template)
         value = _chart_objective(x, kernel)
-        success = False
         if x.size:
             trial = _splice_optimal_frame(x, template, samples)
             trial_value = _chart_objective(trial, kernel)
@@ -331,7 +332,6 @@ def fit_lossless(
             if value >= CONVERGED_OBJECTIVE:
                 result = minimize(x, kernel)
                 evaluations += int(result.nfev)
-                success = bool(result.success)
                 # scipy's cost is half the squared residual norm
                 if 2.0 * result.cost < value:
                     x, value = result.x, 2.0 * float(result.cost)
@@ -339,7 +339,6 @@ def fit_lossless(
             best_value = value
             best_x = x
             best_template = template
-            best_success = success
         if best_value < CONVERGED_OBJECTIVE:
             break
     best_params = _decode(np.asarray(best_x, dtype=float), best_template)
@@ -348,5 +347,5 @@ def fit_lossless(
         params=best_params,
         objective=best_value,
         iterations=evaluations,
-        converged=bool(best_value < CONVERGED_OBJECTIVE or best_success),
+        converged=bool(best_value < CONVERGED_OBJECTIVE),
     )

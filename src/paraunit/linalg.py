@@ -9,10 +9,10 @@ pure and take 2-D complex arrays.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .errors import (
     ConvergenceFailure,
@@ -23,10 +23,19 @@ from .errors import (
 )
 from .tolerances import HERMITIAN_RTOL, ISOMETRY_TOL, SCHUR_MARGIN, STEIN_HERMITIAN_RTOL
 
-# Raw LAPACK calls: scipy.linalg.schur / solve_triangular checks cost more than a
-# whole solve at n <= 8, and as_complex_matrix has already rejected NaN / Inf.
-_zgees = get_lapack_funcs("gees", dtype=complex)
-_ztrtrs = get_lapack_funcs("trtrs", dtype=complex)
+
+@functools.cache
+def _lapack():
+    """The complex Schur (``zgees``) and triangular-solve (``ztrtrs``) drivers.
+
+    Raw LAPACK calls: scipy.linalg.schur / solve_triangular checks cost more
+    than a whole solve at n <= 8, and as_complex_matrix has already rejected
+    NaN / Inf.  Imported on first use, because loading scipy.linalg costs more
+    than most CLI commands, and only the Stein solve needs it.
+    """
+    from scipy.linalg.lapack import zgees, ztrtrs
+
+    return zgees, ztrtrs
 
 
 def as_complex_matrix(x, name: str = "matrix") -> np.ndarray:
@@ -54,8 +63,13 @@ def isometry_residual(v: np.ndarray) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         gram = v.conj().T @ v
         gram.flat[:: v.shape[1] + 1] -= 1.0
-        residual = float(np.linalg.norm(gram))
-    return residual if math.isfinite(residual) else math.inf
+        return _finite_norm(gram)
+
+
+def _finite_norm(x: np.ndarray) -> float:
+    """Frobenius norm of ``x``, or ``inf`` where entries overflowed (never ``nan``)."""
+    value = float(np.linalg.norm(x))
+    return value if math.isfinite(value) else math.inf
 
 
 def unitary_completion(v, tol: float = ISOMETRY_TOL) -> np.ndarray:
@@ -138,7 +152,8 @@ def solve_stein(a, q, side: str = "cont") -> np.ndarray:
         return q.copy()
     if side == "obs":
         a = a.conj().T
-    t, _, _, u, _, info = _zgees(lambda z: None, a)
+    zgees, ztrtrs = _lapack()
+    t, _, _, u, _, info = zgees(lambda z: None, a)
     if info != 0:  # pragma: no cover - LAPACK failures are rare
         raise ConvergenceFailure(f"Schur iteration failed: LAPACK gees info {info}")
     rho = float(np.max(np.abs(np.diagonal(t))))
@@ -149,7 +164,7 @@ def solve_stein(a, q, side: str = "cont") -> np.ndarray:
     eye = np.eye(n, dtype=complex)
     for j in range(n - 1, -1, -1):
         rhs = x[:, j] + t @ (x[:, j + 1 :] @ tc[j, j + 1 :])
-        x[:, j], info = _ztrtrs(eye - tc[j, j] * t, rhs)
+        x[:, j], info = ztrtrs(eye - tc[j, j] * t, rhs)
         if info != 0:  # pragma: no cover - the margin keeps every pivot nonzero
             raise ConvergenceFailure(f"triangular solve failed: LAPACK trtrs info {info}")
     w = u @ x @ u.conj().T

@@ -6,8 +6,7 @@ the cascade's is (co)isometric, which is what makes the realization-based
 certificate hold for converted product forms without any balancing step.
 :func:`bp_to_realization` writes the cascade's blocks down directly, in one
 backward sweep of rank-one updates over the factors (lossless cascade
-synthesis); :func:`factor_realization` and :func:`series_cascade` are the
-same construction one factor at a time.
+synthesis).
 """
 
 from __future__ import annotations
@@ -50,85 +49,11 @@ from .tolerances import (
 )
 
 
-def factor_realization(pole, v, validate: bool = True) -> StateSpaceRealization:
-    """One-state realization of ``I + (phi(z) - 1) v v*`` with unitary R.
-
-    Parameters
-    ----------
-    pole : Pole or complex
-        Finite pole strictly inside the open unit disk.
-    v : (p,) array_like
-        Unit direction vector.
-    validate : bool
-        With ``validate=False`` a non-unit ``v`` is accepted verbatim; the
-        formulas stay faithful to the (then non-lossless) rank-one factor.
-
-    Returns
-    -------
-    StateSpaceRealization
-        ``A = [alpha]``, ``B = s v*``, ``C = s v``,
-        ``D = I - (1 + conj(alpha)) v v*`` with ``s = sqrt(1 - |alpha|^2)``.
-        For unit ``v`` the realization matrix is unitary to machine precision.
-    """
-    if not isinstance(pole, Pole):
-        pole = Pole(pole)
-    if pole.is_infinity:
-        raise PoleNotInDisk("pole at infinity has no one-state realization")
-    alpha = pole.value
-    if abs(alpha) >= 1.0 - SCHUR_MARGIN:
-        raise PoleNotInDisk(f"|{alpha}| is not strictly below one")
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if validate:
-        v = _unit_direction(v)
-    p = v.size
-    scale = np.sqrt(1.0 - abs(alpha) ** 2)
-    a = np.array([[alpha]], dtype=complex)
-    b = scale * v.conj()[None, :]
-    c = scale * v[:, None]
-    d = np.eye(p, dtype=complex) - (1.0 + alpha.conjugate()) * np.outer(v, v.conj())
-    return StateSpaceRealization(a, b, c, d)
-
-
-def series_cascade(outer: StateSpaceRealization, inner: StateSpaceRealization) -> StateSpaceRealization:
-    """Realization of the matrix product ``outer(z) @ inner(z)``.
-
-    Standard series interconnection: the inner system feeds the outer one,
-    the outer state comes first in the composite state vector.
-    """
-    if outer.m != inner.p:
-        raise DimensionMismatch(
-            f"outer has {outer.m} inputs but inner has {inner.p} outputs"
-        )
-    n2, n1 = outer.n, inner.n
-    a = np.block(
-        [
-            [outer.a, outer.b @ inner.c],
-            [np.zeros((n1, n2), dtype=complex), inner.a],
-        ]
-    )
-    b = np.block([[outer.b @ inner.d], [inner.b]])
-    c = np.block([[outer.c, outer.d @ inner.c]])
-    d = outer.d @ inner.d
-    return StateSpaceRealization(a, b, c, d)
-
-
-def constant_system(d) -> StateSpaceRealization:
-    """Zero-state realization of a constant matrix."""
-    d = np.asarray(d, dtype=complex)
-    p, m = d.shape
-    return StateSpaceRealization(
-        np.zeros((0, 0), dtype=complex),
-        np.zeros((0, m), dtype=complex),
-        np.zeros((p, 0), dtype=complex),
-        d,
-    )
-
-
 def bp_to_realization(f: BlaschkePotapovForm, validate: bool = True) -> StateSpaceRealization:
     """Cascade realization of a product form with all poles inside the disk.
 
-    The result equals the series cascade of the :func:`factor_realization`
-    blocks, outer factor first, so state ``j`` belongs to factor ``j``.
+    The result equals the series cascade of the factors' one-state unitary
+    realizations, outer factor first, so state ``j`` belongs to factor ``j``.
     With ``s_i = sqrt(1 - |alpha_i|^2)``,
     ``D_i = I - (1 + conj(alpha_i)) v_i v_i*`` and ``K`` the constant, the
     iso blocks are
@@ -170,7 +95,7 @@ def _cascade_blocks(factors, constant: np.ndarray, validate: bool):
     the rank-one update by ``D_i``; column ``i`` of ``C`` is then
     ``s_i v_i``.  Poles are checked against ``SCHUR_MARGIN`` and (with
     ``validate``) directions against unit norm in the order
-    :func:`factor_realization` would meet them.
+    a factor-by-factor cascade would meet them.
     """
     d = len(factors)
     p, m = constant.shape

@@ -5,10 +5,15 @@ from paraunit import (
     COISO,
     ISO,
     BlaschkePotapovForm,
+    DimensionMismatch,
     Pole,
+    PoleNotInDisk,
+    StateSpaceRealization,
     build_paraunitary,
     random_params,
 )
+from paraunit.forms import _unit_direction
+from paraunit.tolerances import SCHUR_MARGIN
 
 
 def random_form(seed, side, p, m, d, schur_only=False):
@@ -57,6 +62,84 @@ def off_circle_probes(seed, count):
     )
     angles = rng.uniform(0.0, 2.0 * np.pi, size=count)
     return radii * np.exp(1j * angles)
+
+
+# The factor-by-factor series cascade: the reference that bp_to_realization's
+# one-sweep block formulas are tested against.
+
+
+def factor_realization(pole, v, validate: bool = True) -> StateSpaceRealization:
+    """One-state realization of ``I + (phi(z) - 1) v v*`` with unitary R.
+
+    Parameters
+    ----------
+    pole : Pole or complex
+        Finite pole strictly inside the open unit disk.
+    v : (p,) array_like
+        Unit direction vector.
+    validate : bool
+        With ``validate=False`` a non-unit ``v`` is accepted verbatim; the
+        formulas stay faithful to the (then non-lossless) rank-one factor.
+
+    Returns
+    -------
+    StateSpaceRealization
+        ``A = [alpha]``, ``B = s v*``, ``C = s v``,
+        ``D = I - (1 + conj(alpha)) v v*`` with ``s = sqrt(1 - |alpha|^2)``.
+        For unit ``v`` the realization matrix is unitary to machine precision.
+    """
+    if not isinstance(pole, Pole):
+        pole = Pole(pole)
+    if pole.is_infinity:
+        raise PoleNotInDisk("pole at infinity has no one-state realization")
+    alpha = pole.value
+    if abs(alpha) >= 1.0 - SCHUR_MARGIN:
+        raise PoleNotInDisk(f"|{alpha}| is not strictly below one")
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    if validate:
+        v = _unit_direction(v)
+    p = v.size
+    scale = np.sqrt(1.0 - abs(alpha) ** 2)
+    a = np.array([[alpha]], dtype=complex)
+    b = scale * v.conj()[None, :]
+    c = scale * v[:, None]
+    d = np.eye(p, dtype=complex) - (1.0 + alpha.conjugate()) * np.outer(v, v.conj())
+    return StateSpaceRealization(a, b, c, d)
+
+
+def series_cascade(outer: StateSpaceRealization, inner: StateSpaceRealization) -> StateSpaceRealization:
+    """Realization of the matrix product ``outer(z) @ inner(z)``.
+
+    Standard series interconnection: the inner system feeds the outer one,
+    the outer state comes first in the composite state vector.
+    """
+    if outer.m != inner.p:
+        raise DimensionMismatch(
+            f"outer has {outer.m} inputs but inner has {inner.p} outputs"
+        )
+    n2, n1 = outer.n, inner.n
+    a = np.block(
+        [
+            [outer.a, outer.b @ inner.c],
+            [np.zeros((n1, n2), dtype=complex), inner.a],
+        ]
+    )
+    b = np.block([[outer.b @ inner.d], [inner.b]])
+    c = np.block([[outer.c, outer.d @ inner.c]])
+    d = outer.d @ inner.d
+    return StateSpaceRealization(a, b, c, d)
+
+
+def constant_system(d) -> StateSpaceRealization:
+    """Zero-state realization of a constant matrix."""
+    d = np.asarray(d, dtype=complex)
+    p, m = d.shape
+    return StateSpaceRealization(
+        np.zeros((0, 0), dtype=complex),
+        np.zeros((0, m), dtype=complex),
+        np.zeros((p, 0), dtype=complex),
+        d,
+    )
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from paraunit import (
+    LEFT,
     BlaschkePotapovForm,
     ISO,
     Pole,
@@ -11,6 +12,7 @@ from paraunit import (
     StateSpaceRealization,
     build_paraunitary,
     random_params,
+    ss_to_mfd,
 )
 from paraunit.cli import execute
 from paraunit.documents import read_document, write_document
@@ -345,6 +347,24 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "kind, field", [("ss", "a"), ("ss", "d"), ("mfd", "num"), ("mfd", "den")]
+    )
+    def test_huge_ss_or_mfd_entry_fails_with_inf(self, tmp_path, capsys, kind, field):
+        ss = row_example_ss_normalized()
+        path = tmp_path / f"{kind}.json"
+        write_document(path, ss if kind == "ss" else ss_to_mfd(ss, LEFT))
+        data = json.loads(path.read_text())
+        matrix = data["payload"][field]
+        (matrix if kind == "ss" else matrix[0])["entries"][0][0] = [1e300, 0.0]
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 1
+        assert err == ""
+        line = next(line for line in out.splitlines() if line.startswith(("realization", "mfd")))
+        assert "residual=inf" in line and "verdict=Fail" in line
 
     def test_params_document_has_no_certificates(self, tmp_path, capsys):
         path = tmp_path / "params.json"

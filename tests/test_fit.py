@@ -192,4 +192,5 @@ def test_recovery_sweep():
         result = fit_lossless(samples, d=d, p=p, m=m, side=side, seed=9000 + case, restarts=8)
         if result.objective > 1e-6:
             missed.append(f"{case} ({side} {p}x{m} d={d}: {result.objective:.2e})")
+            assert not result.converged, f"case {case} misses yet reports converged"
     assert len(missed) <= 4, f"missed {len(missed)} of 30: " + "; ".join(missed)

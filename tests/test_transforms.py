@@ -24,7 +24,6 @@ from paraunit import (
     circle_residual,
     embed_to_square,
     extract_constant,
-    factor_realization,
     flip_poles,
     flip_scalar,
     laurent_check,
@@ -32,11 +31,17 @@ from paraunit import (
     mfd_check,
     realization_check,
     ss_to_mfd,
-    series_cascade,
     truncate_to_rect,
 )
-from paraunit import transforms
-from conftest import off_circle_probes, perturb_direction, random_form, random_unitary
+from conftest import (
+    constant_system,
+    factor_realization,
+    off_circle_probes,
+    perturb_direction,
+    random_form,
+    random_unitary,
+    series_cascade,
+)
 from golden import (
     SQRT2,
     row_example_bp,
@@ -55,7 +60,7 @@ def reference_cascade(f, validate=True):
     """Series cascade of one-state factor realizations, outer factor first."""
     if f.side == COISO:
         return reference_cascade(f.transpose(), validate).transpose()
-    ss = transforms.constant_system(f.constant)
+    ss = constant_system(f.constant)
     for pole, v in reversed(f.factors):
         ss = series_cascade(factor_realization(pole, v, validate=validate), ss)
     return ss
@@ -219,12 +224,7 @@ class TestBpToRealization:
             built.append(1)
             init(self, *blocks)
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the cascade must not be built factor by factor")
-
         monkeypatch.setattr(StateSpaceRealization, "__init__", counting_init)
-        monkeypatch.setattr(transforms, "factor_realization", forbidden)
-        monkeypatch.setattr(transforms, "series_cascade", forbidden)
         ss = bp_to_realization(random_form(340, ISO, 3, 2, 16, schur_only=True))
         assert ss.n == 16
         assert len(built) == 1
