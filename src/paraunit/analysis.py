@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, SideMismatch
+from .errors import SideMismatch
 from .forms import (
     LEFT,
     RIGHT,
@@ -193,25 +193,35 @@ def gramian_certificate(ss: StateSpaceRealization, tol: float = GRAMIAN_TOL):
     return w_cont, w_obs, certs
 
 
-def block_hankel(coeffs) -> np.ndarray:
-    """Anti-diagonal block Hankel matrix of a coefficient list.
+def _autocorrelation(coeffs) -> np.ndarray:
+    """Lags ``sum_i c_{i+j}* c_i`` (``j = 0 .. L``) of a coefficient list, stacked.
 
-    Block ``(i, j)`` is ``coeffs[i + j]`` when ``i + j <= L`` (zero
-    otherwise), where ``L + 1`` is the number of coefficients.
+    This is the first block column of ``H* H`` for the anti-diagonal block
+    Hankel matrix ``H`` with block ``(i, j)`` equal to ``c_{i+j}`` (zero past
+    the last coefficient), computed without building ``H``: block column
+    ``j`` of ``H`` is a window of the zero-padded coefficient stack, and all
+    windows are one strided view of it.
     """
-    coeffs = [np.asarray(c, dtype=complex) for c in coeffs]
-    if not coeffs:
-        raise DimensionMismatch("coefficient list must be non-empty")
-    k1, k2 = coeffs[0].shape
-    for c in coeffs:
-        if c.shape != (k1, k2):
-            raise DimensionMismatch("all coefficient blocks must share dimensions")
-    count = len(coeffs)
-    out = np.zeros((k1 * count, k2 * count), dtype=complex)
-    for i in range(count):
-        for j in range(count - i):
-            out[i * k1 : (i + 1) * k1, j * k2 : (j + 1) * k2] = coeffs[i + j]
-    return out
+    c = np.asarray(coeffs, dtype=complex)
+    count, rows, cols = c.shape
+    size = count * rows
+    stacked = np.zeros((2 * size, cols), dtype=complex)
+    stacked[:size] = c.reshape(size, cols)
+    step, inner = stacked.strides
+    # windows[j] is the transpose of rows j * rows .. j * rows + size - 1 of stacked
+    windows = np.ndarray((count, cols, size), complex, buffer=stacked, strides=(rows * step, inner, step))
+    return (windows @ stacked[:size].conj()).conj().reshape(-1, cols)
+
+
+def _hankel_certificate(name, num, den, tol) -> Certificate:
+    """Certificate on the first block column of ``H_den* H_den - H_num* H_num``.
+
+    Overflowing coefficients give an ``inf`` residual.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        witness = _autocorrelation(den) - _autocorrelation(num)
+        residual = _finite_norm(witness)
+    return Certificate(name, residual, tol, witness=witness)
 
 
 def mfd_check(mfd: MFDForm, tol: float | None = None) -> Certificate:
@@ -219,53 +229,42 @@ def mfd_check(mfd: MFDForm, tol: float | None = None) -> Certificate:
 
     Right fractions (``p >= m``) must satisfy
     ``(H_den* H_den - H_num* H_num) @ [I_m; 0] = 0`` and left fractions
-    (``m >= p``) the mirrored ``[I_p 0]``-column condition.  Coprimeness of
-    the fraction is not required.  The default tolerance scales with the
-    squared Frobenius mass of the denominator coefficients.  Coefficients too
-    large for the Hankel products give an ``inf`` residual.
+    (``m >= p``) the same condition on the conjugate-transposed
+    coefficients, i.e. the first block column of
+    ``H_den H_den* - H_num H_num*``.  Coprimeness of the fraction is not
+    required.  The default tolerance scales with the squared Frobenius mass
+    of the denominator coefficients.  Coefficients too large for the
+    products give an ``inf`` residual.
     """
     p, m = mfd.p, mfd.m
     if mfd.side == RIGHT and p < m:
         raise SideMismatch(f"right-side test requires p >= m, got p={p}, m={m}")
     if mfd.side == LEFT and m < p:
         raise SideMismatch(f"left-side test requires m >= p, got p={p}, m={m}")
-    h_num = block_hankel(mfd.num)
-    h_den = block_hankel(mfd.den)
-    with np.errstate(over="ignore", invalid="ignore"):
-        den_mass = float(sum(np.linalg.norm(c) ** 2 for c in mfd.den))
-        if mfd.side == RIGHT:
-            gap = h_den.conj().T @ h_den - h_num.conj().T @ h_num
-            witness = gap[:, :m]
-            name = "mfd_hankel_right"
-        else:
-            gap = h_den @ h_den.conj().T - h_num @ h_num.conj().T
-            witness = gap[:, :p]
-            name = "mfd_hankel_left"
-        residual = _finite_norm(witness)
+    num, den = np.array(mfd.num), np.array(mfd.den)
+    if mfd.side == LEFT:
+        num, den = num.conj().swapaxes(1, 2), den.conj().swapaxes(1, 2)
     if tol is None:
-        tol = HANKEL_TOL * (1.0 + den_mass)
-    return Certificate(name, residual, tol, witness=witness)
+        with np.errstate(over="ignore"):
+            tol = HANKEL_TOL * (1.0 + float(np.linalg.norm(den) ** 2))
+    return _hankel_certificate(f"mfd_hankel_{mfd.side}", num, den, tol)
 
 
 def laurent_check(lp: LaurentPolyForm, tol: float = HANKEL_TOL) -> Certificate:
     """Hankel certificate for a Laurent polynomial.
 
-    Tests ``(I - H0* H0) @ [I_m; 0] = 0`` for ``p >= m`` and the mirrored
-    row condition for ``m > p``.  The verdict does not depend on the
-    exponent offset ``q``.
+    The Laurent form is the fraction with denominator ``[I, 0, ...]``, so
+    this tests ``(I - H0* H0) @ [I_m; 0] = 0`` for ``p >= m`` and the same
+    condition on the conjugate-transposed coefficients for ``m > p``.  The
+    verdict does not depend on the exponent offset ``q``.
     """
-    h0 = block_hankel(lp.coeffs)
-    p, m = lp.p, lp.m
-    count = len(lp.coeffs)
-    if p >= m:
-        gap = np.eye(m * count) - h0.conj().T @ h0
-        witness = gap[:, :m]
-        name = "laurent_hankel_tall"
-    else:
-        gap = np.eye(p * count) - h0 @ h0.conj().T
-        witness = gap[:p, :]
-        name = "laurent_hankel_wide"
-    return Certificate(name, float(np.linalg.norm(witness)), tol, witness=witness)
+    coeffs = np.array(lp.coeffs)
+    name = "laurent_hankel_tall"
+    if lp.p < lp.m:
+        coeffs, name = coeffs.conj().swapaxes(1, 2), "laurent_hankel_wide"
+    den = np.zeros((len(coeffs), coeffs.shape[2], coeffs.shape[2]), dtype=complex)
+    den[0] = np.eye(coeffs.shape[2])
+    return _hankel_certificate(name, coeffs, den, tol)
 
 
 def mcmillan_degree(ss: StateSpaceRealization) -> int:

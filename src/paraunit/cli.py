@@ -46,6 +46,7 @@ from .tolerances import SCHUR_MARGIN
 from .transforms import (
     allpass_embed,
     bp_to_laurent,
+    bp_to_mfd,
     bp_to_realization,
     embed_to_square,
     flip_poles,
@@ -169,14 +170,13 @@ def _cmd_convert(args) -> int:
             raise DocumentError("convert --to ss expects a bp document")
         result = bp_to_realization(obj)
     elif args.to == "mfd":
-        if isinstance(obj, BlaschkePotapovForm):
-            obj = bp_to_realization(obj)
-        if not isinstance(obj, StateSpaceRealization):
+        if not isinstance(obj, (BlaschkePotapovForm, StateSpaceRealization)):
             raise DocumentError("convert --to mfd expects a bp or ss document")
         side = args.side
         if side is None:
             side = RIGHT if obj.p >= obj.m else LEFT
-        result = ss_to_mfd(obj, side)
+        convert = bp_to_mfd if isinstance(obj, BlaschkePotapovForm) else ss_to_mfd
+        result = convert(obj, side)
     elif args.to == "laurent":
         if not isinstance(obj, BlaschkePotapovForm):
             raise DocumentError("convert --to laurent expects a bp document")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AngleCountMismatch, DimensionMismatch, EvalAtPole
-from .forms import COISO, ISO, BlaschkePotapovForm, _iso_product, blaschke_scalar
+from .forms import COISO, ISO, _iso_product, blaschke_scalar
 from .linalg import isometry_residual
 from .params import (
     POLAR,
@@ -195,10 +195,16 @@ class _ChartKernel:
         self.size = self.directions.stop + len(template.frame)
 
 
-def _chart_residual(x, kernel: _ChartKernel) -> np.ndarray:
-    """Real view of ``values - targets`` at ``_decode(x, template)`` for the
-    kernel's template, computed with array operations and the checks of
-    :func:`objective` in the same order."""
+def _chart_chain(x, kernel: _ChartKernel):
+    """``(gains, directions, constant)`` of the iso product that
+    :func:`_chart_residual` evaluates at ``_decode(x, template)``, with the
+    checks of :func:`objective` in the same order.
+
+    ``gains`` is the ``(d, N)`` array of ``phi_j - 1`` at the samples.  For
+    a coiso template the chain is already reversed and conjugated, and the
+    constant is the transpose of the coiso constant, so the iso product
+    yields ``F(z)^T``.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape != (kernel.size,):
         raise AngleCountMismatch(f"need {kernel.size} coordinates, got shape {x.shape}")
@@ -224,10 +230,15 @@ def _chart_residual(x, kernel: _ChartKernel) -> np.ndarray:
     gains = kernel.gains.copy()
     gains[kernel.polar_rows] = (1.0 - alphas.conj()[:, None] * kernel.zs) / offsets - 1.0
     if kernel.iso:
-        values = _iso_product(gains, directions, constant)
-    else:
-        # the coiso constant is the adjoint of the chart's isometry
-        values = _iso_product(gains[::-1], directions[::-1].conj(), constant.conj())
+        return gains, directions, constant
+    # the coiso constant is the adjoint of the chart's isometry
+    return gains[::-1], directions[::-1].conj(), constant.conj()
+
+
+def _chart_residual(x, kernel: _ChartKernel) -> np.ndarray:
+    """Real view of ``values - targets`` at ``_decode(x, template)`` for the
+    kernel's template, computed with array operations."""
+    values = _iso_product(*_chart_chain(x, kernel))
     return (values - kernel.targets).ravel().view(float)
 
 
@@ -251,34 +262,29 @@ def minimize(x: np.ndarray, kernel: _ChartKernel):
     )
 
 
-def _optimal_frame_angles(x: np.ndarray, template: ParaunitaryParam, samples: SampleSet) -> np.ndarray:
+def _optimal_frame_angles(x: np.ndarray, kernel: _ChartKernel) -> np.ndarray:
     """Closed-form best constant block for the current factor chain.
 
     On (or near) the unit circle the factor chain is pointwise unitary, so
     minimizing over the constant alone is an orthogonal Procrustes problem;
     its polar-factor solution is converted back to chart angles.  A coiso
-    form ``U C(z)`` is fitted as its transpose ``C(z)^T U^T``.
+    form ``U C(z)`` is fitted as its transpose ``C(z)^T U^T``, as the
+    kernel holds it.
     """
-    form = build_paraunitary(_decode(x, template))
-    targets = samples.targets
-    if form.side == COISO:
-        form, targets = form.transpose(), targets.swapaxes(1, 2)
-    k = form.p
-    chain = BlaschkePotapovForm(ISO, k, k, form.factors, np.eye(k, dtype=complex))
-    values = chain.eval_many(samples.zs)
-    accumulated = np.einsum("nij,nil->jl", values.conj(), targets)
+    gains, directions, _ = _chart_chain(x, kernel)
+    values = _iso_product(gains, directions, np.eye(kernel.k, dtype=complex))
+    accumulated = np.einsum("nij,nil->jl", values.conj(), kernel.targets)
     w, _, vh = np.linalg.svd(accumulated)
-    best = w[:, : form.m] @ vh
+    best = w[:, : accumulated.shape[1]] @ vh
     # the coiso chart holds the adjoint U*, the conjugate of the U^T found here
-    return angles_for_isometry(best if template.side == ISO else best.conj())
+    return angles_for_isometry(best if kernel.iso else best.conj())
 
 
-def _splice_optimal_frame(x: np.ndarray, template: ParaunitaryParam, samples: SampleSet) -> np.ndarray:
-    frame_len = len(template.frame)
-    if frame_len == 0:
+def _splice_optimal_frame(x: np.ndarray, kernel: _ChartKernel) -> np.ndarray:
+    if kernel.size == kernel.directions.stop:
         return x
     out = np.array(x, dtype=float)
-    out[-frame_len:] = _optimal_frame_angles(x, template, samples)
+    out[kernel.frame] = _optimal_frame_angles(x, kernel)
     return out
 
 
@@ -325,7 +331,7 @@ def fit_lossless(
         x = _encode(template)
         value = _chart_objective(x, kernel)
         if x.size:
-            trial = _splice_optimal_frame(x, template, samples)
+            trial = _splice_optimal_frame(x, kernel)
             trial_value = _chart_objective(trial, kernel)
             if trial_value < value:
                 x, value = trial, trial_value

@@ -43,7 +43,7 @@ COISO = "coiso"
 RIGHT = "right"
 LEFT = "left"
 
-#: Probe points at which MFD denominators must be invertible.
+#: Probe points of the MFD rank test: a denominator must be invertible at one.
 MFD_RANK_PROBES = (0.3 + 0.4j, 1.7 + 0.0j, -0.9j)
 
 
@@ -360,11 +360,12 @@ class MFDForm(_Form):
     ``m x m``.  ``side="left"``: ``F(z) = Delta(z)^{-1} N(z)`` with ``Delta``
     of size ``p x p``.  Coefficient lists run from the constant term upward
     and must have equal length (pad with zero matrices as needed).  The
-    denominator must have full normal rank: at each of three fixed probe
-    points its condition number must not exceed ``MFD_COND_LIMIT``.  The
-    test is relative, so a well-conditioned denominator with a small
-    determinant (such as ``chi_A(z) I`` of a high-degree realization) is
-    accepted.  Evaluation applies the same test at every point.
+    denominator must have full normal rank: at one of three fixed probe
+    points at least its condition number must not exceed
+    ``MFD_COND_LIMIT`` (a pole may sit on the others).  The test is
+    relative, so a well-conditioned denominator with a small determinant
+    (such as ``chi_A(z) I`` of a high-degree realization) is accepted.
+    Evaluation applies the same test at every point.
     """
 
     def __init__(self, side, num: Sequence, den: Sequence, validate: bool = True):
@@ -394,10 +395,13 @@ class MFDForm(_Form):
         self.num = tuple(_readonly(x) for x in num)
         self.den = tuple(_readonly(x) for x in den)
         if validate:
+            # full normal rank: det Delta is not identically zero, which one
+            # nonsingular probe proves
             probes = np.array(MFD_RANK_PROBES)
-            z0 = _singular_point(_poly_at(self.den, probes), probes)
-            if z0 is not None:
-                raise SingularDenominator(f"denominator is singular at probe point {z0}")
+            if (np.linalg.cond(_poly_at(self.den, probes)) > MFD_COND_LIMIT).all():
+                raise SingularDenominator(
+                    f"denominator is singular at every probe, first at probe point {probes[0]}"
+                )
 
     @property
     def degree(self) -> int:

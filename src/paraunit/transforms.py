@@ -7,6 +7,12 @@ certificate hold for converted product forms without any balancing step.
 :func:`bp_to_realization` writes the cascade's blocks down directly, in one
 backward sweep of rank-one updates over the factors (lossless cascade
 synthesis).
+
+The coefficient forms of a product form come from one product expansion,
+:func:`_expand`, which multiplies the factors out over a scalar
+denominator: :func:`bp_to_mfd` keeps both, and :func:`bp_to_laurent` is its
+case with poles at the origin and infinity only.  No realization is built,
+so the poles may lie anywhere off the circle.
 """
 
 from __future__ import annotations
@@ -346,36 +352,71 @@ def ss_to_mfd(ss: StateSpaceRealization, side: str = RIGHT) -> MFDForm:
     return MFDForm(side, num, den)
 
 
-def bp_to_laurent(f: BlaschkePotapovForm) -> LaurentPolyForm:
-    """Expand a product of pole-at-zero/infinity factors into Laurent form.
+def _expand(f: BlaschkePotapovForm):
+    """Coefficients ``(num, den)`` of ``F(z) = num(z) / den(z)``, constant term first.
 
-    Each factor contributes one polynomial degree; factors with a pole at
-    the origin additionally shift the exponent offset down by one.  The
-    coefficient list always has ``d + 1`` entries even when leading or
-    trailing blocks vanish.
+    Each factor ``B(z)`` of the iso chain is multiplied out over a scalar
+    denominator: a finite pole ``a`` contributes
+    ``(z - a)(I - vv*) + (1 - conj(a) z) vv*`` over ``z - a``, both scaled by
+    ``1 / max(1, |a|)`` so the coefficients stay bounded for poles outside
+    the disk, and a pole at infinity contributes ``(I - vv*) + z vv*`` over
+    1 (a zero leading coefficient keeps ``num`` and ``den`` of equal
+    length).  ``num`` is the ``(d + 1, p, m)`` array of the chain times the
+    constant and ``den`` the ``d + 1`` scalars.  A coiso form is expanded as
+    its transpose.
     """
     if f.side == COISO:
-        lp = bp_to_laurent(f.transpose())
-        return LaurentPolyForm(lp.q, [c.T for c in lp.coeffs])
+        num, den = _expand(f.transpose())
+        return num.swapaxes(1, 2), den
     k = f.factor_dimension
-    for pole in f.poles:
-        if not pole.is_infinity and pole.value != 0:
-            raise NotFIR(f"pole {pole.value} is neither zero nor infinity")
-    shift = 0
-    coeffs = np.eye(k, dtype=complex)[None]
+    num = np.eye(k, dtype=complex)[None]
+    den = np.ones(1, dtype=complex)
     for pole, v in f.factors:
         projector = np.outer(v, v.conj())
         complement = np.eye(k, dtype=complex) - projector
         if pole.is_infinity:
-            # I + (z - 1) v v* = complement + z * projector
-            low, high = complement, projector
+            low, high, den_factor = complement, projector, [1.0, 0.0]
         else:
-            # I + (1/z - 1) v v* = z^{-1} (projector + z * complement)
-            low, high = projector, complement
-            shift -= 1
+            a = pole.value
+            scale = 1.0 / max(1.0, abs(a))
+            low = scale * (projector - a * complement)
+            high = scale * (complement - a.conjugate() * projector)
+            den_factor = [-scale * a, scale]
         # multiply by low + z * high: one coefficient more per factor
-        out = np.zeros((len(coeffs) + 1, k, k), dtype=complex)
-        out[:-1] = coeffs @ low
-        out[1:] += coeffs @ high
-        coeffs = out
-    return LaurentPolyForm(shift, coeffs @ f.constant)
+        out = np.zeros((len(num) + 1, k, k), dtype=complex)
+        out[:-1] = num @ low
+        out[1:] += num @ high
+        num = out
+        den = np.convolve(den, den_factor)
+    return num @ f.constant, den
+
+
+def bp_to_mfd(f: BlaschkePotapovForm, side: str = RIGHT) -> MFDForm:
+    """Matrix fraction of a product form with poles anywhere off the circle.
+
+    The numerator is the multiplied-out factor chain times the constant and
+    the denominator ``den(z) I`` (``I_m`` for a right fraction, ``I_p`` for
+    a left one), with the scalar ``den`` the product of the factors' pole
+    terms (see :func:`_expand`).  No realization is built, so poles outside
+    the disk, at the origin and at infinity are all allowed.
+    """
+    if side not in (RIGHT, LEFT):
+        raise ValueError(f"side must be {RIGHT!r} or {LEFT!r}, got {side!r}")
+    num, den = _expand(f)
+    eye = np.eye(f.m if side == RIGHT else f.p, dtype=complex)
+    return MFDForm(side, num, den[:, None, None] * eye)
+
+
+def bp_to_laurent(f: BlaschkePotapovForm) -> LaurentPolyForm:
+    """Expand a product of pole-at-zero/infinity factors into Laurent form.
+
+    The numerator of :func:`_expand`: each factor contributes one polynomial
+    degree, and each pole at the origin shifts the exponent offset down by
+    one.  The coefficient list always has ``d + 1`` entries even when
+    leading or trailing blocks vanish.
+    """
+    for pole in f.poles:
+        if not pole.is_infinity and pole.value != 0:
+            raise NotFIR(f"pole {pole.value} is neither zero nor infinity")
+    num, _ = _expand(f)
+    return LaurentPolyForm(-sum(not pole.is_infinity for pole in f.poles), num)

@@ -142,6 +142,31 @@ def constant_system(d) -> StateSpaceRealization:
     )
 
 
+# The dense block Hankel matrix: the reference that the autocorrelation
+# kernel of mfd_check and laurent_check is tested against.
+
+
+def block_hankel(coeffs) -> np.ndarray:
+    """Anti-diagonal block Hankel matrix of a coefficient list.
+
+    Block ``(i, j)`` is ``coeffs[i + j]`` when ``i + j <= L`` (zero
+    otherwise), where ``L + 1`` is the number of coefficients.
+    """
+    coeffs = [np.asarray(c, dtype=complex) for c in coeffs]
+    if not coeffs:
+        raise DimensionMismatch("coefficient list must be non-empty")
+    k1, k2 = coeffs[0].shape
+    for c in coeffs:
+        if c.shape != (k1, k2):
+            raise DimensionMismatch("all coefficient blocks must share dimensions")
+    count = len(coeffs)
+    out = np.zeros((k1 * count, k2 * count), dtype=complex)
+    for i in range(count):
+        for j in range(count - i):
+            out[i * k1 : (i + 1) * k1, j * k2 : (j + 1) * k2] = coeffs[i + j]
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

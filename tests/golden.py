@@ -68,3 +68,17 @@ def square_embedding_value(alpha, z):
     """The doubly-indexed square member with F(z) = (1, 0) @ F_m(z)."""
     phi = (1.0 - np.conj(alpha) * z) / (z - alpha)
     return np.array([[phi, 1.0], [-1.0, 1.0 / phi]], dtype=complex) / SQRT2
+
+
+#: ``bp_to_laurent(fir_form(46, 2, 2))`` (exponent offset -1) as the Laurent
+#: expansion's own factor loop computed it, before that loop became the FIR
+#: case of the shared product expansion; the expansion must reproduce it bit
+#: for bit.
+FIR_46_LAURENT = np.array(
+    [
+        [[(-0.47722957471588273-0.33219644894784606j), (0.2648941960705516+0.09596740654389176j)], [(-0.1857132538341962-0.14228324035834572j), (0.10470692548644203+0.04343644269287083j)]],
+        [[(-0.007107526022977281+0.3448088442653301j), (0.3976023427204322+0.11806237756481491j)], [(-0.2533234476080975-0.18030112580691757j), (0.3117259678335837+0.17352299016917808j)]],
+        [[(-0.35674160377036745-0.00432842677925544j), (-0.30942910082815306+0.030576079473589184j)], [(0.4037032398811655+0.09513170892232953j), (-0.16518146541818673+0.30275194382870657j)]],
+        [[(-0.11244839671349792-0.014339556311064513j), (-0.23186538736896925+0.031182932459811318j)], [(0.2775612330750826+0.0483574205728997j), (0.5792143167425994-0.05112067054983579j)]],
+    ]
+)

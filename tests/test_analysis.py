@@ -18,7 +18,6 @@ from paraunit import (
     Pole,
     SideMismatch,
     StateSpaceRealization,
-    block_hankel,
     bp_to_laurent,
     bp_to_realization,
     circle_residual,
@@ -30,7 +29,8 @@ from paraunit import (
     realization_check,
     ss_to_mfd,
 )
-from conftest import fir_form, perturb_direction, random_form, random_unitary
+from paraunit.analysis import _autocorrelation
+from conftest import block_hankel, fir_form, perturb_direction, random_form, random_unitary
 from golden import (
     SQRT2,
     row_example_bp,
@@ -222,6 +222,47 @@ class TestBlockHankel:
     def test_rejects_mixed_shapes(self):
         with pytest.raises(DimensionMismatch):
             block_hankel([np.eye(2), np.eye(3)])
+
+
+class TestHankelKernel:
+    """The autocorrelation witness against the dense block Hankel products."""
+
+    @staticmethod
+    def random_coeffs(rng, count, rows, cols):
+        shape = (count, rows, cols)
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    @pytest.mark.parametrize("count, rows, cols", [(1, 3, 2), (4, 3, 2), (5, 2, 4), (9, 4, 1)])
+    def test_autocorrelation_is_first_block_column(self, count, rows, cols):
+        c = self.random_coeffs(np.random.default_rng(count), count, rows, cols)
+        h = block_hankel(c)
+        assert np.allclose(_autocorrelation(c), (h.conj().T @ h)[:, :cols], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("side, p, m", [(RIGHT, 3, 2), (RIGHT, 4, 1), (LEFT, 2, 3), (LEFT, 1, 4)])
+    def test_mfd_witness_matches_dense_gap(self, side, p, m):
+        rng = np.random.default_rng(p + 10 * m)
+        k = m if side == RIGHT else p
+        num = self.random_coeffs(rng, 5, p, m)
+        den = self.random_coeffs(rng, 5, k, k)
+        cert = mfd_check(MFDForm(side, num, den))
+        h_num, h_den = block_hankel(num), block_hankel(den)
+        if side == RIGHT:
+            gap = (h_den.conj().T @ h_den - h_num.conj().T @ h_num)[:, :m]
+        else:
+            gap = (h_den @ h_den.conj().T - h_num @ h_num.conj().T)[:, :p]
+        assert np.allclose(cert.witness, gap, rtol=0, atol=1e-12)
+        assert abs(cert.residual - np.linalg.norm(gap)) <= 1e-12 * np.linalg.norm(gap)
+
+    @pytest.mark.parametrize("p, m", [(3, 2), (2, 3), (2, 2)])
+    def test_laurent_residual_matches_dense_gap(self, p, m):
+        coeffs = self.random_coeffs(np.random.default_rng(p + 10 * m), 4, p, m)
+        h = block_hankel(coeffs)
+        if p >= m:
+            gap = (np.eye(4 * m) - h.conj().T @ h)[:, :m]
+        else:
+            gap = (np.eye(4 * p) - h @ h.conj().T)[:p, :]
+        cert = laurent_check(LaurentPolyForm(0, coeffs))
+        assert abs(cert.residual - np.linalg.norm(gap)) <= 1e-12 * np.linalg.norm(gap)
 
 
 class TestMfdCheck:

@@ -141,6 +141,38 @@ class TestConvert:
         # so the coefficient test passes even though the realization fails
         assert code == 0
 
+    def test_non_schur_bp_to_mfd(self, tmp_path, capsys):
+        # poles at 1.24+7.88j, infinity, 0 and one inside the disk
+        source, mfd_path = tmp_path / "f.json", tmp_path / "f_mfd.json"
+        run(capsys, "generate", "--seed", "7", "-d", "4", "-p", "3", "-m", "2", "-o", str(source))
+        code, _, _ = run(capsys, "convert", str(source), "--to", "mfd", "-o", str(mfd_path))
+        assert code == 0
+        code, out, _ = run(capsys, "check", str(mfd_path))
+        assert code == 0 and "mfd_hankel_right" in out
+
+    def test_bp_to_mfd_is_accurate_inside_the_disk(self, tmp_path, capsys):
+        source, mfd_path = tmp_path / "f.json", tmp_path / "f_mfd.json"
+        run(capsys, "generate", "--seed", "3", "-d", "32", "-p", "4", "-m", "2", "--schur", "-o", str(source))
+        code, _, _ = run(capsys, "convert", str(source), "--to", "mfd", "-o", str(mfd_path))
+        assert code == 0
+        expected = read_document(source)(0.05)
+        assert np.linalg.norm(read_document(mfd_path)(0.05) - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("via_ss", [False, True])
+    def test_pole_on_a_rank_probe_converts_and_checks(self, tmp_path, capsys, via_ss):
+        # the pole sits on the first MFD rank probe point, 0.3+0.4j
+        form = BlaschkePotapovForm(ISO, 2, 1, [(Pole(0.3 + 0.4j), [1.0, 0.0])], [[0.0], [1.0]])
+        source, mfd_path = tmp_path / "f.json", tmp_path / "f_mfd.json"
+        write_document(source, form)
+        if via_ss:
+            ss_path = tmp_path / "f_ss.json"
+            run(capsys, "convert", str(source), "--to", "ss", "-o", str(ss_path))
+            source = ss_path
+        code, _, err = run(capsys, "convert", str(source), "--to", "mfd", "-o", str(mfd_path))
+        assert (code, err) == (0, "")
+        code, _, _ = run(capsys, "check", str(mfd_path))
+        assert code == 0
+
     def test_fir_to_laurent(self, tmp_path, capsys):
         form = BlaschkePotapovForm(ISO, 2, 2, [(Pole.infinity(), [1.0, 0.0])], np.eye(2))
         source = tmp_path / "fir.json"

@@ -20,6 +20,7 @@ from paraunit import (
     evaluate,
     ss_to_mfd,
 )
+from paraunit.forms import MFD_RANK_PROBES
 from conftest import (
     circle_points,
     fir_form,
@@ -215,6 +216,14 @@ class TestMFDForm:
     def test_rank_validation(self):
         with pytest.raises(SingularDenominator):
             MFDForm("right", [np.eye(2)], [np.zeros((2, 2))])
+
+    def test_pole_on_one_probe_point_is_accepted(self):
+        # det(z - z0) vanishes at the probe z0 only, so the rank is full
+        z0 = MFD_RANK_PROBES[0]
+        mfd = MFDForm("left", [np.zeros((1, 2)), np.ones((1, 2))], [[[-z0]], [[1.0]]])
+        assert np.allclose(mfd(2.0), np.ones((1, 2)) * 2.0 / (2.0 - z0), atol=1e-15)
+        with pytest.raises(SingularDenominator):
+            mfd(z0)
 
     def test_right_eval(self):
         # F(z) = [[z, 0], [1, 1]] / (z - 0.5) as a right fraction

@@ -48,8 +48,11 @@ def test_import_loads_no_scipy():
 
 
 def test_commands_without_stein_solve_or_fit_load_no_scipy(tmp_path):
-    bp = tmp_path / "bp.json"
-    commands = [generate(bp), ["check", str(bp)], ["eval", str(bp), "--at", "0.3,0.2"]]
+    bp, mfd = tmp_path / "bp.json", tmp_path / "mfd.json"
+    commands = [
+        generate(bp), ["check", str(bp)], ["eval", str(bp), "--at", "0.3,0.2"],
+        ["convert", str(bp), "--to", "mfd", "-o", str(mfd)], ["check", str(mfd)],
+    ]
     assert scipy_modules_after(*commands) == []
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paraunit import (
     COISO,
@@ -11,6 +13,7 @@ from paraunit import (
     EvalAtPole,
     ImproperFunction,
     InconsistentPair,
+    MFDForm,
     NotCoIsometricRealization,
     NotFIR,
     NotIsometricConstant,
@@ -20,6 +23,7 @@ from paraunit import (
     allpass_embed,
     blaschke_scalar,
     bp_to_laurent,
+    bp_to_mfd,
     bp_to_realization,
     circle_residual,
     embed_to_square,
@@ -36,6 +40,7 @@ from paraunit import (
 from conftest import (
     constant_system,
     factor_realization,
+    fir_form,
     off_circle_probes,
     perturb_direction,
     random_form,
@@ -43,6 +48,7 @@ from conftest import (
     series_cascade,
 )
 from golden import (
+    FIR_46_LAURENT,
     SQRT2,
     row_example_bp,
     row_example_embedded,
@@ -555,9 +561,78 @@ class TestBpToLaurent:
         for z in off_circle_probes(94, 8):
             assert np.linalg.norm(lp(z) - form(z)) <= 1e-12
 
+    def test_matches_stored_expansion(self):
+        lp = bp_to_laurent(fir_form(46, 2, 2))
+        assert lp.q == -1
+        assert np.array_equal(np.array(lp.coeffs), FIR_46_LAURENT)
+
     def test_rejects_finite_nonzero_pole(self):
         form = random_form(95, ISO, 2, 2, 1, schur_only=True)
         if all(pole.value == 0 for pole in form.poles):
             pytest.skip("seed drew only origin poles")
         with pytest.raises(NotFIR):
             bp_to_laurent(form)
+
+
+class TestBpToMfd:
+    PROBES = np.array([0.3 + 0.2j, 0.05, 1.5, -3.0, 0.9j])
+
+    @pytest.mark.parametrize("side, p, m", [(ISO, 4, 2), (COISO, 2, 4), (ISO, 3, 3)])
+    @pytest.mark.parametrize("d", [16, 32, 64])
+    @pytest.mark.parametrize("schur", [True, False])
+    def test_matches_product_form(self, side, p, m, d, schur):
+        # Leverrier-Faddeev on the cascade realization is off by 1.0 at
+        # z = 0.05 for d = 32 and 64; the expansion has no such loss
+        form = random_form(d + p, side, p, m, d, schur_only=schur)
+        mfd = bp_to_mfd(form, RIGHT if p >= m else LEFT)
+        assert mfd.degree == d
+        expected = form.eval_many(self.PROBES)
+        errors = np.linalg.norm(mfd.eval_many(self.PROBES) - expected, axis=(1, 2))
+        assert (errors <= 1e-10 * np.linalg.norm(expected, axis=(1, 2))).all()
+
+    def test_square_form_gives_both_sides(self):
+        form = random_form(52, ISO, 3, 3, 6)
+        for side in (RIGHT, LEFT):
+            mfd = bp_to_mfd(form, side)
+            assert mfd.side == side
+            assert np.linalg.norm(mfd.eval_many(self.PROBES) - form.eval_many(self.PROBES)) <= 1e-12
+        with pytest.raises(ValueError):
+            bp_to_mfd(form, "top")
+
+    def test_poles_at_origin_and_infinity(self):
+        rng = np.random.default_rng(53)
+        factors = [(Pole.infinity(), random_direction(rng, 2)), (Pole(0.0), random_direction(rng, 2)),
+                   (Pole(2.5j), random_direction(rng, 2))]
+        form = BlaschkePotapovForm(ISO, 2, 1, factors, random_unitary(rng, 2)[:, :1])
+        mfd = bp_to_mfd(form)
+        # den(z) = z (z - 2.5j) / 2.5, padded by a zero top coefficient for infinity
+        assert np.allclose([c[0, 0] for c in mfd.den], [0.0, -1j, 0.4, 0.0], atol=1e-15)
+        assert mfd_check(mfd).passed
+        for z in off_circle_probes(54, 8):
+            assert np.linalg.norm(mfd(z) - form(z)) <= 1e-12 * np.linalg.norm(form(z))
+
+    @pytest.mark.parametrize("d", [8, 32, 64])
+    def test_scaled_numerator_fails(self, d):
+        for side, p, m in [(ISO, 4, 2), (COISO, 2, 4)]:
+            for schur in (True, False):
+                mfd = bp_to_mfd(random_form(d, side, p, m, d, schur_only=schur), RIGHT if p >= m else LEFT)
+                assert mfd_check(mfd).passed
+                broken = MFDForm(mfd.side, [1.01 * c for c in mfd.num], mfd.den)
+                assert not mfd_check(broken).passed
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        side=st.sampled_from([ISO, COISO]),
+        dims=st.tuples(st.integers(1, 4), st.integers(1, 4)).map(sorted),
+        d=st.integers(65, 128),
+        seed=st.integers(0, 2**16),
+        broken=st.booleans(),
+    )
+    def test_fraction_verdict_follows_circle_verdict(self, side, dims, d, seed, broken):
+        small, large = dims
+        p, m = (large, small) if side == ISO else (small, large)
+        form = random_form(seed, side, p, m, d)
+        if broken:
+            form = perturb_direction(form, index=d // 2)
+        mfd = bp_to_mfd(form, RIGHT if p >= m else LEFT)
+        assert mfd_check(mfd).passed == circle_residual(form).passed == (not broken)
