@@ -364,7 +364,7 @@ class MFDForm(_Form):
     points at least its condition number must not exceed
     ``MFD_COND_LIMIT`` (a pole may sit on the others).  The test is
     relative, so a well-conditioned denominator with a small determinant
-    (such as ``chi_A(z) I`` of a high-degree realization) is accepted.
+    (such as ``den(z) I`` of a high-degree realization) is accepted.
     Evaluation applies the same test at every point.
     """
 

@@ -31,11 +31,20 @@ def _lapack():
     Raw LAPACK calls: scipy.linalg.schur / solve_triangular checks cost more
     than a whole solve at n <= 8, and as_complex_matrix has already rejected
     NaN / Inf.  Imported on first use, because loading scipy.linalg costs more
-    than most CLI commands, and only the Stein solve needs it.
+    than most CLI commands, and only the Stein solve and the fraction of a
+    realization whose ``A`` is not upper triangular need it.
     """
     from scipy.linalg.lapack import zgees, ztrtrs
 
     return zgees, ztrtrs
+
+
+def _schur(a: np.ndarray):
+    """Complex Schur form ``A = U T U*`` of a square matrix: returns ``(T, U)``."""
+    t, _, _, u, _, info = _lapack()[0](lambda z: None, a)
+    if info != 0:  # pragma: no cover - LAPACK failures are rare
+        raise ConvergenceFailure(f"Schur iteration failed: LAPACK gees info {info}")
+    return t, u
 
 
 def as_complex_matrix(x, name: str = "matrix") -> np.ndarray:
@@ -152,16 +161,14 @@ def solve_stein(a, q, side: str = "cont") -> np.ndarray:
         return q.copy()
     if side == "obs":
         a = a.conj().T
-    zgees, ztrtrs = _lapack()
-    t, _, _, u, _, info = zgees(lambda z: None, a)
-    if info != 0:  # pragma: no cover - LAPACK failures are rare
-        raise ConvergenceFailure(f"Schur iteration failed: LAPACK gees info {info}")
+    t, u = _schur(a)
     rho = float(np.max(np.abs(np.diagonal(t))))
     if rho >= 1.0 - SCHUR_MARGIN:
         raise NotSchurStable(f"spectral radius {rho:.12f} is not below 1 - {SCHUR_MARGIN:.0e}")
     tc = t.conj()
     x = u.conj().T @ q @ u  # column j is overwritten by its solution, last first
     eye = np.eye(n, dtype=complex)
+    ztrtrs = _lapack()[1]
     for j in range(n - 1, -1, -1):
         rhs = x[:, j] + t @ (x[:, j + 1 :] @ tc[j, j + 1 :])
         x[:, j], info = ztrtrs(eye - tc[j, j] * t, rhs)

@@ -12,7 +12,9 @@ The coefficient forms of a product form come from one product expansion,
 :func:`_expand`, which multiplies the factors out over a scalar
 denominator: :func:`bp_to_mfd` keeps both, and :func:`bp_to_laurent` is its
 case with poles at the origin and infinity only.  No realization is built,
-so the poles may lie anywhere off the circle.
+so the poles may lie anywhere off the circle.  :func:`ss_to_mfd` multiplies
+a realization out over a scalar denominator the same way, one state at a
+time along its upper triangular (Schur) state matrix.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .forms import (
     _unit_direction,
     blaschke_scalar,
 )
-from .linalg import isometry_residual, unitary_completion
+from .linalg import _schur, isometry_residual, unitary_completion
 from .tolerances import (
     EMBED_RESIDUAL_TOL,
     EVAL_POLE_MARGIN,
@@ -310,46 +312,38 @@ def flip_scalar(f: BlaschkePotapovForm, z: complex) -> complex:
     return complex(value)
 
 
-def _leverrier_faddeev(a: np.ndarray):
-    """Characteristic polynomial and adjugate coefficients of ``zI - A``.
-
-    Returns ``(chi, adj)`` where ``chi[j]`` is the coefficient of ``z^j`` in
-    ``det(zI - A)`` and ``adj[j]`` the matrix coefficient of ``z^j`` in
-    ``adj(zI - A)`` (``j = 0 .. n-1``).  Exact in exact arithmetic.
-    """
-    n = a.shape[0]
-    chi = np.zeros(n + 1, dtype=complex)
-    chi[n] = 1.0
-    adj = [np.zeros((n, n), dtype=complex) for _ in range(n)]
-    mk = np.eye(n, dtype=complex)
-    for k in range(1, n + 1):
-        adj[n - k] = mk
-        ck = -np.trace(a @ mk) / k
-        chi[n - k] = ck
-        mk = a @ mk + ck * np.eye(n, dtype=complex)
-    return chi, adj
-
-
 def ss_to_mfd(ss: StateSpaceRealization, side: str = RIGHT) -> MFDForm:
-    """Matrix fraction with scalar characteristic-polynomial denominator.
+    """Matrix fraction of a realization over a scalar denominator.
 
-    ``N(z) = C adj(zI - A) B + D chi_A(z)`` and ``Delta(z) = chi_A(z) I``,
-    both padded to degree ``n``.  No attempt is made to reduce the fraction;
-    the certificate tests downstream do not require coprimeness.
+    The realization is multiplied out in one forward sweep over the states
+    of an upper triangular ``A``; any other ``A`` is first replaced by its
+    complex Schur form ``T = U* A U``, with ``(U* B, C U)``.  The work
+    polynomial ``W`` starts as ``[C | D]``.  Peeling state ``j`` (pole
+    ``t = T[j, j]``) turns it into
+    ``(z - t) W[:, 1:] + W[:, :1] [T | B][j, j+1:]`` and multiplies the
+    denominator by ``z - t``, both scaled by ``1 / max(1, |t|)`` as in
+    :func:`_expand`.  After ``n`` steps ``W`` is the numerator ``N`` over
+    ``den(z) I`` (``I_m`` right, ``I_p`` left), in O(n^2 p (n + m)) time.
+    No attempt is made to reduce the fraction; the certificate tests
+    downstream do not require coprimeness.
     """
-    if side not in (RIGHT, LEFT):
-        raise ValueError(f"side must be {RIGHT!r} or {LEFT!r}, got {side!r}")
-    n, p, m = ss.n, ss.p, ss.m
-    chi, adj = _leverrier_faddeev(ss.a)
-    num = []
-    for j in range(n + 1):
-        coeff = chi[j] * ss.d
-        if j < n:
-            coeff = coeff + ss.c @ adj[j] @ ss.b
-        num.append(coeff)
-    eye = np.eye(m if side == RIGHT else p, dtype=complex)
-    den = [chi[j] * eye for j in range(n + 1)]
-    return MFDForm(side, num, den)
+    a, b, c = ss.a, ss.b, ss.c
+    if np.tril(a, -1).any():
+        a, u = _schur(a)
+        b, c = u.conj().T @ b, c @ u
+    top = np.hstack([a, b])
+    work = np.hstack([c, ss.d])[None]
+    den = np.ones(1, dtype=complex)
+    for j in range(ss.n):
+        t = a[j, j]
+        scale = 1.0 / max(1.0, abs(t))
+        # multiply by z - t and add the peeled state: one coefficient more per state
+        out = np.zeros((len(work) + 1, ss.p, work.shape[2] - 1), dtype=complex)
+        out[1:] = work[:, :, 1:]
+        out[:-1] += work[:, :, :1] * top[j, j + 1:] - t * work[:, :, 1:]
+        work = scale * out
+        den = np.convolve(den, [-scale * t, scale])
+    return _over_scalar(work, den, side)
 
 
 def _expand(f: BlaschkePotapovForm):
@@ -400,10 +394,15 @@ def bp_to_mfd(f: BlaschkePotapovForm, side: str = RIGHT) -> MFDForm:
     terms (see :func:`_expand`).  No realization is built, so poles outside
     the disk, at the origin and at infinity are all allowed.
     """
-    if side not in (RIGHT, LEFT):
-        raise ValueError(f"side must be {RIGHT!r} or {LEFT!r}, got {side!r}")
-    num, den = _expand(f)
-    eye = np.eye(f.m if side == RIGHT else f.p, dtype=complex)
+    return _over_scalar(*_expand(f), side)
+
+
+def _over_scalar(num: np.ndarray, den: np.ndarray, side: str) -> MFDForm:
+    """The ``(N, p, m)`` numerator over ``den(z) I`` as a right or left fraction.
+
+    ``MFDForm`` refuses a side other than ``"right"`` and ``"left"``.
+    """
+    eye = np.eye(num.shape[2] if side == RIGHT else num.shape[1], dtype=complex)
     return MFDForm(side, num, den[:, None, None] * eye)
 
 

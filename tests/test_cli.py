@@ -158,6 +158,21 @@ class TestConvert:
         expected = read_document(source)(0.05)
         assert np.linalg.norm(read_document(mfd_path)(0.05) - expected) <= 1e-10 * np.linalg.norm(expected)
 
+    def test_ss_to_mfd_is_accurate_inside_the_disk(self, tmp_path, capsys):
+        source, ss_path, mfd_path = tmp_path / "f.json", tmp_path / "f_ss.json", tmp_path / "f_mfd.json"
+        run(capsys, "generate", "--seed", "3", "-d", "32", "-p", "4", "-m", "2", "--schur", "-o", str(source))
+        run(capsys, "convert", str(source), "--to", "ss", "-o", str(ss_path))
+        code, _, _ = run(capsys, "convert", str(ss_path), "--to", "mfd", "-o", str(mfd_path))
+        assert code == 0
+        values = []
+        for path in (source, mfd_path):
+            code, out, _ = run(capsys, "eval", str(path), "--at", "0.05,0")
+            assert code == 0
+            values.append(np.array([[complex(x) for x in line.split()] for line in out.splitlines()[1:]]))
+        expected, value = values
+        assert value.shape == (4, 2)
+        assert np.linalg.norm(value - expected) <= 1e-10 * np.linalg.norm(expected)
+
     @pytest.mark.parametrize("via_ss", [False, True])
     def test_pole_on_a_rank_probe_converts_and_checks(self, tmp_path, capsys, via_ss):
         # the pole sits on the first MFD rank probe point, 0.3+0.4j

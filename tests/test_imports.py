@@ -2,7 +2,9 @@
 
 Importing scipy.linalg and scipy.optimize costs more than most CLI commands
 take, so the package imports them inside the functions that run them: the
-Stein solve (``linalg.solve_stein``) and the fit's search (``fit.minimize``).
+Stein solve (``linalg.solve_stein``), the Schur form of a realization whose
+``A`` is not upper triangular (``transforms.ss_to_mfd``) and the fit's search
+(``fit.minimize``).
 """
 
 import ast
@@ -48,10 +50,11 @@ def test_import_loads_no_scipy():
 
 
 def test_commands_without_stein_solve_or_fit_load_no_scipy(tmp_path):
-    bp, mfd = tmp_path / "bp.json", tmp_path / "mfd.json"
+    bp, ss, mfd = tmp_path / "bp.json", tmp_path / "ss.json", tmp_path / "mfd.json"
     commands = [
         generate(bp), ["check", str(bp)], ["eval", str(bp), "--at", "0.3,0.2"],
         ["convert", str(bp), "--to", "mfd", "-o", str(mfd)], ["check", str(mfd)],
+        ["convert", str(bp), "--to", "ss", "-o", str(ss)], ["convert", str(ss), "--to", "mfd", "-o", str(mfd)],
     ]
     assert scipy_modules_after(*commands) == []
 

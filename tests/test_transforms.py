@@ -511,7 +511,7 @@ class TestSsToMfd:
 
     @pytest.mark.parametrize("d", [20, 24, 32])
     def test_high_degree_denominator_is_accepted(self, d):
-        # chi_A(z) I has a determinant below 1e-12 at a probe point here, but
+        # den(z) I has a determinant below 1e-12 at a probe point here, but
         # it is perfectly conditioned
         ss = bp_to_realization(random_form(d, ISO, 4, 2, d, schur_only=True))
         mfd = ss_to_mfd(ss, RIGHT)
@@ -530,6 +530,61 @@ class TestSsToMfd:
             mfd = ss_to_mfd(ss, side)
             for z in off_circle_probes(92, 16):
                 assert np.linalg.norm(mfd(z) - ss(z)) <= 1e-8
+
+    @pytest.mark.parametrize("side, p, m", [(ISO, 4, 2), (COISO, 2, 4), (ISO, 3, 3)])
+    @pytest.mark.parametrize("d", [16, 32, 64])
+    def test_matches_product_form(self, side, p, m, d):
+        form = random_form(d + p, side, p, m, d, schur_only=True)
+        mfd = ss_to_mfd(bp_to_realization(form), RIGHT if p >= m else LEFT)
+        assert mfd.degree == d
+        probes = TestBpToMfd.PROBES
+        expected = form.eval_many(probes)
+        errors = np.linalg.norm(mfd.eval_many(probes) - expected, axis=(1, 2))
+        assert (errors <= 1e-10 * np.linalg.norm(expected, axis=(1, 2))).all()
+
+    def test_unitary_state_change_goes_through_schur_form(self):
+        form = random_form(96, ISO, 4, 2, 8, schur_only=True)
+        q = random_unitary(np.random.default_rng(97), 8)
+        for broken in (False, True):
+            ss = bp_to_realization(perturb_direction(form, index=4) if broken else form, validate=False)
+            moved = StateSpaceRealization(q.conj().T @ ss.a @ q, q.conj().T @ ss.b, ss.c @ q, ss.d)
+            assert np.tril(moved.a, -1).any()
+            mfd = ss_to_mfd(moved, RIGHT)
+            probes = off_circle_probes(98, 16)
+            expected = moved.eval_many(probes)
+            errors = np.linalg.norm(mfd.eval_many(probes) - expected, axis=(1, 2))
+            assert (errors <= 1e-10 * np.linalg.norm(expected, axis=(1, 2))).all()
+            assert mfd_check(mfd).passed == (not broken)
+
+    def test_pole_outside_the_disk_pointwise(self):
+        # a pole at 3 is scaled by 1/3 in numerator and denominator alike
+        rng = np.random.default_rng(99)
+        a = np.array([[3.0, 0.7, -0.2j], [0.0, 0.4j, 1.1], [0.0, 0.0, -0.5]])
+        ss = StateSpaceRealization(
+            a, rng.normal(size=(3, 2)), rng.normal(size=(2, 3)), rng.normal(size=(2, 2))
+        )
+        mfd = ss_to_mfd(ss, RIGHT)
+        assert np.isclose(mfd.den[-1][0, 0], 1.0 / 3.0)
+        for z in off_circle_probes(100, 16):
+            assert np.linalg.norm(mfd(z) - ss(z)) <= 1e-12 * np.linalg.norm(ss(z))
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(
+        side=st.sampled_from([ISO, COISO]),
+        dims=st.tuples(st.integers(1, 4), st.integers(1, 4)).map(sorted),
+        d=st.integers(65, 128),
+        seed=st.integers(0, 2**16),
+        broken=st.booleans(),
+    )
+    def test_fraction_verdict_follows_realization_verdict(self, side, dims, d, seed, broken):
+        small, large = dims
+        p, m = (large, small) if side == ISO else (small, large)
+        form = random_form(seed, side, p, m, d, schur_only=True)
+        if broken:
+            form = perturb_direction(form, index=d // 2)
+        ss = bp_to_realization(form, validate=False)
+        mfd = ss_to_mfd(ss, RIGHT if p >= m else LEFT)
+        assert mfd_check(mfd).passed == realization_check(ss).passed == (not broken)
 
 
 class TestBpToLaurent:
@@ -581,8 +636,6 @@ class TestBpToMfd:
     @pytest.mark.parametrize("d", [16, 32, 64])
     @pytest.mark.parametrize("schur", [True, False])
     def test_matches_product_form(self, side, p, m, d, schur):
-        # Leverrier-Faddeev on the cascade realization is off by 1.0 at
-        # z = 0.05 for d = 32 and 64; the expansion has no such loss
         form = random_form(d + p, side, p, m, d, schur_only=schur)
         mfd = bp_to_mfd(form, RIGHT if p >= m else LEFT)
         assert mfd.degree == d
