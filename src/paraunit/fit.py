@@ -16,12 +16,16 @@ coiso) targets are computed once, the directions come from one batched
 chart call, and the constant from the Householder chain of
 :func:`~paraunit.params.isometry_from_angles`.  It builds no parameter
 object and no product form, yet makes every check that path makes; the
-objective is its squared norm.  :func:`objective` stays the public path;
-the reported objective of a fit comes from it.
+objective is its squared norm.  :func:`_chart_jacobian` gives the exact
+Jacobian of the residual from one prefix and one suffix sweep over the same
+factor chain, so the search spends no residual evaluation on finite
+differences.  :func:`objective` stays the public path; the reported
+objective of a fit comes from it.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +37,8 @@ from .params import (
     POLAR,
     ParaunitaryParam,
     PoleParam,
+    _isometry_derivatives,
+    _unit_vector_derivatives,
     _with_leading_phase,
     angles_for_isometry,
     build_paraunitary,
@@ -58,9 +64,13 @@ class SampleSet:
     def __init__(self, pairs):
         zs = []
         values = []
-        for z, g in pairs:
+        for index, (z, g) in enumerate(pairs):
             zs.append(complex(z))
             values.append(np.asarray(g, dtype=complex))
+            if not cmath.isfinite(zs[-1]):
+                raise ValueError(f"sample {index}: point {zs[-1]} is not finite")
+            if not np.isfinite(values[-1]).all():
+                raise ValueError(f"sample {index}: value is not finite")
         if not zs:
             raise DimensionMismatch("sample set must be non-empty")
         shape = values[0].shape
@@ -242,6 +252,87 @@ def _chart_residual(x, kernel: _ChartKernel) -> np.ndarray:
     return (values - kernel.targets).ravel().view(float)
 
 
+def _chart_jacobian(x, kernel: _ChartKernel) -> np.ndarray:
+    """Exact real Jacobian of :func:`_chart_residual` at ``x``, one column
+    per coordinate, with the checks of :func:`_chart_chain`.
+
+    With the prefix ``L_j = B_1 ... B_{j-1}`` and the suffix
+    ``R_j = B_{j+1} ... B_d U`` of the factor chain
+    ``B_j = I + g_j v_j v_j*``, a coordinate of factor ``j`` moves the
+    product by ``L_j dB_j R_j`` and a frame angle by ``B_1 ... B_d dU``.
+    A pole moves ``g = (1 - conj(a) z) / (z - a) - 1`` by
+    ``dg/da = (g + 1) / (z - a)`` and ``dg/d conj(a) = -z / (z - a)``; its
+    radius coordinate also carries the logistic factor
+    ``r (1 - r / (1 - RADIUS_MARGIN))``, zero where the radius is clamped.
+    A direction moves ``v v*`` by ``dv v* + v dv*``.  The wrap modulo
+    ``2 pi`` has derivative 1.  A coiso chain is reversed and conjugated as
+    :func:`_chart_chain` builds it, and the columns are mapped back.
+    """
+    gains, directions, constant = _chart_chain(x, kernel)
+    x = np.asarray(x, dtype=float)
+    wrapped = np.mod(x, 2.0 * np.pi)
+    d, n = gains.shape
+    k, width = constant.shape
+    # a_j = L_j v_j and b_j = v_j* R_j, in chain order
+    prefix = np.empty((d + 1, n, k, k), dtype=complex)
+    prefix[0] = np.eye(k)
+    suffix = np.empty((d, n, k, width), dtype=complex)
+    a = np.empty((d, n, k), dtype=complex)
+    b = np.empty((d, n, width), dtype=complex)
+    for j in range(d):
+        a[j] = prefix[j] @ directions[j]
+        prefix[j + 1] = prefix[j] + (gains[j, :, None] * a[j])[:, :, None] * directions[j].conj()
+    right = constant
+    for j in range(d - 1, -1, -1):
+        suffix[j] = right
+        b[j] = directions[j].conj() @ suffix[j]
+        right = suffix[j] + (gains[j, :, None] * b[j])[:, None, :] * directions[j][:, None]
+    # back to the template's factor order, as the coordinates run
+    order = slice(None) if kernel.iso else slice(None, None, -1)
+    gains, prefix_t, suffix, a, b = gains[order], prefix[:d][order], suffix[order], a[order], b[order]
+    jac = np.empty((kernel.size, n, k, width), dtype=complex)
+
+    by_gain = a[kernel.polar_rows, :, :, None] * b[kernel.polar_rows, :, None, :]
+    radius_coordinates = x[kernel.radii]
+    radii = _real_to_radius(radius_coordinates)
+    turn = np.exp(1j * wrapped[kernel.thetas])[:, None]
+    alphas = radii[:, None] * turn
+    phis = gains[kernel.polar_rows] + 1.0
+    offsets = kernel.zs - alphas
+    scale = np.exp(-np.abs(radius_coordinates))
+    # the logistic factor, written without its cancellation near the top
+    slopes = np.where(radii > RADIUS_CHART_MARGIN, (1.0 - RADIUS_MARGIN) * scale / (1.0 + scale) ** 2, 0.0)
+    by_radius = slopes[:, None] * (phis * turn - kernel.zs * turn.conj()) / offsets
+    by_theta = 1j * (alphas * phis + alphas.conj() * kernel.zs) / offsets
+    jac[kernel.radii] = by_radius[:, :, None, None] * by_gain
+    jac[kernel.thetas] = by_theta[:, :, None, None] * by_gain
+
+    rows = wrapped[kernel.directions].reshape(kernel.direction_shape)
+    by_angle = _unit_vector_derivatives(k, rows[:, : k - 1], _with_leading_phase(rows[:, k - 1 :]))
+    # the leading phase is fixed to zero, so it has no coordinate
+    dv = np.delete(by_angle, k - 1, axis=1)
+    if not kernel.iso:
+        dv = dv.conj()
+    # L_j dv and dv* R_j as (d, angles, N, k) and (d, angles, N, width),
+    # each one matrix product per factor
+    angles = dv.shape[1]
+    left = dv @ prefix_t.transpose(0, 3, 1, 2).reshape(d, k, n * k)
+    right = dv.conj() @ suffix.transpose(0, 2, 1, 3).reshape(d, k, n * width)
+    left = left.reshape(d, angles, n, k, 1)
+    right = right.reshape(d, angles, n, 1, width)
+    by_direction = left * b[:, None, :, None, :] + a[:, None, :, :, None] * right
+    by_direction *= gains[:, None, :, None, None]
+    jac[kernel.directions] = by_direction.reshape(-1, n, k, width)
+
+    frame = _isometry_derivatives(*kernel.frame_shape, wrapped[kernel.frame])
+    if not kernel.iso:
+        frame = frame.conj()
+    # B_1 ... B_d dU for every frame angle, as one matrix product
+    by_frame = prefix[d].reshape(n * k, k) @ frame.transpose(1, 0, 2).reshape(k, -1)
+    jac[kernel.frame] = by_frame.reshape(n, k, -1, width).transpose(2, 0, 1, 3)
+    return jac.reshape(kernel.size, -1).view(float).T
+
+
 def _chart_objective(x, kernel: _ChartKernel) -> float:
     """``objective(_decode(x, template), samples)``: the squared norm of the residual."""
     residual = _chart_residual(x, kernel)
@@ -250,15 +341,16 @@ def _chart_objective(x, kernel: _ChartKernel) -> float:
 
 def minimize(x: np.ndarray, kernel: _ChartKernel):
     """One restart's local search from ``x``: a ``dogbox`` trust-region
-    least-squares solve of the kernel's residual, with a finite-difference
-    Jacobian and at most :data:`~paraunit.tolerances.FIT_EVAL_BUDGET`
-    residual evaluations besides the Jacobian's.  scipy.optimize is imported
-    here, on the first fit, because loading it costs more than most CLI
-    commands and only the fit calls it."""
+    least-squares solve of the kernel's residual, with the exact Jacobian of
+    :func:`_chart_jacobian` and at most
+    :data:`~paraunit.tolerances.FIT_EVAL_BUDGET` residual evaluations.
+    scipy.optimize is imported here, on the first fit, because loading it
+    costs more than most CLI commands and only the fit calls it."""
     from scipy.optimize import least_squares
 
     return least_squares(
-        _chart_residual, x, args=(kernel,), method="dogbox", max_nfev=FIT_EVAL_BUDGET
+        _chart_residual, x, jac=_chart_jacobian, args=(kernel,), method="dogbox",
+        max_nfev=FIT_EVAL_BUDGET,
     )
 
 
@@ -305,7 +397,7 @@ def fit_lossless(
     from there.  The overall best candidate wins, and any returned candidate
     is (co)isometric on the circle by construction, whatever the fit quality.
     ``iterations`` counts the residual evaluations of every search (scipy's
-    ``nfev``: finite-difference Jacobian evaluations are not counted), and
+    ``nfev``; the Jacobian is exact and evaluates no residual), and
     ``converged`` means the reported objective is below
     ``CONVERGED_OBJECTIVE``.
     """

@@ -175,6 +175,31 @@ def unit_vector_from_angles(k, polar, phases) -> np.ndarray:
     return magnitudes * np.exp(1j * phases)
 
 
+def _unit_vector_derivatives(k, polar, phases) -> np.ndarray:
+    """Derivatives of :func:`unit_vector_from_angles` by each of its
+    ``2k - 1`` angles, the ``k - 1`` polar angles first: shape
+    ``(..., 2k - 1, k)``.
+
+    Component ``i`` holds polar angle ``t_l`` through one factor, ``cos t_l``
+    for ``i = l`` and ``sin t_l`` for ``i > l``, and none for ``i < l``.  As
+    ``cos' t = cos(t + pi/2)`` and ``sin' t = sin(t + pi/2)``, the derivative
+    by ``t_l`` is the vector at ``t_l + pi/2`` with its first ``l``
+    components zeroed (the product rule, with no division by a sine).  A
+    phase turns its own component by ``i``.
+    """
+    polar = np.asarray(polar, dtype=float)
+    phases = np.asarray(phases, dtype=float)
+    # row 0 is the vector itself, row l + 1 the vector at t_l + pi/2
+    shifts = np.zeros((k, k - 1))
+    shifts[1:] = 0.5 * np.pi * np.eye(k - 1)
+    shifted = polar[..., None, :] + shifts
+    rows = unit_vector_from_angles(
+        k, shifted, np.broadcast_to(phases[..., None, :], shifted.shape[:-1] + (k,))
+    )
+    by_phase = 1j * rows[..., :1, :] * np.eye(k)
+    return np.concatenate([np.triu(rows[..., 1:, :]), by_phase], axis=-2)
+
+
 def _angles_for_unit_vector(v: np.ndarray):
     """Invert the hyperspherical chart for one unit vector.
 
@@ -213,6 +238,24 @@ def isometry_from_angles(p: int, m: int, angles) -> np.ndarray:
     chart with no factorization per column.  The angle budget telescopes:
     ``sum_j (2(p - j) - 1) = m(2p - m)``.  Every isometry is reachable.
     """
+    _, _, u = _columns(p, m, angles)
+    # column j needs H_{j-1} first, so apply the reflectors last to first
+    for i in range(m - 2, -1, -1):
+        tau, w = _reflector(u[i:, i])
+        block = u[i:, i + 1 :]
+        block -= (tau * w)[:, None] * (w.conj() @ block)
+    return u
+
+
+def _columns(p, m, angles):
+    """The chart's polar and phase rows, and the ``p x m`` matrix of columns
+    ``[0; u_j]`` before any reflection.
+
+    Column ``j``'s unit vector sits in rows ``j:`` of a ``p``-vector whose
+    leading ``j`` polar angles are ``pi/2`` (their sines are exactly 1, so
+    the trailing magnitudes are those of ``u_j``) and whose leading entries
+    are then zeroed.
+    """
     p, m = int(p), int(m)
     if p < m or m < 1:
         raise DimensionMismatch(f"need p >= m >= 1, got p={p}, m={m}")
@@ -220,9 +263,6 @@ def isometry_from_angles(p: int, m: int, angles) -> np.ndarray:
     needed = m * (2 * p - m)
     if angles.size != needed:
         raise AngleCountMismatch(f"need {needed} angles, got {angles.size}")
-    # Column j's unit vector sits in rows j: of a p-vector whose leading j
-    # polar angles are pi/2 (their sines are exactly 1, so the trailing
-    # magnitudes are those of u_j) and whose leading entries are then zeroed.
     polar = np.full((m, p - 1), 0.5 * np.pi)
     phases = np.zeros((m, p))
     position = 0
@@ -234,12 +274,45 @@ def isometry_from_angles(p: int, m: int, angles) -> np.ndarray:
     u = unit_vector_from_angles(p, polar, phases).T
     for j in range(1, m):
         u[:j, j] = 0.0
-    # column j needs H_{j-1} first, so apply the reflectors last to first
+    return polar, phases, u
+
+
+def _isometry_derivatives(p: int, m: int, angles) -> np.ndarray:
+    """Derivatives of :func:`isometry_from_angles` by each of its angles,
+    in their order: shape ``(m (2p - m), p, m)``.
+
+    Forward mode through the same reflector chain.  Column ``i``'s angles
+    move only ``u_i``, so they reach column ``i`` directly and the later
+    columns through ``H_i = I - tau w w*``.  For the unit vector ``u_i``
+    (first entry ``a``), ``beta`` is locally constant, so
+    ``d tau = -da / beta`` and ``dw = (du - w da) / (a - beta)``, whose
+    first entry is zero as ``w_0 = 1`` is.
+    """
+    polar, phases, u = _columns(p, m, angles)
+    per_column = _unit_vector_derivatives(p, polar, phases)
+    out = np.zeros((m * (2 * p - m), p, m), dtype=complex)
+    position = 0
+    for j in range(m):
+        # the free angles of column j: polar angles j: and phases j:
+        dim = p - j
+        out[position : position + dim - 1, :, j] = per_column[j, j : p - 1]
+        out[position + dim - 1 : position + 2 * dim - 1, :, j] = per_column[j, p - 1 + j :]
+        position += 2 * dim - 1
     for i in range(m - 2, -1, -1):
+        a = u[i, i]
+        beta = -math.copysign(1.0, a.real)
         tau, w = _reflector(u[i:, i])
+        du = out[:, i:, i]
+        dtau = -du[:, 0] / beta
+        dw = (du - w * du[:, :1]) / (a - beta)
         block = u[i:, i + 1 :]
-        block -= (tau * w)[:, None] * (w.conj() @ block)
-    return u
+        dblock = out[:, i:, i + 1 :]
+        projected = w.conj() @ block
+        dblock -= tau * w[:, None] * (w.conj() @ dblock)[:, None, :]
+        dblock -= (dtau[:, None, None] * w[:, None] + tau * dw[:, :, None]) * projected
+        dblock -= tau * w[:, None] * (dw.conj() @ block)[:, None, :]
+        block -= (tau * w)[:, None] * projected
+    return out
 
 
 def angles_for_isometry(u) -> np.ndarray:

@@ -13,7 +13,9 @@ from paraunit import (
     objective,
     random_params,
 )
-from paraunit.fit import _ChartKernel, _chart_objective, _decode, _encode
+import paraunit.fit as fit
+from paraunit.fit import _ChartKernel, _chart_jacobian, _chart_objective, _chart_residual, _decode, _encode
+from paraunit.tolerances import RADIUS_CHART_MARGIN
 from conftest import circle_points
 
 
@@ -97,7 +99,101 @@ class TestChartKernel:
         assert checked >= 20
 
 
+def central_differences(x, kernel, step=1e-6):
+    columns = []
+    for i in range(x.size):
+        e = np.zeros(x.size)
+        e[i] = step
+        columns.append((_chart_residual(x + e, kernel) - _chart_residual(x - e, kernel)) / (2 * step))
+    return np.stack(columns, axis=1)
+
+
+def random_kernel(rng, seed):
+    """A random template's kernel on 9 random samples off the circle, and a
+    coordinate vector scattered around its encoding."""
+    template = random_template(rng, seed)
+    count = 9
+    zs = rng.uniform(0.2, 3.0, count) * np.exp(1j * rng.uniform(0, 2 * np.pi, count))
+    targets = rng.normal(size=(count, template.p, template.m)) + 1j * rng.normal(
+        size=(count, template.p, template.m)
+    )
+    kernel = _ChartKernel(template, SampleSet(list(zip(zs, targets))))
+    start = _encode(template)
+    return template, kernel, start + rng.normal(size=start.size)
+
+
+class TestChartJacobian:
+    def test_matches_central_differences(self):
+        rng = np.random.default_rng(33)
+        seen = set()
+        for seed in range(120):
+            template, kernel, x = random_kernel(rng, seed)
+            jacobian = _chart_jacobian(x, kernel)
+            expected = central_differences(x, kernel)
+            assert jacobian.shape == expected.shape
+            assert np.abs(jacobian - expected).max() <= 1e-6 * max(1.0, np.abs(expected).max())
+            seen.add(template.side)
+            seen.update(
+                name
+                for name, hit in [
+                    ("frame only", template.d == 0),
+                    ("no direction angles", template.d > 0 and template.factor_dimension == 1),
+                    ("square", template.p == template.m),
+                    ("origin pole", any(pole.kind == "zero" for pole in template.poles)),
+                ]
+                if hit
+            )
+        assert seen == {ISO, COISO, "frame only", "no direction angles", "square", "origin pole"}
+
+    def test_saturated_radius_coordinates(self):
+        rng = np.random.default_rng(34)
+        clamped = 0
+        for seed in range(80):
+            template, kernel, x = random_kernel(rng, seed)
+            radii = x[kernel.radii]
+            if not radii.size:
+                continue
+            x[kernel.radii] = rng.choice([40.0, -40.0, 800.0, -800.0], size=radii.size)
+            jacobian = _chart_jacobian(x, kernel)
+            assert np.isfinite(jacobian).all()
+            expected = central_differences(x, kernel)
+            assert np.abs(jacobian - expected).max() <= 1e-6 * max(1.0, np.abs(expected).max())
+            columns = np.arange(kernel.size)[kernel.radii]
+            for column, coordinate in zip(columns, x[kernel.radii]):
+                if fit._real_to_radius(coordinate) == RADIUS_CHART_MARGIN:
+                    assert not jacobian[:, column].any()
+                    clamped += 1
+        assert clamped >= 20
+
+    def test_search_evaluates_no_finite_differences(self, monkeypatch):
+        calls = []
+
+        def counted(x, kernel):
+            calls.append(1)
+            return _chart_residual(x, kernel)
+
+        monkeypatch.setattr(fit, "_chart_residual", counted)
+        target = random_params(11, ISO, 2, 1, 1, schur_only=True)
+        samples = samples_from_params(target, count=64)
+        result = fit_lossless(samples, d=1, p=2, m=1, seed=100, restarts=1)
+        assert result.converged and result.iterations > 0
+        # the start, the Procrustes splice, then one call per search step
+        assert len(calls) == result.iterations + 2
+
+
 class TestSampleSet:
+    def test_refuses_non_finite_value(self):
+        values = [np.eye(2) for _ in range(4)]
+        values[2] = np.array([[1.0, np.nan], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="sample 2"):
+            SampleSet(list(zip(circle_points(4), values)))
+
+    def test_refuses_non_finite_point(self):
+        zs = list(circle_points(4))
+        zs[3] = complex(np.inf, 0.0)
+        with pytest.raises(ValueError, match="sample 3"):
+            SampleSet([(z, np.eye(2)) for z in zs])
+
     def test_requires_consistent_shapes(self):
         with pytest.raises(DimensionMismatch):
             SampleSet([(1.0, np.eye(2)), (2.0, np.eye(3))])

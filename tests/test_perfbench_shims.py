@@ -4,6 +4,7 @@
 renamed or moved name would make ``perfbench/run.py --trace 1`` raise.
 """
 
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -16,6 +17,10 @@ def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    # ``import paraunit`` does not load every submodule a shim names (the CLI)
+    for path, _, _ in module.SHIMS:
+        if path:
+            importlib.import_module(f"paraunit.{path.split('.')[0]}")
     return module
 
 
