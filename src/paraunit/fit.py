@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AngleCountMismatch, DimensionMismatch, EvalAtPole
-from .forms import COISO, ISO, _iso_product, blaschke_scalar
+from .forms import COISO, ISO, _blaschke_gains, _iso_product
 from .linalg import isometry_residual
 from .params import (
     POLAR,
@@ -193,9 +193,8 @@ class _ChartKernel:
         self.frame_shape = (template.p, template.m) if self.iso else (template.m, template.p)
         self.polar_rows = np.flatnonzero([pole.kind == POLAR for pole in template.poles])
         self.gains = np.empty((template.d, samples.zs.size), dtype=complex)
-        for j, pole in enumerate(template.poles):
-            if pole.kind != POLAR:
-                self.gains[j] = blaschke_scalar(pole.to_pole(), samples.zs) - 1.0
+        fixed = [j for j, pole in enumerate(template.poles) if pole.kind != POLAR]
+        self.gains[fixed] = _blaschke_gains([template.poles[j].to_pole() for j in fixed], samples.zs)
         radii_end = 2 * self.polar_rows.size
         self.radii = slice(0, radii_end, 2)
         self.thetas = slice(1, radii_end, 2)

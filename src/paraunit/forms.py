@@ -16,8 +16,17 @@ which returns an ``(N, p, m)`` array and checks the whole batch against the
 form's poles (or, for a matrix fraction, its denominator's condition number)
 before computing; ``form(z)`` is the one-point case of ``eval_many``.
 
+Evaluation costs what the structure requires.  A product form computes
+every factor's gain ``phi_j(z) - 1`` in one broadcast over its poles.  A
+realization whose ``A`` is upper triangular (every realization the package
+writes) reads its poles off the diagonal and back-substitutes
+``(zI - A) X = B`` one state at a time, vectorized across the points; any
+other ``A`` runs ``eigvals`` once and an LU per point.
+
 Forms are immutable: constructors validate and copy their inputs and the
-stored arrays are marked read-only.
+stored arrays are marked read-only.  Matrix fractions that the package's
+conversions build over a scalar denominator skip the checks that such a
+denominator makes redundant (see :meth:`MFDForm._over_scalar`).
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EvalAtPole, SingularDenominator
-from .linalg import as_complex_matrix, isometry_residual
+from .linalg import _is_upper_triangular, as_complex_matrix, isometry_residual
 from .tolerances import (
     DIRECTION_NORM_SLACK,
     DIRECTION_RENORM_SKIP,
@@ -117,6 +126,28 @@ def blaschke_scalar(pole: Pole, z):
     if np.any(np.abs(zs - alpha) <= EVAL_POLE_MARGIN):
         raise EvalAtPole(f"a point is within {EVAL_POLE_MARGIN:.0e} of pole {alpha}")
     return ((1.0 - alpha.conjugate() * zs) / (zs - alpha))[()]
+
+
+def _blaschke_gains(poles, zs: np.ndarray) -> np.ndarray:
+    """The ``(d, N)`` array of ``phi_j(z) - 1`` for every pole and point.
+
+    One broadcast over the finite poles, with the formula of
+    :func:`blaschke_scalar`; a pole at infinity gives ``z - 1``.  A point
+    within ``EVAL_POLE_MARGIN`` of a finite pole raises ``EvalAtPole``
+    naming the first such pole in the order given, as ``blaschke_scalar``
+    called pole by pole would.
+    """
+    finite = np.array([not pole.is_infinity for pole in poles], dtype=bool)
+    alphas = np.array([pole.value for pole in poles if not pole.is_infinity], dtype=complex)[:, None]
+    offsets = zs - alphas
+    near = (np.abs(offsets) <= EVAL_POLE_MARGIN).any(axis=1)
+    if near.any():
+        alpha = complex(alphas[np.argmax(near), 0])
+        raise EvalAtPole(f"a point is within {EVAL_POLE_MARGIN:.0e} of pole {alpha}")
+    gains = np.empty((finite.size, zs.size), dtype=complex)
+    gains[finite] = (1.0 - alphas.conj() * zs) / offsets - 1.0
+    gains[~finite] = zs - 1.0
+    return gains
 
 
 def _points(zs) -> np.ndarray:
@@ -225,10 +256,7 @@ class BlaschkePotapovForm(_Form):
     def eval_many(self, zs) -> np.ndarray:
         """Evaluate at a batch of points; returns an ``(N, p, m)`` array."""
         zs = _points(zs)
-        gains = np.empty((self.d, zs.size), dtype=complex)
-        for row, pole in zip(gains, self.poles):
-            # blaschke_scalar is the pole check: EvalAtPole within EVAL_POLE_MARGIN
-            row[:] = blaschke_scalar(pole, zs) - 1.0
+        gains = _blaschke_gains(self.poles, zs)
         directions = [v for _, v in self.factors]
         if self.side == ISO:
             return _iso_product(gains, directions, self.constant)
@@ -318,16 +346,21 @@ class StateSpaceRealization(_Form):
         return np.block([[self.a, self.b], [self.c, self.d]])
 
     def pole_candidates(self) -> np.ndarray:
-        """Eigenvalues of A (a superset of the poles when non-minimal)."""
+        """Eigenvalues of A (a superset of the poles when non-minimal).
+
+        An upper triangular ``A`` has them on its diagonal.
+        """
         if self._eigenvalues is None:
-            if self.n == 0:
-                self._eigenvalues = np.zeros(0, dtype=complex)
-            else:
-                self._eigenvalues = np.linalg.eigvals(self.a)
+            a = self.a
+            self._eigenvalues = np.diagonal(a) if _is_upper_triangular(a) else np.linalg.eigvals(a)
         return self._eigenvalues
 
     def eval_many(self, zs) -> np.ndarray:
-        """Evaluate at a batch of points; returns an ``(N, p, m)`` array."""
+        """Evaluate at a batch of points; returns an ``(N, p, m)`` array.
+
+        An upper triangular ``A`` is back-substituted, O(n^2 m N); any other
+        ``A`` takes one LU of ``zI - A`` per point, O(n^3 N).
+        """
         zs = _points(zs)
         out = np.broadcast_to(self.d, (zs.size, self.p, self.m)).copy()
         if self.n == 0:
@@ -336,6 +369,8 @@ class StateSpaceRealization(_Form):
         if np.any(near):
             z = zs[np.argmax(near.any(axis=1))]
             raise EvalAtPole(f"{z} is within {EVAL_POLE_MARGIN:.0e} of a pole of A")
+        if _is_upper_triangular(self.a):
+            return out + _triangular_transfer(self.a, self.b, self.c, zs)
         resolvent = np.linalg.solve(zs[:, None, None] * np.eye(self.n) - self.a, self.b)
         return out + self.c @ resolvent
 
@@ -353,6 +388,28 @@ class StateSpaceRealization(_Form):
         )
 
 
+def _triangular_transfer(a, b, c, zs: np.ndarray) -> np.ndarray:
+    """``C (zI - A)^{-1} B`` at every point for an upper triangular ``A``.
+
+    ``X = (zI - A)^{-1} B`` is back-substituted from the last state, each
+    row ``X[i] = (B[i] + A[i, i+1:] X[i+1:]) / (z - A[i, i])`` for all
+    points at once: the ``(n, m, N)`` work array is one ``n x mN`` matrix,
+    so each row costs one matrix-vector product.  Returns ``(N, p, m)``.
+    """
+    n, m = b.shape
+    x = np.empty((n, m, zs.size), dtype=complex)
+    flat = x.reshape(n, -1)
+    for i in range(n - 1, -1, -1):
+        coupled = (a[i, i + 1:] @ flat[i + 1:]).reshape(m, zs.size)
+        x[i] = (b[i][:, None] + coupled) / (zs - a[i, i])
+    return (c @ flat).reshape(c.shape[0], m, zs.size).transpose(2, 0, 1)
+
+
+def _check_fraction_side(side: str) -> None:
+    if side not in (RIGHT, LEFT):
+        raise ValueError(f"side must be {RIGHT!r} or {LEFT!r}, got {side!r}")
+
+
 class MFDForm(_Form):
     """Right or left matrix fraction with numerator/denominator of equal degree.
 
@@ -366,11 +423,15 @@ class MFDForm(_Form):
     relative, so a well-conditioned denominator with a small determinant
     (such as ``den(z) I`` of a high-degree realization) is accepted.
     Evaluation applies the same test at every point.
+
+    The coefficients are views of one read-only copy of each stacked
+    coefficient array.  The package's conversions build their fractions
+    over a scalar denominator through :meth:`_over_scalar`, which skips the
+    rank probes and the per-coefficient coercion.
     """
 
     def __init__(self, side, num: Sequence, den: Sequence, validate: bool = True):
-        if side not in (RIGHT, LEFT):
-            raise ValueError(f"side must be {RIGHT!r} or {LEFT!r}, got {side!r}")
+        _check_fraction_side(side)
         num = [as_complex_matrix(x, "num coefficient") for x in num]
         den = [as_complex_matrix(x, "den coefficient") for x in den]
         if not num or not den:
@@ -389,11 +450,7 @@ class MFDForm(_Form):
                 raise DimensionMismatch(
                     f"denominator coefficients must be {dk}x{dk}, got {x.shape}"
                 )
-        self.side = side
-        self.p = p
-        self.m = m
-        self.num = tuple(_readonly(x) for x in num)
-        self.den = tuple(_readonly(x) for x in den)
+        self._store(side, num, den)
         if validate:
             # full normal rank: det Delta is not identically zero, which one
             # nonsingular probe proves
@@ -402,6 +459,34 @@ class MFDForm(_Form):
                 raise SingularDenominator(
                     f"denominator is singular at every probe, first at probe point {probes[0]}"
                 )
+
+    @classmethod
+    def _over_scalar(cls, side: str, num: np.ndarray, den: np.ndarray) -> "MFDForm":
+        """The ``(N, p, m)`` numerator over ``den(z) I`` as a right or left fraction.
+
+        For the package's own conversions: ``den`` holds the ``N`` scalar
+        coefficients, and ``I`` is ``I_m`` (right) or ``I_p`` (left).  A
+        scalar denominator that is not all zero has full normal rank, so
+        the rank probes of the public constructor are skipped.  A bad side,
+        an all-zero ``den`` and non-finite coefficients (an overflowed
+        conversion) are still refused.
+        """
+        _check_fraction_side(side)
+        if not (np.isfinite(num).all() and np.isfinite(den).all()):
+            raise ValueError("matrix fraction overflowed: its coefficients are not all finite")
+        if not den.any():
+            raise SingularDenominator("scalar denominator is identically zero")
+        eye = np.eye(num.shape[2] if side == RIGHT else num.shape[1], dtype=complex)
+        form = cls.__new__(cls)
+        form._store(side, num, den[:, None, None] * eye)
+        return form
+
+    def _store(self, side: str, num, den) -> None:
+        """Keep one read-only copy of each coefficient stack; coefficients are views of it."""
+        self.side = side
+        self.num = tuple(_readonly(num))
+        self.den = tuple(_readonly(den))
+        self.p, self.m = self.num[0].shape
 
     @property
     def degree(self) -> int:

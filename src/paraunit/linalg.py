@@ -47,6 +47,11 @@ def _schur(a: np.ndarray):
     return t, u
 
 
+def _is_upper_triangular(a: np.ndarray) -> bool:
+    """Whether the square matrix ``a`` has no nonzero entry below its diagonal."""
+    return not np.tril(a, -1).any()
+
+
 def as_complex_matrix(x, name: str = "matrix") -> np.ndarray:
     """Coerce ``x`` to a 2-D complex array, rejecting NaN/Inf entries."""
     a = np.asarray(x, dtype=complex)
@@ -142,10 +147,17 @@ def solve_stein(a, q, side: str = "cont") -> np.ndarray:
 
     Notes
     -----
-    Bartels-Stewart / Kitagawa: with ``A = U T U*`` (complex Schur),
-    ``X = U* W U`` solves ``X - T X T* = U* Q U`` column by column from the
-    last, each an upper-triangular solve with ``I - conj(t_jj) T``.  O(n^3)
-    time, O(n^2) memory; the stability test reads ``max |diag T|``.
+    Bartels-Stewart / Kitagawa: with ``A = U T U*`` and ``T`` upper
+    triangular, ``X = U* W U`` solves ``X - T X T* = U* Q U`` column by
+    column from the last, each an upper-triangular solve with
+    ``I - conj(t_jj) T``.  O(n^3) time, O(n^2) memory; the stability test
+    reads ``max |diag T|``.  The ``"obs"`` side solves the same equation
+    with ``A*`` in place of ``A``.  An upper triangular matrix is its own
+    ``T`` (``U = I``), and a lower triangular one is reversed into one
+    (``U = J``, the order-reversing permutation), so neither runs the Schur
+    step: every realization the package writes has an upper triangular
+    ``A``, whose ``"obs"`` side is the lower triangular case.  Any other
+    matrix goes through the complex Schur form (LAPACK ``zgees``).
     """
     a = as_complex_matrix(a, "a")
     q = as_complex_matrix(q, "q")
@@ -161,20 +173,30 @@ def solve_stein(a, q, side: str = "cont") -> np.ndarray:
         return q.copy()
     if side == "obs":
         a = a.conj().T
-    t, u = _schur(a)
+    # J A J is upper triangular for a lower triangular A and the order-reversing J
+    flip = _is_upper_triangular(a.T) and not _is_upper_triangular(a)
+    if flip:
+        a, q = np.ascontiguousarray(a[::-1, ::-1]), q[::-1, ::-1]
+    if _is_upper_triangular(a):
+        t, u, x = a, None, q.copy()
+    else:
+        t, u = _schur(a)
+        x = u.conj().T @ q @ u
     rho = float(np.max(np.abs(np.diagonal(t))))
     if rho >= 1.0 - SCHUR_MARGIN:
         raise NotSchurStable(f"spectral radius {rho:.12f} is not below 1 - {SCHUR_MARGIN:.0e}")
     tc = t.conj()
-    x = u.conj().T @ q @ u  # column j is overwritten by its solution, last first
     eye = np.eye(n, dtype=complex)
+    t_rows = np.ascontiguousarray(t.T)  # I - c T^T in C order is I - c T in Fortran order
     ztrtrs = _lapack()[1]
-    for j in range(n - 1, -1, -1):
+    for j in range(n - 1, -1, -1):  # column j is overwritten by its solution, last first
         rhs = x[:, j] + t @ (x[:, j + 1 :] @ tc[j, j + 1 :])
-        x[:, j], info = ztrtrs(eye - tc[j, j] * t, rhs)
+        x[:, j], info = ztrtrs((eye - tc[j, j] * t_rows).T, rhs)
         if info != 0:  # pragma: no cover - the margin keeps every pivot nonzero
             raise ConvergenceFailure(f"triangular solve failed: LAPACK trtrs info {info}")
-    w = u @ x @ u.conj().T
+    w = x if u is None else u @ x @ u.conj().T
+    if flip:
+        w = w[::-1, ::-1]
     return 0.5 * (w + w.conj().T)
 
 
@@ -202,11 +224,17 @@ def hermitian_eig(m):
 
 
 def spectral_radius(a) -> float:
-    """Largest eigenvalue modulus of a square matrix of any size ``n >= 1``."""
+    """Largest eigenvalue modulus of a square matrix of any size ``n >= 1``.
+
+    An upper triangular matrix (every realization the package writes) has
+    its eigenvalues on the diagonal; any other runs ``eigvals``.
+    """
     a = as_complex_matrix(a, "a")
     n = _require_square(a, "a")
     if n < 1:
         raise DimensionMismatch("matrix must be at least 1x1")
+    if _is_upper_triangular(a):
+        return float(np.max(np.abs(np.diagonal(a))))
     try:
         eigenvalues = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failures are rare

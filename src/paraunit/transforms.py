@@ -47,7 +47,7 @@ from .forms import (
     _unit_direction,
     blaschke_scalar,
 )
-from .linalg import _schur, isometry_residual, unitary_completion
+from .linalg import _is_upper_triangular, _schur, isometry_residual, unitary_completion
 from .tolerances import (
     EMBED_RESIDUAL_TOL,
     EVAL_POLE_MARGIN,
@@ -325,25 +325,27 @@ def ss_to_mfd(ss: StateSpaceRealization, side: str = RIGHT) -> MFDForm:
     :func:`_expand`.  After ``n`` steps ``W`` is the numerator ``N`` over
     ``den(z) I`` (``I_m`` right, ``I_p`` left), in O(n^2 p (n + m)) time.
     No attempt is made to reduce the fraction; the certificate tests
-    downstream do not require coprimeness.
+    downstream do not require coprimeness.  Entries too large for the
+    sweep raise ``ValueError``: the fraction overflowed.
     """
     a, b, c = ss.a, ss.b, ss.c
-    if np.tril(a, -1).any():
+    if not _is_upper_triangular(a):
         a, u = _schur(a)
         b, c = u.conj().T @ b, c @ u
     top = np.hstack([a, b])
     work = np.hstack([c, ss.d])[None]
     den = np.ones(1, dtype=complex)
-    for j in range(ss.n):
-        t = a[j, j]
-        scale = 1.0 / max(1.0, abs(t))
-        # multiply by z - t and add the peeled state: one coefficient more per state
-        out = np.zeros((len(work) + 1, ss.p, work.shape[2] - 1), dtype=complex)
-        out[1:] = work[:, :, 1:]
-        out[:-1] += work[:, :, :1] * top[j, j + 1:] - t * work[:, :, 1:]
-        work = scale * out
-        den = np.convolve(den, [-scale * t, scale])
-    return _over_scalar(work, den, side)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+        for j in range(ss.n):
+            t = a[j, j]
+            scale = 1.0 / max(1.0, abs(t))
+            # multiply by z - t and add the peeled state: one coefficient more per state
+            out = np.zeros((len(work) + 1, ss.p, work.shape[2] - 1), dtype=complex)
+            out[1:] = work[:, :, 1:]
+            out[:-1] += work[:, :, :1] * top[j, j + 1:] - t * work[:, :, 1:]
+            work = scale * out
+            den = np.convolve(den, [-scale * t, scale])
+    return MFDForm._over_scalar(side, work, den)
 
 
 def _expand(f: BlaschkePotapovForm):
@@ -394,16 +396,7 @@ def bp_to_mfd(f: BlaschkePotapovForm, side: str = RIGHT) -> MFDForm:
     terms (see :func:`_expand`).  No realization is built, so poles outside
     the disk, at the origin and at infinity are all allowed.
     """
-    return _over_scalar(*_expand(f), side)
-
-
-def _over_scalar(num: np.ndarray, den: np.ndarray, side: str) -> MFDForm:
-    """The ``(N, p, m)`` numerator over ``den(z) I`` as a right or left fraction.
-
-    ``MFDForm`` refuses a side other than ``"right"`` and ``"left"``.
-    """
-    eye = np.eye(num.shape[2] if side == RIGHT else num.shape[1], dtype=complex)
-    return MFDForm(side, num, den[:, None, None] * eye)
+    return MFDForm._over_scalar(side, *_expand(f))
 
 
 def bp_to_laurent(f: BlaschkePotapovForm) -> LaurentPolyForm:

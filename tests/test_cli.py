@@ -396,6 +396,17 @@ class TestUsageErrors:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     @pytest.mark.filterwarnings("error")
+    def test_overflowing_ss_to_mfd_is_one_error_line(self, tmp_path, capsys):
+        ss, out = tmp_path / "ss.json", tmp_path / "mfd.json"
+        huge = np.full((2, 2), 1e300)
+        write_document(ss, StateSpaceRealization(np.diag([0.5, 0.2]), huge, huge, np.zeros((2, 2))))
+        code, printed, err = run(capsys, "convert", str(ss), "--to", "mfd", "-o", str(out))
+        assert code == 2
+        assert printed == "" and not out.exists()
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "overflowed" in err
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "kind, field", [("ss", "a"), ("ss", "d"), ("mfd", "num"), ("mfd", "den")]
     )

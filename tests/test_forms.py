@@ -129,6 +129,16 @@ class TestBlaschkePotapovForm:
         with pytest.raises(EvalAtPole):
             form.eval_many([0.2, 0.5 + 1e-10, 2.0])
 
+    @pytest.mark.parametrize("side", [ISO, COISO])
+    def test_eval_at_pole_names_the_first_factor_in_order(self, side):
+        # the batch meets the pole 0.3 first, but factor order decides
+        rng = np.random.default_rng(8)
+        factors = [(pole, random_unitary(rng, 2)[:, 0]) for pole in (Pole(0.5), Pole.infinity(), Pole(0.3))]
+        form = BlaschkePotapovForm(side, 2, 2, factors, np.eye(2))
+        with pytest.raises(EvalAtPole) as raised:
+            form.eval_many([0.1, 0.3 + 1e-10, 0.5, 2.0])
+        assert str(raised.value) == "a point is within 1e-09 of pole (0.5+0j)"
+
     def test_eval_many_matches_scalar_eval(self):
         forms = [
             random_form(42, ISO, 3, 2, 4),
@@ -211,6 +221,31 @@ class TestStateSpaceRealization:
         with pytest.raises(DimensionMismatch):
             StateSpaceRealization(np.zeros((1, 1)), np.zeros((2, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
 
+    @pytest.mark.parametrize("d", [1, 8, 32, 64, 128])
+    @pytest.mark.parametrize("side, p, m", [(ISO, 4, 2), (COISO, 2, 4)])
+    def test_triangular_back_substitution_matches_lu(self, d, side, p, m):
+        ss = bp_to_realization(random_form(700 + d, side, p, m, d, schur_only=True))
+        assert not np.tril(ss.a, -1).any()
+        zs = np.concatenate([circle_points(2 * d + 1), off_circle_probes(d, 8)])
+        reference = ss.d + ss.c @ np.linalg.solve(zs[:, None, None] * np.eye(d) - ss.a, ss.b)
+        error = np.abs(ss.eval_many(zs) - reference).max()
+        assert error <= 1e-12 * np.abs(reference).max()
+
+    def test_triangular_eval_near_a_diagonal_entry_raises(self):
+        ss = bp_to_realization(random_form(9, ISO, 3, 2, 6, schur_only=True))
+        pole = ss.a[4, 4]
+        assert np.array_equal(ss.pole_candidates(), np.diagonal(ss.a))
+        with pytest.raises(EvalAtPole, match="of a pole of A"):
+            ss.eval_many([0.0, pole + 1e-10, 2.0])
+
+    def test_dense_a_matches_its_triangular_form(self, rng):
+        ss = bp_to_realization(random_form(10, ISO, 3, 2, 6, schur_only=True))
+        u = random_unitary(rng, 6)
+        dense = StateSpaceRealization(u @ ss.a @ u.conj().T, u @ ss.b, ss.c @ u.conj().T, ss.d)
+        zs = off_circle_probes(10, 6)
+        assert np.allclose(dense.eval_many(zs), ss.eval_many(zs), rtol=0.0, atol=1e-12)
+        assert np.allclose(np.sort_complex(dense.pole_candidates()), np.sort_complex(np.diagonal(ss.a)), atol=1e-12)
+
 
 class TestMFDForm:
     def test_rank_validation(self):
@@ -242,6 +277,44 @@ class TestMFDForm:
             mfd(0.5)
         with pytest.raises(SingularDenominator):
             mfd.eval_many([2.0, 0.5, -0.3j])
+
+
+class TestOverScalar:
+    """The fraction the package's conversions build over ``den(z) I``."""
+
+    def scalar_fraction(self, rng):
+        num = rng.normal(size=(3, 3, 2)) + 1j * rng.normal(size=(3, 3, 2))
+        return num, np.array([0.06, -0.5, 1.0], dtype=complex)
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_matches_the_public_constructor(self, rng, side):
+        num, den = self.scalar_fraction(rng)
+        k = 2 if side == "right" else 3
+        trusted = MFDForm._over_scalar(side, num, den)
+        public = MFDForm(side, list(num), [c * np.eye(k) for c in den])
+        zs = off_circle_probes(3, 6)
+        assert np.array_equal(trusted.eval_many(zs), public.eval_many(zs))
+        assert (trusted.side, trusted.p, trusted.m, trusted.degree) == (side, 3, 2, 2)
+
+    def test_coefficients_are_read_only_views_of_one_copy(self, rng):
+        num, den = self.scalar_fraction(rng)
+        mfd = MFDForm._over_scalar("right", num, den)
+        num[0, 0, 0] = 99.0
+        assert mfd.num[0][0, 0] != 99.0
+        assert mfd.num[0].base is mfd.num[2].base and mfd.den[0].base is mfd.den[2].base
+        assert not (mfd.num[1].flags.writeable or mfd.den[1].flags.writeable)
+
+    def test_refuses_bad_side_zero_den_and_non_finite(self, rng):
+        num, den = self.scalar_fraction(rng)
+        with pytest.raises(ValueError, match="side must be 'right' or 'left'"):
+            MFDForm._over_scalar("top", num, den)
+        with pytest.raises(SingularDenominator):
+            MFDForm._over_scalar("right", num, np.zeros(3, dtype=complex))
+        bad_num, bad_den = num.copy(), den.copy()
+        bad_num[1, 2, 0], bad_den[2] = np.inf, np.nan
+        for args in ((bad_num, den), (num, bad_den)):
+            with pytest.raises(ValueError, match="overflowed"):
+                MFDForm._over_scalar("right", *args)
 
 
 class TestLaurentPolyForm:

@@ -162,6 +162,28 @@ class TestSolveStein:
         with pytest.raises(DimensionMismatch):
             solve_stein(np.zeros((2, 2)), np.eye(3))
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    @pytest.mark.parametrize("structure", ["upper", "lower", "dense"])
+    @pytest.mark.parametrize("side", ["cont", "obs"])
+    def test_structures_match_scipy(self, n, structure, side):
+        # upper and lower triangular matrices skip the Schur step; dense ones take it
+        rng = np.random.default_rng([n, len(structure)])
+        diagonal = 0.95 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+        t = np.diag(diagonal) + np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 1) / np.sqrt(n)
+        u = random_unitary(rng, n)
+        a = {"upper": t, "lower": t.T, "dense": u @ t @ u.conj().T}[structure]
+        q = random_psd(rng, n)
+        w = solve_stein(a, q, side=side)
+        reference = scipy.linalg.solve_discrete_lyapunov(a if side == "cont" else a.conj().T, q)
+        assert np.linalg.norm(w - reference) <= 1e-10 * np.linalg.norm(reference)
+        assert np.array_equal(w, w.conj().T)
+
+    @pytest.mark.parametrize("side", ["cont", "obs"])
+    def test_triangular_rejects_just_inside_margin(self, side):
+        for a in (np.array([[0.5, 2.0], [0.0, 1.0 - 5e-10]]), np.array([[1.0 - 5e-10, 0.0], [2.0, 0.5]])):
+            with pytest.raises(NotSchurStable):
+                solve_stein(a, np.eye(2), side=side)
+
 
 class TestHermitianEig:
     def test_identity(self):
@@ -209,3 +231,10 @@ class TestSpectralRadius:
     def test_rejects_empty(self):
         with pytest.raises(DimensionMismatch):
             spectral_radius(np.zeros((0, 0)))
+
+    def test_upper_triangular_reads_the_diagonal(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvals called on a triangular matrix")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        assert spectral_radius(np.array([[0.5, 30.0], [0.0, -0.7j]])) == 0.7
