@@ -8,6 +8,12 @@ seeded draw, polar radii run through a smooth bijection from the real line
 onto ``(0, 1 - RADIUS_MARGIN)``, and all angles are unconstrained reals
 wrapped modulo ``2 pi`` when decoded.
 
+The degree fixes a member's poles by its samples, so the first restarts
+start from the poles a Loewner pencil identifies (:func:`_loewner_poles`),
+with seeded directions and frame; the plain seeded restarts follow only if
+none of those recovers the target.  ``restarts`` may therefore mean up to
+``2 * restarts`` searches, and ``FitResult.iterations`` counts all of them.
+
 Each restart builds one :class:`_ChartKernel` from its frozen template and
 the samples, and the search evaluates :func:`_chart_residual`, which takes
 the coordinate vector straight to the real view of ``values - targets``
@@ -26,7 +32,8 @@ objective of a fit comes from it.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,6 +59,7 @@ from .tolerances import (
     EVAL_POLE_MARGIN,
     FIT_EVAL_BUDGET,
     ISOMETRY_TOL,
+    LOEWNER_RANK_RTOL,
     POLE_CIRCLE_MARGIN,
     RADIUS_CHART_MARGIN,
     RADIUS_MARGIN,
@@ -118,10 +126,14 @@ def objective(params: ParaunitaryParam, samples: SampleSet) -> float:
     return float(np.sum(np.abs(values - samples.targets) ** 2))
 
 
+def _chart_radius(r: float) -> float:
+    """``r`` clamped to where its radius coordinate is finite."""
+    return min(max(r, RADIUS_CHART_MARGIN), 1.0 - RADIUS_MARGIN - RADIUS_CHART_MARGIN)
+
+
 def _radius_to_real(r: float) -> float:
-    top = 1.0 - RADIUS_MARGIN
-    r = min(max(r, RADIUS_CHART_MARGIN), top - RADIUS_CHART_MARGIN)
-    return float(np.log(r / (top - r)))
+    r = _chart_radius(r)
+    return float(np.log(r / (1.0 - RADIUS_MARGIN - r)))
 
 
 def _real_to_radius(x):
@@ -379,6 +391,60 @@ def _splice_optimal_frame(x: np.ndarray, kernel: _ChartKernel) -> np.ndarray:
     return out
 
 
+def _loewner_poles(samples: SampleSet, d: int):
+    """The ``d`` poles a degree-``d`` target's samples determine, from a
+    tangential Loewner pencil (Mayo & Antoulas, 2007), or ``None``.
+
+    The even samples are the right points ``lam_i``, the odd ones the left
+    points ``mu_j``, with the cycled unit directions ``r_i = e_{i mod m}``
+    and ``l_j = e_{j mod p}``.  The Loewner and shifted Loewner matrices
+
+        ``L_ji = l_j (G(mu_j) - G(lam_i)) r_i / (mu_j - lam_i)``
+        ``S_ji = l_j (mu_j G(mu_j) - lam_i G(lam_i)) r_i / (mu_j - lam_i)``
+
+    are projected onto the numerical rank of ``[L S]`` (its left singular
+    vectors) and of ``[L; S]`` (the right ones), and the ``d`` finite
+    generalized eigenvalues of smallest modulus come back, in that order.
+    A constant term adds at most ``min(p, m)`` to the rank, as infinite
+    eigenvalues, so a degree-``d`` member's pencil has rank at most
+    ``d + min(p, m)``.  The projection keeps no more than that, which drops
+    the directions noise adds, and the pencil must have more rows and
+    columns than that to fix the poles.  ``None`` means nothing was
+    identified: ``d = 0``, a pencil that small, a right point equal to a
+    left one, or fewer than ``d`` finite eigenvalues.  scipy.linalg is
+    imported here, as :func:`minimize` imports its solver.
+    """
+    lam, mu = samples.zs[0::2], samples.zs[1::2]
+    bound = d + min(samples.p, samples.m)
+    if d == 0 or min(lam.size, mu.size) <= bound:
+        return None
+    gaps = mu[:, None] - lam
+    if not gaps.all():
+        return None
+    from scipy.linalg import eig
+
+    right = np.arange(lam.size) % samples.m
+    left = np.arange(mu.size) % samples.p
+    # l_j G(lam_i) r_i and l_j G(mu_j) r_i, rows j and columns i
+    at_lam = samples.targets[0::2][np.arange(lam.size), :, right][:, left].T
+    at_mu = samples.targets[1::2][np.arange(mu.size), left, :][:, right]
+    loewner = (at_mu - at_lam) / gaps
+    shifted = (mu[:, None] * at_mu - lam * at_lam) / gaps
+    rows, row_values, _ = np.linalg.svd(np.hstack([loewner, shifted]), full_matrices=False)
+    _, column_values, columns = np.linalg.svd(np.vstack([loewner, shifted]), full_matrices=False)
+    rank = min(
+        int(np.count_nonzero(row_values > LOEWNER_RANK_RTOL * row_values[0])),
+        int(np.count_nonzero(column_values > LOEWNER_RANK_RTOL * column_values[0])),
+        bound,
+    )
+    rows, columns = rows[:, :rank].conj().T, columns[:rank].conj().T
+    values = eig(rows @ shifted @ columns, rows @ loewner @ columns, right=False)
+    finite = values[np.isfinite(values)]
+    if finite.size < d:
+        return None
+    return finite[np.argsort(np.abs(finite), kind="stable")[:d]]
+
+
 def fit_lossless(
     samples: SampleSet,
     d: int,
@@ -393,11 +459,19 @@ def fit_lossless(
     Each restart draws a fresh seeded starting point (freezing its pole tag
     pattern), snaps the constant block to its closed-form (Procrustes)
     optimum when that lowers the objective, and runs one :func:`minimize`
-    from there.  The overall best candidate wins, and any returned candidate
-    is (co)isometric on the circle by construction, whatever the fit quality.
-    ``iterations`` counts the residual evaluations of every search (scipy's
-    ``nfev``; the Jacobian is exact and evaluates no residual), and
-    ``converged`` means the reported objective is below
+    from there.  When :func:`_loewner_poles` identifies the ``d`` poles from
+    the samples, ``restarts`` identified restarts come first: each takes the
+    directions and frame of its seeded draw and every pole from the
+    identification, as a polar slot clamped into the radius chart.  The
+    ``restarts`` seeded restarts of the plain draws follow, so a target the
+    identified starts do not recover is searched at least as widely as
+    without them, by up to ``2 * restarts`` searches.  The loop stops at
+    the first objective below ``CONVERGED_OBJECTIVE``.  The overall best
+    candidate wins, and any returned candidate is (co)isometric on the
+    circle by construction, whatever the fit quality.  ``iterations``
+    counts the residual evaluations of every search, identified and seeded
+    (scipy's ``nfev``; the Jacobian is exact and evaluates no residual),
+    and ``converged`` means the reported objective is below
     ``CONVERGED_OBJECTIVE``.
     """
     if restarts < 1:
@@ -416,8 +490,15 @@ def fit_lossless(
     best_template = None
     best_value = np.inf
     evaluations = 0
-    for restart in range(restarts):
+    identified = _loewner_poles(samples, d)
+    # None keeps the seeded draw's own poles
+    pole_sets = [None]
+    if identified is not None:
+        pole_sets.insert(0, tuple(PoleParam.polar(_chart_radius(abs(a)), cmath.phase(a)) for a in identified))
+    for poles, restart in itertools.product(pole_sets, range(restarts)):
         template = random_params(seed + restart, side, p, m, d, schur_only=True)
+        if poles is not None:
+            template = replace(template, poles=poles)
         kernel = _ChartKernel(template, samples)
         x = _encode(template)
         value = _chart_objective(x, kernel)

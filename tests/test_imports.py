@@ -4,8 +4,9 @@ Importing scipy.linalg and scipy.optimize costs more than most CLI commands
 take, so the package imports them inside the functions that run them: the
 Stein solve (``linalg.solve_stein``: its LAPACK triangular solves, plus the
 Schur form when ``A`` is not triangular), the Schur form of a realization
-whose ``A`` is not upper triangular (``transforms.ss_to_mfd``) and the fit's
-search (``fit.minimize``).  Evaluating a realization, dense or triangular,
+whose ``A`` is not upper triangular (``transforms.ss_to_mfd``), the fit's
+pole identification (``fit._loewner_poles``: its generalized eigenvalues) and
+its search (``fit.minimize``).  Evaluating a realization, dense or triangular,
 and reading its spectral radius need numpy alone.
 """
 
