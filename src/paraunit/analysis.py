@@ -100,12 +100,16 @@ def circle_residual(form, samples: int | None = None, tol: float = CIRCLE_TOL) -
     is a ratio of trigonometric polynomials of degree at most ``g`` (a
     trigonometric polynomial for a Laurent form): its numerator cannot
     vanish at ``2 g + 1`` equispaced points unless it vanishes everywhere,
-    while ``2 g`` or fewer points can alias a failing form to a pass.
+    while ``2 g`` or fewer points can alias a failing form to a pass.  An
+    explicit ``samples`` below ``max(8, 2 g + 1)`` therefore raises
+    ``ValueError``.
     """
+    degree = _circle_degree(form)
     if samples is None:
-        samples = max(CIRCLE_SAMPLES, 2 * _circle_degree(form) + 1)
-    if samples < 8:
-        raise ValueError(f"need at least 8 samples, got {samples}")
+        samples = max(CIRCLE_SAMPLES, 2 * degree + 1)
+    fewest = max(8, 2 * degree + 1)
+    if samples < fewest:
+        raise ValueError(f"degree {degree} needs at least {fewest} circle samples, got {samples}")
     values = form.eval_many(np.exp(2j * np.pi * np.arange(samples) / samples))
     adjoints = values.conj().swapaxes(1, 2)
     if form.p >= form.m:

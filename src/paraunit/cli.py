@@ -141,10 +141,10 @@ def _gramians_exist(ss: StateSpaceRealization) -> bool:
     return False
 
 
-def _collect_check_certificates(obj, samples: int | None, tol: float | None):
+def _collect_check_certificates(obj, tol: float | None):
     kwargs = {"tol": tol} if tol is not None else {}
     if isinstance(obj, BlaschkePotapovForm):
-        return [circle_residual(obj, samples=samples, **kwargs)]
+        return [circle_residual(obj, **kwargs)]
     if isinstance(obj, StateSpaceRealization):
         certs = [realization_check(obj, **kwargs)]
         if _gramians_exist(obj):
@@ -159,7 +159,7 @@ def _collect_check_certificates(obj, samples: int | None, tol: float | None):
 
 def _cmd_check(args) -> int:
     obj = read_document(args.file)
-    certs = _collect_check_certificates(obj, args.samples, _resolve_tol(args))
+    certs = _collect_check_certificates(obj, _resolve_tol(args))
     return _print_certificates(certs)
 
 
@@ -283,10 +283,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     chk = sub.add_parser("check", help="run every applicable certificate")
     chk.add_argument("file")
-    chk.add_argument(
-        "--samples", type=int, default=None,
-        help="circle sample count (default: max(64, 2 * degree + 1))",
-    )
     chk.add_argument("--tol", type=float, default=None)
     chk.set_defaults(handler=_cmd_check)
 

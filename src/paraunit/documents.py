@@ -32,7 +32,7 @@ from .forms import (
     Pole,
     StateSpaceRealization,
 )
-from .params import INFINITY, POLAR, ZERO, ParaunitaryParam, PoleParam
+from .params import ParaunitaryParam
 
 FORMAT_VERSION = "paraunit/1"
 
@@ -131,30 +131,17 @@ def _decode_pole(value, path: str) -> Pole:
     if pole_type == "infinity":
         return Pole.infinity()
     if pole_type == "finite":
-        return Pole(_field(value, "value", path, _decode_complex))
+        finite = _field(value, "value", path, _decode_complex)
+        try:
+            return Pole(finite)
+        except ValueError as exc:  # a value on the unit circle
+            raise DocumentError(f"{path}: {exc}") from exc
     raise DocumentError(f"{path}.type: unknown pole type {pole_type!r}")
 
 
 def _decode_factor(value, path: str) -> tuple:
     pole = _field(value, "pole", path, _decode_pole)
     return pole, _field(value, "direction", path, _decode_matrix).reshape(-1)
-
-
-def _encode_pole_param(pole: PoleParam) -> dict:
-    if pole.kind == POLAR:
-        return {"kind": pole.kind, "r": pole.r, "theta": pole.theta}
-    return {"kind": pole.kind}
-
-
-def _decode_pole_param(value, path: str) -> PoleParam:
-    kind = _field(value, "kind", path, "string")
-    if kind == POLAR:
-        return PoleParam.polar(
-            _field(value, "r", path, "number"), _field(value, "theta", path, "number")
-        )
-    if kind in (ZERO, INFINITY):
-        return PoleParam(kind)
-    raise DocumentError(f"{path}.kind: unknown kind {kind!r}")
 
 
 def _decode_point(value, path: str) -> tuple:
@@ -205,12 +192,12 @@ _KIND_TABLE = {
             "p": params.p,
             "m": params.m,
             "d": params.d,
-            "poles": [_encode_pole_param(pole) for pole in params.poles],
+            "poles": [_encode_pole(pole) for pole in params.poles],
             "directions": [list(row) for row in params.directions],
             "frame": list(params.frame),
         },
         (("side", "string"), ("p", "integer"), ("m", "integer"), ("d", "integer"),
-         ("poles", _list_of(_decode_pole_param)),
+         ("poles", _list_of(_decode_pole)),
          ("directions", _list_of(_list_of("number"))), ("frame", _list_of("number"))),
     ),
     "samples": (

@@ -2,11 +2,11 @@
 
 Fits a Schur-stable unit-circle (co)isometry of prescribed degree and
 dimensions to target samples.  Candidates always live inside the feasible
-set (the chart maps onto it), so the search never needs a penalty term: the
-discrete pole tags (origin vs. polar) are frozen per restart from the
-seeded draw, polar radii run through a smooth bijection from the real line
-onto ``(0, 1 - RADIUS_MARGIN)``, and all angles are unconstrained reals
-wrapped modulo ``2 pi`` when decoded.
+set (the chart maps onto it), so the search never needs a penalty term:
+origin poles of the starting point stay at the origin, every other pole
+moves in polar coordinates whose radius runs through a smooth bijection
+from the real line onto ``(0, 1 - RADIUS_MARGIN)``, and all angles are
+unconstrained reals wrapped modulo ``2 pi`` when decoded.
 
 The degree fixes a member's poles by its samples, so the first restarts
 start from the poles a Loewner pencil identifies (:func:`_loewner_poles`),
@@ -38,12 +38,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AngleCountMismatch, DimensionMismatch, EvalAtPole
-from .forms import COISO, ISO, _blaschke_gains, _iso_product
+from .forms import COISO, ISO, Pole, _blaschke_gains, _iso_product
 from .linalg import isometry_residual
 from .params import (
-    POLAR,
     ParaunitaryParam,
-    PoleParam,
     _isometry_derivatives,
     _unit_vector_derivatives,
     _with_leading_phase,
@@ -148,12 +146,17 @@ def _real_to_radius(x):
     return np.maximum(r, RADIUS_CHART_MARGIN)
 
 
+def _searched(pole: Pole) -> bool:
+    """Whether the search moves ``pole``: origin poles stay where they are."""
+    return not pole.is_infinity and pole.value != 0
+
+
 def _encode(params: ParaunitaryParam) -> np.ndarray:
     coords = []
     for pole in params.poles:
-        if pole.kind == POLAR:
-            coords.append(_radius_to_real(pole.r))
-            coords.append(pole.theta)
+        if _searched(pole):
+            coords.append(_radius_to_real(abs(pole.value)))
+            coords.append(cmath.phase(pole.value))
     coords.extend(params.angle_vector())
     return np.asarray(coords, dtype=float)
 
@@ -163,10 +166,10 @@ def _decode(x: np.ndarray, template: ParaunitaryParam) -> ParaunitaryParam:
     position = 0
     poles = []
     for pole in template.poles:
-        if pole.kind == POLAR:
+        if _searched(pole):
             radius = float(_real_to_radius(x[position]))
             theta = float(np.mod(x[position + 1], two_pi))
-            poles.append(PoleParam.polar(radius, theta))
+            poles.append(Pole(radius * np.exp(1j * theta)))
             position += 2
         else:
             poles.append(pole)
@@ -186,9 +189,9 @@ def _decode(x: np.ndarray, template: ParaunitaryParam) -> ParaunitaryParam:
 class _ChartKernel:
     """What :func:`_chart_residual` needs of one restart, computed once.
 
-    The template fixes the pole tags, so the gains ``phi - 1`` of origin and
-    infinity poles are the same at every call; only the rows of polar poles
-    are recomputed.  A coiso form is evaluated as its transpose, an iso
+    The search moves no origin or infinite pole of the template, so their
+    gains ``phi - 1`` are the same at every call; only the rows of searched
+    poles are recomputed.  A coiso form is evaluated as its transpose, an iso
     product, against targets transposed here.
     """
 
@@ -203,11 +206,12 @@ class _ChartKernel:
         self.targets = samples.targets if self.iso else samples.targets.swapaxes(1, 2).copy()
         self.k = template.factor_dimension
         self.frame_shape = (template.p, template.m) if self.iso else (template.m, template.p)
-        self.polar_rows = np.flatnonzero([pole.kind == POLAR for pole in template.poles])
+        searched = [_searched(pole) for pole in template.poles]
+        self.searched_rows = np.flatnonzero(searched)
+        fixed = np.flatnonzero(np.logical_not(searched))
         self.gains = np.empty((template.d, samples.zs.size), dtype=complex)
-        fixed = [j for j, pole in enumerate(template.poles) if pole.kind != POLAR]
-        self.gains[fixed] = _blaschke_gains([template.poles[j].to_pole() for j in fixed], samples.zs)
-        radii_end = 2 * self.polar_rows.size
+        self.gains[fixed] = _blaschke_gains([template.poles[j] for j in fixed], samples.zs)
+        radii_end = 2 * self.searched_rows.size
         self.radii = slice(0, radii_end, 2)
         self.thetas = slice(1, radii_end, 2)
         self.direction_shape = (template.d, 2 * (self.k - 1))
@@ -249,7 +253,7 @@ def _chart_chain(x, kernel: _ChartKernel):
         alpha = alphas[np.argmax(near.any(axis=1))]
         raise EvalAtPole(f"a point is within {EVAL_POLE_MARGIN:.0e} of pole {alpha}")
     gains = kernel.gains.copy()
-    gains[kernel.polar_rows] = (1.0 - alphas.conj()[:, None] * kernel.zs) / offsets - 1.0
+    gains[kernel.searched_rows] = (1.0 - alphas.conj()[:, None] * kernel.zs) / offsets - 1.0
     if kernel.iso:
         return gains, directions, constant
     # the coiso constant is the adjoint of the chart's isometry
@@ -303,12 +307,12 @@ def _chart_jacobian(x, kernel: _ChartKernel) -> np.ndarray:
     gains, prefix_t, suffix, a, b = gains[order], prefix[:d][order], suffix[order], a[order], b[order]
     jac = np.empty((kernel.size, n, k, width), dtype=complex)
 
-    by_gain = a[kernel.polar_rows, :, :, None] * b[kernel.polar_rows, :, None, :]
+    by_gain = a[kernel.searched_rows, :, :, None] * b[kernel.searched_rows, :, None, :]
     radius_coordinates = x[kernel.radii]
     radii = _real_to_radius(radius_coordinates)
     turn = np.exp(1j * wrapped[kernel.thetas])[:, None]
     alphas = radii[:, None] * turn
-    phis = gains[kernel.polar_rows] + 1.0
+    phis = gains[kernel.searched_rows] + 1.0
     offsets = kernel.zs - alphas
     scale = np.exp(-np.abs(radius_coordinates))
     # the logistic factor, written without its cancellation near the top
@@ -456,13 +460,13 @@ def fit_lossless(
 ) -> FitResult:
     """Best-of-restarts least-squares fit over the Schur-stable chart.
 
-    Each restart draws a fresh seeded starting point (freezing its pole tag
-    pattern), snaps the constant block to its closed-form (Procrustes)
-    optimum when that lowers the objective, and runs one :func:`minimize`
-    from there.  When :func:`_loewner_poles` identifies the ``d`` poles from
+    Each restart draws a fresh seeded starting point (its origin poles stay
+    at the origin for the whole search), snaps the constant block to its
+    closed-form (Procrustes) optimum when that lowers the objective, and
+    runs one :func:`minimize` from there.  When :func:`_loewner_poles` identifies the ``d`` poles from
     the samples, ``restarts`` identified restarts come first: each takes the
     directions and frame of its seeded draw and every pole from the
-    identification, as a polar slot clamped into the radius chart.  The
+    identification, with its radius clamped into the radius chart.  The
     ``restarts`` seeded restarts of the plain draws follow, so a target the
     identified starts do not recover is searched at least as widely as
     without them, by up to ``2 * restarts`` searches.  The loop stops at
@@ -494,7 +498,9 @@ def fit_lossless(
     # None keeps the seeded draw's own poles
     pole_sets = [None]
     if identified is not None:
-        pole_sets.insert(0, tuple(PoleParam.polar(_chart_radius(abs(a)), cmath.phase(a)) for a in identified))
+        pole_sets.insert(0, tuple(
+            Pole(_chart_radius(abs(a)) * np.exp(1j * cmath.phase(a))) for a in identified
+        ))
     for poles, restart in itertools.product(pole_sets, range(restarts)):
         template = random_params(seed + restart, side, p, m, d, schur_only=True)
         if poles is not None:

@@ -87,6 +87,11 @@ class Pole:
         return self._value is None
 
     @property
+    def is_schur(self) -> bool:
+        """Whether the pole lies inside the open unit disk."""
+        return self._value is not None and abs(self._value) < 1.0
+
+    @property
     def value(self) -> complex:
         if self._value is None:
             raise ValueError("pole at infinity has no finite value")
@@ -430,7 +435,7 @@ class MFDForm(_Form):
     rank probes and the per-coefficient coercion.
     """
 
-    def __init__(self, side, num: Sequence, den: Sequence, validate: bool = True):
+    def __init__(self, side, num: Sequence, den: Sequence):
         _check_fraction_side(side)
         num = [as_complex_matrix(x, "num coefficient") for x in num]
         den = [as_complex_matrix(x, "den coefficient") for x in den]
@@ -451,14 +456,13 @@ class MFDForm(_Form):
                     f"denominator coefficients must be {dk}x{dk}, got {x.shape}"
                 )
         self._store(side, num, den)
-        if validate:
-            # full normal rank: det Delta is not identically zero, which one
-            # nonsingular probe proves
-            probes = np.array(MFD_RANK_PROBES)
-            if (np.linalg.cond(_poly_at(self.den, probes)) > MFD_COND_LIMIT).all():
-                raise SingularDenominator(
-                    f"denominator is singular at every probe, first at probe point {probes[0]}"
-                )
+        # full normal rank: det Delta is not identically zero, which one
+        # nonsingular probe proves
+        probes = np.array(MFD_RANK_PROBES)
+        if (np.linalg.cond(_poly_at(self.den, probes)) > MFD_COND_LIMIT).all():
+            raise SingularDenominator(
+                f"denominator is singular at every probe, first at probe point {probes[0]}"
+            )
 
     @classmethod
     def _over_scalar(cls, side: str, num: np.ndarray, den: np.ndarray) -> "MFDForm":

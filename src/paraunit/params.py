@@ -1,13 +1,13 @@
 """Real-angle parametrization of unit-circle (co)isometric product forms.
 
-A degree-``d`` ``p x m`` form is described by ``d`` pole slots (origin,
-infinity, or a polar radius/angle pair off the unit circle), ``2(k - 1)``
-angles per factor direction (``k = p`` tall, ``k = m`` wide; the global
-phase of a direction is redundant because only ``v v*`` enters the factor),
-and ``m(2p - m)`` (tall) or ``p(2m - p)`` (wide) angles for the constant
-block.  Every point of the parameter set maps to a function that is
-(co)isometric on the circle by construction, so optimization over the set
-never needs a feasibility penalty.
+A degree-``d`` ``p x m`` form is described by ``d`` poles (each a
+:class:`~paraunit.forms.Pole` anywhere off the unit circle, the origin and
+infinity included), ``2(k - 1)`` angles per factor direction (``k = p``
+tall, ``k = m`` wide; the global phase of a direction is redundant because
+only ``v v*`` enters the factor), and ``m(2p - m)`` (tall) or ``p(2m - p)``
+(wide) angles for the constant block.  Every point of the parameter set
+maps to a function that is (co)isometric on the circle by construction, so
+optimization over the set never needs a feasibility penalty.
 """
 
 from __future__ import annotations
@@ -20,64 +20,17 @@ import numpy as np
 from .errors import AngleCountMismatch, DimensionMismatch, NotIsometric
 from .forms import COISO, ISO, BlaschkePotapovForm, Pole, _factor_dimension
 from .linalg import isometry_residual
-from .tolerances import ISOMETRY_TOL, POLE_CIRCLE_MARGIN, RADIUS_MARGIN
+from .tolerances import ISOMETRY_TOL, RADIUS_MARGIN
 
 #: Upper bound on random outside-the-disk radii (infinity covers the far limit).
 RADIUS_MAX = 10.0
 
-ZERO = "zero"
-INFINITY = "infinity"
-POLAR = "polar"
-
-
-@dataclass(frozen=True)
-class PoleParam:
-    """One pole slot: the origin, infinity, or a polar pair ``r e^{i theta}``."""
-
-    kind: str
-    r: float = 0.0
-    theta: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in (ZERO, INFINITY, POLAR):
-            raise ValueError(f"unknown pole kind {self.kind!r}")
-        if self.kind == POLAR:
-            if not (math.isfinite(self.r) and math.isfinite(self.theta)):
-                raise ValueError(f"polar pole {self.r}, {self.theta} is not finite")
-            if self.r <= 0.0:
-                raise ValueError("polar radius must be positive")
-            if abs(self.r - 1.0) <= POLE_CIRCLE_MARGIN:
-                raise ValueError("polar radius must stay off the unit circle")
-
-    @classmethod
-    def zero(cls) -> "PoleParam":
-        return cls(ZERO)
-
-    @classmethod
-    def infinity(cls) -> "PoleParam":
-        return cls(INFINITY)
-
-    @classmethod
-    def polar(cls, r: float, theta: float) -> "PoleParam":
-        return cls(POLAR, float(r), float(theta))
-
-    @property
-    def is_schur(self) -> bool:
-        return self.kind == ZERO or (self.kind == POLAR and self.r < 1.0)
-
-    def to_pole(self) -> Pole:
-        if self.kind == ZERO:
-            return Pole(0.0)
-        if self.kind == INFINITY:
-            return Pole.infinity()
-        return Pole(self.r * np.exp(1j * self.theta))
-
 
 def param_count(side: str, p: int, m: int, d: int):
-    """Pole-slot and angle counts of the parametrization.
+    """Pole and angle counts of the parametrization.
 
     Tall (iso) forms need ``2 d (p - 1) + m (2 p - m)`` angles, wide (coiso)
-    forms ``2 d (m - 1) + p (2 m - p)``; both need ``d`` pole slots.
+    forms ``2 d (m - 1) + p (2 m - p)``; both need ``d`` poles.
     """
     if p < 1 or m < 1 or d < 0:
         raise DimensionMismatch("require p, m >= 1 and d >= 0")
@@ -94,8 +47,9 @@ def param_count(side: str, p: int, m: int, d: int):
 
 @dataclass(frozen=True)
 class ParaunitaryParam:
-    """Full real parameter vector for one product form.
+    """Full parameter vector for one product form.
 
+    ``poles[j]`` is the :class:`~paraunit.forms.Pole` of factor ``j``.
     ``directions[j]`` holds the ``2(k - 1)`` angles of factor ``j`` (first
     the ``k - 1`` polar angles, then the ``k - 1`` free phases; the leading
     phase is fixed to zero).  ``frame`` holds the constant-block angles.
@@ -113,11 +67,11 @@ class ParaunitaryParam:
         pole_slots, angle_count = param_count(self.side, self.p, self.m, self.d)
         if len(self.poles) != pole_slots:
             raise AngleCountMismatch(
-                f"expected {pole_slots} pole slots, got {len(self.poles)}"
+                f"expected {pole_slots} poles, got {len(self.poles)}"
             )
         for pole in self.poles:
-            if not isinstance(pole, PoleParam):
-                raise TypeError("pole slots must be PoleParam instances")
+            if not isinstance(pole, Pole):
+                raise TypeError("poles must be Pole instances")
         per_factor = 2 * (self.factor_dimension - 1)
         object.__setattr__(
             self,
@@ -354,7 +308,7 @@ def build_paraunitary(params: ParaunitaryParam) -> BlaschkePotapovForm:
     k = params.factor_dimension
     rows = np.reshape(params.directions, (params.d, 2 * (k - 1)))
     directions = unit_vector_from_angles(k, rows[:, : k - 1], _with_leading_phase(rows[:, k - 1 :]))
-    factors = [(pole.to_pole(), v) for pole, v in zip(params.poles, directions)]
+    factors = list(zip(params.poles, directions))
     if params.side == ISO:
         constant = isometry_from_angles(params.p, params.m, params.frame)
     else:
@@ -377,11 +331,11 @@ def random_params(
 ) -> ParaunitaryParam:
     """Deterministic random parameter draw.
 
-    Pole slots come from the full admissible set (origin, infinity, or a
-    polar radius in ``(0, 1 - RADIUS_MARGIN) u (1 + RADIUS_MARGIN,
-    RADIUS_MAX]``) or, with
-    ``schur_only``, from the stable subset (origin or radius below one).
-    All angles are uniform on ``[0, 2 pi)``.
+    Each pole is the origin, infinity, or ``r e^{i theta}`` with a radius
+    ``r`` in ``(0, 1 - RADIUS_MARGIN) u (1 + RADIUS_MARGIN, RADIUS_MAX]``;
+    with ``schur_only`` it is the origin or has a radius below one, so every
+    pole is inside the open disk.  All angles, ``theta`` included, are
+    uniform on ``[0, 2 pi)``.
     """
     pole_slots, angle_count = param_count(side, p, m, d)
     rng = np.random.default_rng(seed)
@@ -389,15 +343,15 @@ def random_params(
     poles = []
     for _ in range(pole_slots):
         if schur_only:
-            kind = rng.choice([ZERO, POLAR], p=[0.25, 0.75])
+            kind = rng.choice(["zero", "finite"], p=[0.25, 0.75])
             inside = True
         else:
-            kind = rng.choice([ZERO, INFINITY, POLAR], p=[0.2, 0.2, 0.6])
+            kind = rng.choice(["zero", "infinity", "finite"], p=[0.2, 0.2, 0.6])
             inside = bool(rng.uniform() < 0.5)
-        if kind == ZERO:
-            poles.append(PoleParam.zero())
-        elif kind == INFINITY:
-            poles.append(PoleParam.infinity())
+        if kind == "zero":
+            poles.append(Pole(0.0))
+        elif kind == "infinity":
+            poles.append(Pole.infinity())
         else:
             if inside:
                 r = rng.uniform(0.0, 1.0 - RADIUS_MARGIN)
@@ -405,7 +359,7 @@ def random_params(
                     r = rng.uniform(0.0, 1.0 - RADIUS_MARGIN)
             else:
                 r = rng.uniform(1.0 + RADIUS_MARGIN, RADIUS_MAX)
-            poles.append(PoleParam.polar(r, rng.uniform(0.0, two_pi)))
+            poles.append(Pole(r * np.exp(1j * rng.uniform(0.0, two_pi))))
     per_factor = 2 * (_factor_dimension(side, p, m) - 1)
     directions = tuple(
         tuple(rng.uniform(0.0, two_pi, size=per_factor)) for _ in range(d)

@@ -39,7 +39,6 @@ from .forms import (
     BlaschkePotapovForm,
     LaurentPolyForm,
     MFDForm,
-    Pole,
     StateSpaceRealization,
     _fold_right,
     _phase_correction,
@@ -81,12 +80,10 @@ def bp_to_realization(f: BlaschkePotapovForm, validate: bool = True) -> StateSpa
     certificate, as it should).  A coiso form gets the transposed cascade of
     its transposed factor list.
     """
-    for pole in f.poles:
-        if pole.is_infinity or abs(pole.value) >= 1.0:
-            raise ImproperFunction(
-                "all poles must lie strictly inside the open unit disk; "
-                "flip offending poles first"
-            )
+    if not all(pole.is_schur for pole in f.poles):
+        raise ImproperFunction(
+            "all poles must lie strictly inside the open unit disk; flip offending poles first"
+        )
     if f.side == COISO:
         blocks = _cascade_blocks(_transposed_factors(f.factors), f.constant.T, validate)
         return StateSpaceRealization(*blocks).transpose()
@@ -256,10 +253,6 @@ def truncate_to_rect(
     return BlaschkePotapovForm(ISO, k, cols, factors, g @ constant)
 
 
-def _is_offending(pole: Pole) -> bool:
-    return pole.is_infinity or abs(pole.value) > 1.0
-
-
 def flip_poles(f: BlaschkePotapovForm) -> BlaschkePotapovForm:
     """Multiply by a scalar all-pass so every pole moves inside the disk.
 
@@ -277,7 +270,7 @@ def flip_poles(f: BlaschkePotapovForm) -> BlaschkePotapovForm:
     k = f.factor_dimension
     items = []
     for pole, v in f.factors:
-        if not _is_offending(pole):
+        if pole.is_schur:
             items.append((pole, v))
             continue
         beta = pole.flipped()
@@ -303,7 +296,7 @@ def flip_scalar(f: BlaschkePotapovForm, z: complex) -> complex:
     z = complex(z)
     value = 1.0 + 0.0j
     for pole in f.poles:
-        if not _is_offending(pole):
+        if pole.is_schur:
             continue
         zero = 0.0 if pole.is_infinity else 1.0 / pole.value.conjugate()
         if abs(z - zero) <= EVAL_POLE_MARGIN:

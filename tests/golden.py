@@ -8,7 +8,7 @@ whose gramians are known in closed form.
 
 import numpy as np
 
-from paraunit import COISO, BlaschkePotapovForm, Pole, StateSpaceRealization
+from paraunit import COISO, ISO, BlaschkePotapovForm, Pole, StateSpaceRealization
 
 SQRT2 = np.sqrt(2.0)
 
@@ -82,3 +82,26 @@ FIR_46_LAURENT = np.array(
         [[(-0.11244839671349792-0.014339556311064513j), (-0.23186538736896925+0.031182932459811318j)], [(0.2775612330750826+0.0483574205728997j), (0.5792143167425994-0.05112067054983579j)]],
     ]
 )
+
+
+#: Off-circle probe of the ``random_params`` pins below.
+PARAMS_PROBE = 0.5 + 0.25j
+#: Two ``random_params`` draws as ``(args, kwargs, poles, value)``: the
+#: finite pole values (``None`` at infinity), each ``r * exp(1j * theta)``
+#: of its drawn radius and angle, and
+#: ``build_paraunitary(...).eval_many([PARAMS_PROBE])[0]``.  A rewrite of
+#: the draw or of the build must reproduce both bit for bit.
+PARAMS_DRAWS = [
+    (
+        (7, ISO, 3, 2, 4),
+        {"schur_only": True},
+        [(0.14402756746479248-0.8846691382905542j), 0j, (0.8722023713696708+0.02886550177109885j), (-0.7801664357440276+0.1593424072892884j)],
+        [[(-0.4143289084180234-0.6237720426293409j), (0.4231981530041511-0.2882561671269562j)], [(0.777393230795491-0.8267910104453203j), (0.038793787517871076+0.1699839010248785j)], [(0.16441272692341602+0.621322805465311j), (0.8365533378579324-0.3632566431581551j)]],
+    ),
+    (
+        (3, COISO, 2, 3, 4),
+        {},
+        [0j, (-1.6873139579789707+0.753863958074515j), (0.5544935358892424+0.48068892482599174j), None],
+        [[(2.5028137029504096-1.5979684062417225j), (0.44780690370161474-1.0006558853540313j), (-0.7501836214721249-0.3972339548899404j)], [(-0.0267734244672755-0.731475356899498j), (0.2964476919158862-0.8842420886389442j), (-0.016200541623748878-0.15223040969730733j)]],
+    ),
+]

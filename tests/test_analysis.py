@@ -57,6 +57,14 @@ def scipy_hankel_rank(ss, rank_tol):
     return int(np.count_nonzero(np.linalg.eigvalsh(product) > rank_tol))
 
 
+def phase_fir(degree):
+    """The 1x1 FIR ``cos(.3) + i sin(.3) z^degree``, which is not lossless."""
+    coeffs = [np.zeros((1, 1), dtype=complex) for _ in range(degree + 1)]
+    coeffs[0][0, 0] = np.cos(0.3)
+    coeffs[-1][0, 0] = 1j * np.sin(0.3)
+    return LaurentPolyForm(0, coeffs)
+
+
 def circle_test_form(kind, broken):
     """A lossless form of the given kind, or its negative control."""
     scale = 1.01 if broken else 1.0
@@ -125,15 +133,23 @@ class TestCircleResidual:
             circle_residual(row_example_bp(0.5), samples=4)
 
     def test_default_samples_track_degree(self):
-        # cos(.3) + i sin(.3) z^32 is not lossless; 64 samples alias it to a pass
-        coeffs = [np.zeros((1, 1), dtype=complex) for _ in range(33)]
-        coeffs[0][0, 0] = np.cos(0.3)
-        coeffs[-1][0, 0] = 1j * np.sin(0.3)
-        fir = LaurentPolyForm(0, coeffs)
+        # cos(.3) + i sin(.3) z^32 is not lossless; 64 samples would alias it to a pass
+        fir = phase_fir(32)
         cert = circle_residual(fir)
         assert not cert.passed
         assert abs(cert.residual - 0.56) <= 0.01
-        assert circle_residual(fir, samples=64).residual <= 1e-13
+        with pytest.raises(ValueError, match="degree 32"):
+            circle_residual(fir, samples=64)
+
+    def test_aliasing_sample_count_raises(self):
+        # at degree 8, 8 samples would read 8.9e-16 and the default reads 0.565
+        fir = phase_fir(8)
+        assert abs(circle_residual(fir).residual - 0.565) <= 0.001
+        with pytest.raises(ValueError, match="degree 8"):
+            circle_residual(fir, samples=8)
+        with pytest.raises(ValueError, match="degree 8"):
+            circle_residual(fir, samples=16)
+        assert not circle_residual(fir, samples=17).passed
 
     @pytest.mark.parametrize("broken", [False, True])
     @pytest.mark.parametrize("kind", ["bp", "bp_coiso", "ss", "mfd", "laurent"])
@@ -304,7 +320,7 @@ class TestMfdCheck:
     def test_side_mismatch(self):
         num = [np.zeros((1, 2)), np.ones((1, 2))]
         den = [np.eye(2), np.zeros((2, 2))]
-        mfd = MFDForm(RIGHT, num, den, validate=False)
+        mfd = MFDForm(RIGHT, num, den)
         with pytest.raises(SideMismatch):
             mfd_check(mfd)
 

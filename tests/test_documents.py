@@ -12,7 +12,6 @@ from paraunit import (
     LEFT,
     ParaunitaryParam,
     Pole,
-    PoleParam,
     SampleSet,
     bp_to_laurent,
     bp_to_realization,
@@ -80,7 +79,15 @@ class TestRoundTrips:
             assert np.array_equal(a, b)
 
     def test_params(self, tmp_path):
-        params = random_params(5, ISO, 3, 2, 3)
+        params = random_params(3, ISO, 3, 2, 4)
+        where = {
+            "infinity" if pole.is_infinity
+            else "origin" if pole.value == 0
+            else "inside" if pole.is_schur
+            else "outside"
+            for pole in params.poles
+        }
+        assert where == {"origin", "infinity", "inside", "outside"}
         loaded = round_trip(tmp_path, params)
         assert loaded == params
 
@@ -148,7 +155,7 @@ def small_documents():
     ss = bp_to_realization(random_form(9, ISO, 2, 1, 2, schur_only=True))
     params = random_params(10, ISO, 2, 1, 2)
     params = ParaunitaryParam(
-        ISO, 2, 1, 2, (PoleParam.polar(0.5, 1.0), PoleParam.zero()),
+        ISO, 2, 1, 2, (Pole(0.5 * np.exp(1j)), Pole(0.0)),
         params.directions, params.frame,
     )
     zs = circle_points(2)
@@ -216,6 +223,15 @@ class TestMalformedDocuments:
         path.write_text(json.dumps(data))
         assert execute(["check", str(path)]) == 2
         assert f"payload.{key}" in capsys.readouterr().err
+
+    def test_params_pole_on_circle_exits_2(self, tmp_path, capsys):
+        data = next(d for d in small_documents() if d["kind"] == "params")
+        data["payload"]["poles"][1] = {"type": "finite", "value": [0.0, 1.0]}
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(data))
+        assert execute(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "payload.poles[1]" in err and "unit circle" in err
 
     def test_matrix_rows_checked_before_allocation(self):
         data = small_documents()[1]

@@ -10,7 +10,6 @@ from paraunit import (
     LaurentPolyForm,
     MFDForm,
     Pole,
-    PoleParam,
     SingularDenominator,
     StateSpaceRealization,
     blaschke_scalar,
@@ -46,10 +45,10 @@ class TestPole:
             Pole(value)
         with pytest.raises(ValueError, match="not finite"):
             Pole(complex(0.5, value))
-        with pytest.raises(ValueError, match="not finite"):
-            PoleParam.polar(value, 0.0)
-        with pytest.raises(ValueError, match="not finite"):
-            PoleParam.polar(0.5, value)
+
+    def test_is_schur(self):
+        assert Pole(0.0).is_schur and Pole(0.5j - 0.3).is_schur
+        assert not Pole(1.5).is_schur and not Pole.infinity().is_schur
 
     def test_flip(self):
         assert Pole(0.0).flipped() == Pole.infinity()

@@ -9,7 +9,6 @@ from paraunit import (
     BlaschkePotapovForm,
     ParaunitaryParam,
     Pole,
-    PoleParam,
     bp_to_realization,
     build_paraunitary,
     circle_residual,
@@ -23,6 +22,7 @@ from paraunit import (
 )
 from paraunit.params import angles_for_isometry as package_angles_for_isometry
 from conftest import off_circle_probes
+from golden import PARAMS_DRAWS, PARAMS_PROBE
 
 TWO_PI = 2.0 * np.pi
 
@@ -193,7 +193,7 @@ class TestBuildParaunitary:
 
     def test_scalar_delay_inverse(self):
         params = ParaunitaryParam(
-            ISO, 1, 1, 1, (PoleParam.zero(),), ((),), (0.0,)
+            ISO, 1, 1, 1, (Pole(0.0),), ((),), (0.0,)
         )
         form = build_paraunitary(params)
         assert abs(form(2.0)[0, 0] - 0.5) < 1e-14
@@ -209,7 +209,7 @@ class TestBuildParaunitary:
 
     def test_wrong_invariant_raises(self):
         with pytest.raises(AngleCountMismatch):
-            ParaunitaryParam(ISO, 2, 2, 1, (PoleParam.zero(),), ((0.0,),), (0.0,) * 4)
+            ParaunitaryParam(ISO, 2, 2, 1, (Pole(0.0),), ((0.0,),), (0.0,) * 4)
 
 
 class TestRandomParams:
@@ -226,14 +226,21 @@ class TestRandomParams:
             assert all(abs(pole.value) < 1.0 for pole in form.poles)
             bp_to_realization(form)
 
+    @pytest.mark.parametrize("args, kwargs, poles, value", PARAMS_DRAWS)
+    def test_golden_draws(self, args, kwargs, poles, value):
+        params = random_params(*args, **kwargs)
+        assert [None if pole.is_infinity else pole.value for pole in params.poles] == poles
+        values = build_paraunitary(params).eval_many([PARAMS_PROBE])
+        assert np.array_equal(values[0], np.array(value))
+
     def test_circle_margin(self):
         count = 0
         for seed in range(5):
             params = random_params(seed, ISO, 2, 1, 200)
             for pole in params.poles:
                 count += 1
-                if pole.kind == "polar":
-                    assert abs(pole.r - 1.0) > 1e-3
+                if not pole.is_infinity:
+                    assert abs(abs(pole.value) - 1.0) > 1e-3
         assert count == 1000
 
     def test_chart_lands_in_feasible_set(self):
