@@ -33,8 +33,8 @@ from .forms import (
     MFDForm,
     StateSpaceRealization,
 )
-# perfbench/tracing.py shims analysis.evaluate and analysis.spectral_radius, so
-# both names stay importable here
+# perfbench/tracing.py shims analysis.evaluate, analysis.spectral_radius and
+# analysis.hermitian_eig, so these names stay importable here
 from .forms import evaluate  # noqa: F401
 from .linalg import _finite_norm, hermitian_eig, solve_stein, spectral_radius  # noqa: F401
 from .tolerances import (
@@ -133,10 +133,12 @@ def realization_check(ss: StateSpaceRealization, tol: float = REALIZATION_TOL) -
     r = ss.realization_matrix
     n, p, m = ss.n, ss.p, ss.m
     with np.errstate(over="ignore", invalid="ignore"):
-        iso_gram = r.conj().T @ r - np.eye(n + m)
-        coiso_gram = r @ r.conj().T - np.eye(n + p)
-        iso_res = _finite_norm(iso_gram)
-        coiso_res = _finite_norm(coiso_gram)
+        if p >= m:
+            iso_gram = r.conj().T @ r - np.eye(n + m)
+            iso_res = _finite_norm(iso_gram)
+        if m >= p:
+            coiso_gram = r @ r.conj().T - np.eye(n + p)
+            coiso_res = _finite_norm(coiso_gram)
     if p > m:
         return Certificate("realization_isometry", iso_res, tol, witness=iso_gram)
     if m > p:
@@ -150,10 +152,18 @@ def realization_check(ss: StateSpaceRealization, tol: float = REALIZATION_TOL) -
 
 
 def _gramians(ss: StateSpaceRealization):
-    """``(w_cont, w_obs)``; ``solve_stein`` raises ``NotSchurStable`` near the circle."""
-    w_cont = solve_stein(ss.a, ss.b @ ss.b.conj().T, side="cont")
-    w_obs = solve_stein(ss.a, ss.c.conj().T @ ss.c, side="obs")
-    return w_cont, w_obs
+    """``(w_cont, w_obs)`` of ``ss``, solved on first use and kept, read-only, on ``ss``.
+
+    ``solve_stein`` raises ``NotSchurStable`` near the circle, and then nothing
+    is kept.  The blocks of ``ss`` are read-only, so the pair cannot go stale.
+    """
+    if ss._gramians is None:
+        w_cont = solve_stein(ss.a, ss.b @ ss.b.conj().T, side="cont")
+        w_obs = solve_stein(ss.a, ss.c.conj().T @ ss.c, side="obs")
+        w_cont.setflags(write=False)
+        w_obs.setflags(write=False)
+        ss._gramians = w_cont, w_obs
+    return ss._gramians
 
 
 def gramian_certificate(ss: StateSpaceRealization, tol: float = GRAMIAN_TOL):
@@ -162,9 +172,12 @@ def gramian_certificate(ss: StateSpaceRealization, tol: float = GRAMIAN_TOL):
     Solves ``W_cont - A W_cont A* = B B*`` and ``W_obs - A* W_obs A = C* C``.
     A lossless tall system in this realization class has ``W_obs = I`` and
     ``I - W_cont`` positive semidefinite; wide systems mirror the roles, and
-    square systems have both gramians equal to the identity.
+    square systems have both gramians equal to the identity.  A contraction
+    certificate's witness is the eigenvalue list of ``I - W``.
 
-    Returns ``(w_cont, w_obs, certificates)``.
+    Returns ``(w_cont, w_obs, certificates)``.  The gramians are solved once
+    per realization and shared with later calls and with
+    :func:`mcmillan_degree`, so both arrays are read-only.
     """
     n, p, m = ss.n, ss.p, ss.m
     w_cont, w_obs = _gramians(ss)
@@ -176,7 +189,7 @@ def gramian_certificate(ss: StateSpaceRealization, tol: float = GRAMIAN_TOL):
     def contraction_cert(name, w):
         if n == 0:
             return Certificate(name, 0.0, tol, witness=np.zeros(0))
-        values, _ = hermitian_eig(eye - w)
+        values = np.linalg.eigvalsh(eye - w)  # solve_stein returns w exactly Hermitian
         return Certificate(name, max(0.0, -float(values[0])), tol, witness=values)
 
     if p > m:
@@ -274,14 +287,16 @@ def laurent_check(lp: LaurentPolyForm, tol: float = HANKEL_TOL) -> Certificate:
 def mcmillan_degree(ss: StateSpaceRealization) -> int:
     """Hankel rank of a Schur-stable realization.
 
-    Counts the eigenvalues of the symmetrized gramian product
-    ``W_cont^{1/2} W_obs W_cont^{1/2}`` (the squared Hankel singular
-    values) exceeding ``DEGREE_RANK_TOL``.
+    Counts the squared Hankel singular values exceeding ``DEGREE_RANK_TOL``:
+    the eigenvalues of ``F* W_obs F`` for the factor ``F = V diag(sqrt(l))``
+    of ``W_cont = V diag(l) V*`` (negative rounding in ``l`` clipped to
+    zero).  They are those of ``W_cont^{1/2} W_obs W_cont^{1/2}``, which is
+    ``F* W_obs F`` conjugated by the unitary ``V``.
     """
     if ss.n == 0:
         return 0
     w_cont, w_obs = _gramians(ss)
-    values, vectors = hermitian_eig(w_cont)
-    root = vectors @ np.diag(np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
-    product_values, _ = hermitian_eig(root @ w_obs @ root)
+    values, vectors = np.linalg.eigh(w_cont)
+    factor = vectors * np.sqrt(np.clip(values, 0.0, None))
+    product_values = np.linalg.eigvalsh(factor.conj().T @ w_obs @ factor)
     return int(np.count_nonzero(product_values > DEGREE_RANK_TOL))

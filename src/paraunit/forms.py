@@ -332,7 +332,9 @@ class StateSpaceRealization(_Form):
         self.b = _readonly(b)
         self.c = _readonly(c)
         self.d = _readonly(d)
+        # filled on first use by pole_candidates() and analysis._gramians
         self._eigenvalues = None
+        self._gramians = None
 
     @property
     def n(self) -> int:

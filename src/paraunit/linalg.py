@@ -173,11 +173,12 @@ def solve_stein(a, q, side: str = "cont") -> np.ndarray:
         return q.copy()
     if side == "obs":
         a = a.conj().T
+    upper = _is_upper_triangular(a)
+    lower = not upper and _is_upper_triangular(a.T)
     # J A J is upper triangular for a lower triangular A and the order-reversing J
-    flip = _is_upper_triangular(a.T) and not _is_upper_triangular(a)
-    if flip:
+    if lower:
         a, q = np.ascontiguousarray(a[::-1, ::-1]), q[::-1, ::-1]
-    if _is_upper_triangular(a):
+    if upper or lower:
         t, u, x = a, None, q.copy()
     else:
         t, u = _schur(a)
@@ -195,7 +196,7 @@ def solve_stein(a, q, side: str = "cont") -> np.ndarray:
         if info != 0:  # pragma: no cover - the margin keeps every pivot nonzero
             raise ConvergenceFailure(f"triangular solve failed: LAPACK trtrs info {info}")
     w = x if u is None else u @ x @ u.conj().T
-    if flip:
+    if lower:
         w = w[::-1, ::-1]
     return 0.5 * (w + w.conj().T)
 

@@ -29,7 +29,10 @@ from paraunit import (
     realization_check,
     ss_to_mfd,
 )
+import paraunit.analysis
 from paraunit.analysis import _autocorrelation
+from paraunit.linalg import solve_stein
+from paraunit.tolerances import SCHUR_MARGIN
 from conftest import block_hankel, fir_form, perturb_direction, random_form, random_unitary
 from golden import (
     SQRT2,
@@ -182,6 +185,25 @@ class TestRealizationCheck:
         assert cert.name == "realization_unitary"
         assert cert.passed
 
+    @pytest.mark.parametrize("p, m", [(3, 1), (1, 3), (2, 2)])
+    def test_matches_explicit_gram_products(self, rng, p, m):
+        n = 3
+        shapes = [(n, n), (n, m), (p, n), (p, m)]
+        ss = StateSpaceRealization(*(rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes))
+        r = ss.realization_matrix
+        iso = r.conj().T @ r - np.eye(n + m)
+        coiso = r @ r.conj().T - np.eye(n + p)
+        iso_res, coiso_res = float(np.linalg.norm(iso)), float(np.linalg.norm(coiso))
+        if p > m:
+            expected = ("realization_isometry", iso_res, iso)
+        elif m > p:
+            expected = ("realization_coisometry", coiso_res, coiso)
+        else:
+            expected = ("realization_unitary", max(iso_res, coiso_res), np.array([iso_res, coiso_res]))
+        cert = realization_check(ss)
+        assert (cert.name, cert.residual) == expected[:2]
+        assert cert.witness.tobytes() == expected[2].tobytes()
+
 
 class TestGramianCertificate:
     def test_worked_example_values(self):
@@ -217,6 +239,57 @@ class TestGramianCertificate:
             assert ss.n == 80
             _, _, certs = gramian_certificate(ss)
             assert all(c.passed for c in certs)
+
+
+class TestGramianMemo:
+    """A realization solves its gramian pair once; both certificates share it."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        sides = []
+
+        def counted(*args, **kwargs):
+            sides.append(kwargs["side"])
+            return solve_stein(*args, **kwargs)
+
+        monkeypatch.setattr(paraunit.analysis, "solve_stein", counted)
+        return sides
+
+    def test_pair_is_solved_once(self, solves):
+        ss = bp_to_realization(random_form(71, ISO, 4, 2, 6, schur_only=True))
+        w_cont, w_obs, certs = gramian_certificate(ss)
+        assert mcmillan_degree(ss) == 6
+        again = gramian_certificate(ss)
+        assert solves == ["cont", "obs"]
+        assert again[0] is w_cont and again[1] is w_obs
+        assert [c.residual for c in again[2]] == [c.residual for c in certs]
+
+    def test_failure_is_not_kept(self, solves):
+        ss = StateSpaceRealization([[1.0 - 0.5 * SCHUR_MARGIN]], [[1e-5]], [[1e-5]], [[1.0]])
+        for _ in range(2):
+            with pytest.raises(NotSchurStable):
+                gramian_certificate(ss)
+        with pytest.raises(NotSchurStable):
+            mcmillan_degree(ss)
+        assert solves == ["cont", "cont", "cont"]
+
+    def test_gramians_are_read_only_and_exact(self):
+        ss = bp_to_realization(random_form(72, COISO, 2, 4, 5, schur_only=True))
+        w_cont, w_obs, _ = gramian_certificate(ss)
+        assert not w_cont.flags.writeable and not w_obs.flags.writeable
+        with pytest.raises(ValueError):
+            w_obs[0, 0] = 0.0
+        assert w_cont.tobytes() == solve_stein(ss.a, ss.b @ ss.b.conj().T, side="cont").tobytes()
+        assert w_obs.tobytes() == solve_stein(ss.a, ss.c.conj().T @ ss.c, side="obs").tobytes()
+
+    def test_transpose_solves_its_own_pair(self, solves):
+        ss = bp_to_realization(random_form(73, ISO, 3, 2, 5, schur_only=True))
+        w_cont, w_obs, _ = gramian_certificate(ss)
+        t_cont, t_obs, _ = gramian_certificate(ss.transpose())
+        assert solves == ["cont", "obs", "cont", "obs"]
+        # (J A^T J, J C^T, B^T J) has the gramians J conj(W_obs) J and J conj(W_cont) J
+        assert np.allclose(t_cont, w_obs.conj()[::-1, ::-1], atol=1e-12)
+        assert np.allclose(t_obs, w_cont.conj()[::-1, ::-1], atol=1e-12)
 
 
 class TestBlockHankel:

@@ -4,6 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import paraunit.linalg
 from paraunit import (
     DimensionMismatch,
     NotHermitian,
@@ -177,6 +178,20 @@ class TestSolveStein:
         reference = scipy.linalg.solve_discrete_lyapunov(a if side == "cont" else a.conj().T, q)
         assert np.linalg.norm(w - reference) <= 1e-10 * np.linalg.norm(reference)
         assert np.array_equal(w, w.conj().T)
+
+    @pytest.mark.parametrize("structure", ["upper", "lower", "diagonal", "dense"])
+    @pytest.mark.parametrize("side", ["cont", "obs"])
+    def test_classifies_the_matrix_once(self, monkeypatch, structure, side):
+        # one upper test, and one lower test only when the matrix is not upper triangular
+        rng = np.random.default_rng(11)
+        a = 0.2 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        a = {"upper": np.triu(a), "lower": np.tril(a), "diagonal": np.diag(np.diag(a)), "dense": a}[structure]
+        solved = a if side == "cont" else a.conj().T
+        tests = []
+        is_upper = paraunit.linalg._is_upper_triangular
+        monkeypatch.setattr(paraunit.linalg, "_is_upper_triangular", lambda m: tests.append(1) or is_upper(m))
+        solve_stein(a, random_psd(rng, 4), side=side)
+        assert len(tests) == (1 if is_upper(solved) else 2)
 
     @pytest.mark.parametrize("side", ["cont", "obs"])
     def test_triangular_rejects_just_inside_margin(self, side):

@@ -4,15 +4,18 @@
 conversions write fractions over ``den(z) I`` with a scalar ``den``.  The
 Stein solve, the spectral radius, the realization's evaluation and its
 fraction read that structure instead of running a Schur form or an
-eigenvalue solver.  The guard below makes sure no certificate on such a
-realization reaches either one, and the table pins every verdict and McMillan
-degree on a seeded set of forms, as computed before these structural paths
-existed (with the Schur step and the per-point LU).
+eigenvalue solver.  The guards below make sure no certificate on such a
+realization reaches either one, and that the suite solves one Stein pair per
+realization and no eigenvectors for the contraction certificate.  The table
+pins every verdict and McMillan degree on a seeded set of forms, as computed
+before these structural paths existed (with the Schur step and the per-point
+LU).
 """
 
 import numpy as np
 import pytest
 
+import paraunit.analysis
 import paraunit.linalg
 import paraunit.transforms
 from paraunit import (
@@ -113,3 +116,30 @@ def test_suite_on_a_cascade_runs_no_schur_step(no_schur_or_eigvals, shape, d):
     assert mcmillan_degree(ss) <= d
     assert spectral_radius(ss.a) < 1.0
     assert ss.eval_many(circle_points(16)).shape == (16, form.p, form.m)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_suite_solves_one_stein_pair(monkeypatch, shape):
+    solves = []
+    solve_stein = paraunit.analysis.solve_stein
+
+    def counted(*args, **kwargs):
+        solves.append(kwargs["side"])
+        return solve_stein(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the contraction certificate computed eigenvectors")
+
+    monkeypatch.setattr(paraunit.analysis, "solve_stein", counted)
+    form = seeded_form(shape, 16)
+    ss = bp_to_realization(form)
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", refuse)
+        patch.setattr(paraunit.analysis, "hermitian_eig", refuse)
+        certs = gramian_certificate(ss)[2]
+    side = RIGHT if form.p >= form.m else LEFT
+    certs += [circle_residual(ss), realization_check(ss), mfd_check(ss_to_mfd(ss, side))]
+    assert mcmillan_degree(ss) == PINNED[shape, 16][0]
+    certs += gramian_certificate(ss)[2]
+    assert all(cert.passed for cert in certs)
+    assert solves == ["cont", "obs"]

@@ -30,6 +30,7 @@ from paraunit import (
     extract_constant,
     flip_poles,
     flip_scalar,
+    gramian_certificate,
     laurent_check,
     mcmillan_degree,
     mfd_check,
@@ -234,6 +235,24 @@ class TestBpToRealization:
         ss = bp_to_realization(random_form(340, ISO, 3, 2, 16, schur_only=True))
         assert ss.n == 16
         assert len(built) == 1
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        side=st.sampled_from([ISO, COISO]),
+        dims=st.tuples(st.integers(1, 4), st.integers(1, 4)).map(sorted),
+        d=st.integers(65, 128),
+        seed=st.integers(0, 2**16),
+        broken=st.booleans(),
+    )
+    def test_gramian_verdict_follows_realization_verdict(self, side, dims, d, seed, broken):
+        small, large = dims
+        p, m = (large, small) if side == ISO else (small, large)
+        form = random_form(seed, side, p, m, d, schur_only=True)
+        if broken:
+            form = perturb_direction(form, index=d // 2)
+        ss = bp_to_realization(form, validate=False)
+        gramians_pass = all(cert.passed for cert in gramian_certificate(ss)[2])
+        assert gramians_pass == realization_check(ss).passed == (not broken)
 
 
 class TestAllpassEmbed:
