@@ -10,7 +10,7 @@ Three independent characterizations are implemented:
 The Hankel and realization tests are exact certificates.  For a form of
 degree ``g``, ``F*F - I`` on the circle is a ratio of trigonometric
 polynomials of degree at most ``g``, so in exact arithmetic a zero defect at
-the default ``>= 2 g + 1`` sample points proves that the defect vanishes on
+its ``>= 2 g + 1`` sample points proves that the defect vanishes on
 the whole circle; a positive tolerance still does not bound the defect
 between samples.  Every test returns a :class:`Certificate` carrying the raw
 residual so callers can re-threshold; default tolerances come from
@@ -85,7 +85,7 @@ def _circle_degree(form) -> int:
     raise TypeError(f"cannot sample object of type {type(form).__name__}")
 
 
-def circle_residual(form, samples: int | None = None, tol: float = CIRCLE_TOL) -> Certificate:
+def circle_residual(form, tol: float = CIRCLE_TOL) -> Certificate:
     """Worst deviation from (co)isometry over equispaced circle points.
 
     Evaluates the form at ``z_k = exp(2 pi i k / N)`` in one ``eval_many``
@@ -93,23 +93,16 @@ def circle_residual(form, samples: int | None = None, tol: float = CIRCLE_TOL) -
     or ``F F* - I_p`` (wide case); the witness is that matrix at the last
     point reaching the maximum.
 
-    ``N`` defaults to ``max(CIRCLE_SAMPLES, 2 * degree + 1)``, with the
-    degree ``d`` of a product form, ``n`` of a realization, ``gamma`` of a
-    Laurent polynomial, and the polynomial degree times the denominator size
-    of a matrix fraction.  For such a degree ``g``, ``F*F - I`` on the circle
-    is a ratio of trigonometric polynomials of degree at most ``g`` (a
+    ``N`` is ``max(CIRCLE_SAMPLES, 2 * degree + 1)``, with the degree ``d``
+    of a product form, ``n`` of a realization, ``gamma`` of a Laurent
+    polynomial, and the polynomial degree times the denominator size of a
+    matrix fraction.  For such a degree ``g``, ``F*F - I`` on the circle is
+    a ratio of trigonometric polynomials of degree at most ``g`` (a
     trigonometric polynomial for a Laurent form): its numerator cannot
     vanish at ``2 g + 1`` equispaced points unless it vanishes everywhere,
-    while ``2 g`` or fewer points can alias a failing form to a pass.  An
-    explicit ``samples`` below ``max(8, 2 g + 1)`` therefore raises
-    ``ValueError``.
+    while ``2 g`` or fewer points can alias a failing form to a pass.
     """
-    degree = _circle_degree(form)
-    if samples is None:
-        samples = max(CIRCLE_SAMPLES, 2 * degree + 1)
-    fewest = max(8, 2 * degree + 1)
-    if samples < fewest:
-        raise ValueError(f"degree {degree} needs at least {fewest} circle samples, got {samples}")
+    samples = max(CIRCLE_SAMPLES, 2 * _circle_degree(form) + 1)
     values = form.eval_many(np.exp(2j * np.pi * np.arange(samples) / samples))
     adjoints = values.conj().swapaxes(1, 2)
     if form.p >= form.m:

@@ -15,11 +15,15 @@ none of those recovers the target.  ``restarts`` may therefore mean up to
 ``2 * restarts`` searches, and ``FitResult.iterations`` counts all of them.
 
 Each restart builds one :class:`_ChartKernel` from its frozen template and
-the samples, and the search evaluates :func:`_chart_residual`, which takes
-the coordinate vector straight to the real view of ``values - targets``
-with array operations: the origin-pole gains and the (transposed, for
-coiso) targets are computed once, the directions come from one batched
-chart call, and the constant from the Householder chain of
+the samples; the kernel states the coordinate layout, which
+:func:`_chart_point` decodes.  The search evaluates :func:`_chart_residual`,
+which takes the coordinate vector straight to the real view of
+``values - targets`` with array operations: the origin-pole gains and the
+(transposed, for coiso) targets are computed once, the searched poles'
+gains come from the product form's own Blaschke kernel
+(:func:`~paraunit.forms._finite_blaschke_values`, which also refuses a
+sample at a pole), the directions from one batched chart call, and the
+constant from the Householder chain of
 :func:`~paraunit.params.isometry_from_angles`.  It builds no parameter
 object and no product form, yet makes every check that path makes; the
 objective is its squared norm.  :func:`_chart_jacobian` gives the exact
@@ -37,8 +41,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AngleCountMismatch, DimensionMismatch, EvalAtPole
-from .forms import COISO, ISO, Pole, _blaschke_gains, _iso_product
+from .errors import AngleCountMismatch, DimensionMismatch
+from .forms import COISO, ISO, Pole, _blaschke_values, _finite_blaschke_values, _iso_product
 from .linalg import isometry_residual
 from .params import (
     ParaunitaryParam,
@@ -54,7 +58,6 @@ from .params import (
 from .tolerances import (
     CONVERGED_OBJECTIVE,
     DIRECTION_NORM_SLACK,
-    EVAL_POLE_MARGIN,
     FIT_EVAL_BUDGET,
     ISOMETRY_TOL,
     LOEWNER_RANK_RTOL,
@@ -161,38 +164,18 @@ def _encode(params: ParaunitaryParam) -> np.ndarray:
     return np.asarray(coords, dtype=float)
 
 
-def _decode(x: np.ndarray, template: ParaunitaryParam) -> ParaunitaryParam:
-    two_pi = 2.0 * np.pi
-    position = 0
-    poles = []
-    for pole in template.poles:
-        if _searched(pole):
-            radius = float(_real_to_radius(x[position]))
-            theta = float(np.mod(x[position + 1], two_pi))
-            poles.append(Pole(radius * np.exp(1j * theta)))
-            position += 2
-        else:
-            poles.append(pole)
-    per_factor = 2 * (template.factor_dimension - 1)
-    directions = []
-    for _ in range(template.d):
-        row = np.mod(x[position : position + per_factor], two_pi)
-        directions.append(tuple(row))
-        position += per_factor
-    frame = tuple(np.mod(x[position:], two_pi))
-    return ParaunitaryParam(
-        template.side, template.p, template.m, template.d,
-        tuple(poles), tuple(directions), frame,
-    )
-
-
 class _ChartKernel:
-    """What :func:`_chart_residual` needs of one restart, computed once.
+    """What :func:`_chart_residual` needs of one restart, computed once, and
+    the one statement of the coordinate layout.
 
-    The search moves no origin or infinite pole of the template, so their
-    gains ``phi - 1`` are the same at every call; only the rows of searched
-    poles are recomputed.  A coiso form is evaluated as its transpose, an iso
-    product, against targets transposed here.
+    The coordinates of a template run: the radius and phase coordinates of
+    each searched pole, interleaved, then one row of ``2 (k - 1)`` angles
+    per factor direction, then the frame angles; the slices ``radii``,
+    ``thetas``, ``directions`` and ``frame`` read them.  The search moves no
+    origin or infinite pole of the template, so their gains ``phi - 1`` are
+    the same at every call; only the rows of searched poles are recomputed.
+    A coiso form is evaluated as its transpose, an iso product, against
+    targets transposed here.
     """
 
     def __init__(self, template: ParaunitaryParam, samples: SampleSet):
@@ -201,6 +184,7 @@ class _ChartKernel:
                 f"params are {template.p}x{template.m} but samples are "
                 f"{samples.p}x{samples.m}"
             )
+        self.template = template
         self.iso = template.side == ISO
         self.zs = samples.zs
         self.targets = samples.targets if self.iso else samples.targets.swapaxes(1, 2).copy()
@@ -210,7 +194,7 @@ class _ChartKernel:
         self.searched_rows = np.flatnonzero(searched)
         fixed = np.flatnonzero(np.logical_not(searched))
         self.gains = np.empty((template.d, samples.zs.size), dtype=complex)
-        self.gains[fixed] = _blaschke_gains([template.poles[j] for j in fixed], samples.zs)
+        self.gains[fixed] = _blaschke_values([template.poles[j] for j in fixed], samples.zs) - 1.0
         radii_end = 2 * self.searched_rows.size
         self.radii = slice(0, radii_end, 2)
         self.thetas = slice(1, radii_end, 2)
@@ -220,40 +204,59 @@ class _ChartKernel:
         self.size = self.directions.stop + len(template.frame)
 
 
-def _chart_chain(x, kernel: _ChartKernel):
-    """``(gains, directions, constant)`` of the iso product that
-    :func:`_chart_residual` evaluates at ``_decode(x, template)``, with the
-    checks of :func:`objective` in the same order.
+def _chart_point(x, kernel: _ChartKernel):
+    """What the coordinates ``x`` decode to in the kernel's layout:
+    ``(radii, turns, alphas, rows, frame)``.
 
-    ``gains`` is the ``(d, N)`` array of ``phi_j - 1`` at the samples.  For
-    a coiso template the chain is already reversed and conjugated, and the
-    constant is the transpose of the coiso constant, so the iso product
-    yields ``F(z)^T``.
+    ``radii``, ``turns = exp(i theta)`` and ``alphas = radii * turns``
+    belong to the searched poles, ``rows`` is the ``(d, 2 (k - 1))`` array
+    of direction angles and ``frame`` holds the frame angles; every angle is
+    wrapped modulo ``2 pi``.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (kernel.size,):
         raise AngleCountMismatch(f"need {kernel.size} coordinates, got shape {x.shape}")
     wrapped = np.mod(x, 2.0 * np.pi)
     radii = _real_to_radius(x[kernel.radii])
+    turns = np.exp(1j * wrapped[kernel.thetas])
+    rows = wrapped[kernel.directions].reshape(kernel.direction_shape)
+    return radii, turns, radii * turns, rows, wrapped[kernel.frame]
+
+
+def _decode(x: np.ndarray, kernel: _ChartKernel) -> ParaunitaryParam:
+    """The parameters of the kernel's template at the coordinates ``x``."""
+    _, _, alphas, rows, frame = _chart_point(x, kernel)
+    poles = list(kernel.template.poles)
+    for j, alpha in zip(kernel.searched_rows, alphas):
+        poles[j] = Pole(alpha)
+    return replace(kernel.template, poles=tuple(poles), directions=rows, frame=frame)
+
+
+def _chart_chain(point, kernel: _ChartKernel):
+    """``(gains, directions, constant)`` of the iso product that
+    :func:`_chart_residual` evaluates at the decoded ``point``
+    (:func:`_chart_point`), with the checks of :func:`objective` in the
+    same order.
+
+    ``gains`` is the ``(d, N)`` array of ``phi_j - 1`` at the samples, the
+    searched rows from the product form's own Blaschke kernel.  For a coiso
+    template the chain is already reversed and conjugated, and the constant
+    is the transpose of the coiso constant, so the iso product yields
+    ``F(z)^T``.
+    """
+    radii, _, alphas, rows, frame = point
     if (np.abs(radii - 1.0) <= POLE_CIRCLE_MARGIN).any():
         raise ValueError("polar radius must stay off the unit circle")
-    alphas = radii * np.exp(1j * wrapped[kernel.thetas])
     k = kernel.k
-    rows = wrapped[kernel.directions].reshape(kernel.direction_shape)
     directions = unit_vector_from_angles(k, rows[:, : k - 1], _with_leading_phase(rows[:, k - 1 :]))
     if not (np.abs(np.linalg.norm(directions, axis=1) - 1.0) <= DIRECTION_NORM_SLACK).all():
         raise ValueError(f"a direction norm is further than {DIRECTION_NORM_SLACK:.0e} from one")
-    constant = isometry_from_angles(*kernel.frame_shape, wrapped[kernel.frame])
+    constant = isometry_from_angles(*kernel.frame_shape, frame)
     residual = isometry_residual(constant)
     if not residual <= ISOMETRY_TOL:
         raise ValueError(f"constant is not a (co)isometry: residual {residual:.3e}")
-    offsets = kernel.zs - alphas[:, None]
-    near = np.abs(offsets) <= EVAL_POLE_MARGIN
-    if near.any():
-        alpha = alphas[np.argmax(near.any(axis=1))]
-        raise EvalAtPole(f"a point is within {EVAL_POLE_MARGIN:.0e} of pole {alpha}")
     gains = kernel.gains.copy()
-    gains[kernel.searched_rows] = (1.0 - alphas.conj()[:, None] * kernel.zs) / offsets - 1.0
+    gains[kernel.searched_rows] = _finite_blaschke_values(alphas, kernel.zs) - 1.0
     if kernel.iso:
         return gains, directions, constant
     # the coiso constant is the adjoint of the chart's isometry
@@ -261,9 +264,9 @@ def _chart_chain(x, kernel: _ChartKernel):
 
 
 def _chart_residual(x, kernel: _ChartKernel) -> np.ndarray:
-    """Real view of ``values - targets`` at ``_decode(x, template)`` for the
-    kernel's template, computed with array operations."""
-    values = _iso_product(*_chart_chain(x, kernel))
+    """Real view of ``values - targets`` at ``_decode(x, kernel)``, computed
+    with array operations."""
+    values = _iso_product(*_chart_chain(_chart_point(x, kernel), kernel))
     return (values - kernel.targets).ravel().view(float)
 
 
@@ -283,9 +286,9 @@ def _chart_jacobian(x, kernel: _ChartKernel) -> np.ndarray:
     ``2 pi`` has derivative 1.  A coiso chain is reversed and conjugated as
     :func:`_chart_chain` builds it, and the columns are mapped back.
     """
-    gains, directions, constant = _chart_chain(x, kernel)
-    x = np.asarray(x, dtype=float)
-    wrapped = np.mod(x, 2.0 * np.pi)
+    point = _chart_point(x, kernel)
+    gains, directions, constant = _chart_chain(point, kernel)
+    radii, turns, alphas, rows, frame_angles = point
     d, n = gains.shape
     k, width = constant.shape
     # a_j = L_j v_j and b_j = v_j* R_j, in chain order
@@ -308,13 +311,10 @@ def _chart_jacobian(x, kernel: _ChartKernel) -> np.ndarray:
     jac = np.empty((kernel.size, n, k, width), dtype=complex)
 
     by_gain = a[kernel.searched_rows, :, :, None] * b[kernel.searched_rows, :, None, :]
-    radius_coordinates = x[kernel.radii]
-    radii = _real_to_radius(radius_coordinates)
-    turn = np.exp(1j * wrapped[kernel.thetas])[:, None]
-    alphas = radii[:, None] * turn
+    turn, alphas = turns[:, None], alphas[:, None]
     phis = gains[kernel.searched_rows] + 1.0
     offsets = kernel.zs - alphas
-    scale = np.exp(-np.abs(radius_coordinates))
+    scale = np.exp(-np.abs(np.asarray(x, dtype=float)[kernel.radii]))
     # the logistic factor, written without its cancellation near the top
     slopes = np.where(radii > RADIUS_CHART_MARGIN, (1.0 - RADIUS_MARGIN) * scale / (1.0 + scale) ** 2, 0.0)
     by_radius = slopes[:, None] * (phis * turn - kernel.zs * turn.conj()) / offsets
@@ -322,7 +322,6 @@ def _chart_jacobian(x, kernel: _ChartKernel) -> np.ndarray:
     jac[kernel.radii] = by_radius[:, :, None, None] * by_gain
     jac[kernel.thetas] = by_theta[:, :, None, None] * by_gain
 
-    rows = wrapped[kernel.directions].reshape(kernel.direction_shape)
     by_angle = _unit_vector_derivatives(k, rows[:, : k - 1], _with_leading_phase(rows[:, k - 1 :]))
     # the leading phase is fixed to zero, so it has no coordinate
     dv = np.delete(by_angle, k - 1, axis=1)
@@ -339,7 +338,7 @@ def _chart_jacobian(x, kernel: _ChartKernel) -> np.ndarray:
     by_direction *= gains[:, None, :, None, None]
     jac[kernel.directions] = by_direction.reshape(-1, n, k, width)
 
-    frame = _isometry_derivatives(*kernel.frame_shape, wrapped[kernel.frame])
+    frame = _isometry_derivatives(*kernel.frame_shape, frame_angles)
     if not kernel.iso:
         frame = frame.conj()
     # B_1 ... B_d dU for every frame angle, as one matrix product
@@ -349,7 +348,7 @@ def _chart_jacobian(x, kernel: _ChartKernel) -> np.ndarray:
 
 
 def _chart_objective(x, kernel: _ChartKernel) -> float:
-    """``objective(_decode(x, template), samples)``: the squared norm of the residual."""
+    """``objective(_decode(x, kernel), samples)``: the squared norm of the residual."""
     residual = _chart_residual(x, kernel)
     return float(residual @ residual)
 
@@ -378,7 +377,7 @@ def _optimal_frame_angles(x: np.ndarray, kernel: _ChartKernel) -> np.ndarray:
     form ``U C(z)`` is fitted as its transpose ``C(z)^T U^T``, as the
     kernel holds it.
     """
-    gains, directions, _ = _chart_chain(x, kernel)
+    gains, directions, _ = _chart_chain(_chart_point(x, kernel), kernel)
     values = _iso_product(gains, directions, np.eye(kernel.k, dtype=complex))
     accumulated = np.einsum("nij,nil->jl", values.conj(), kernel.targets)
     w, _, vh = np.linalg.svd(accumulated)
@@ -491,7 +490,7 @@ def fit_lossless(
             f"need at least {2 * d + 1} samples for degree {d}, got {len(samples)}"
         )
     best_x = None
-    best_template = None
+    best_kernel = None
     best_value = np.inf
     evaluations = 0
     identified = _loewner_poles(samples, d)
@@ -522,10 +521,10 @@ def fit_lossless(
         if value < best_value:
             best_value = value
             best_x = x
-            best_template = template
+            best_kernel = kernel
         if best_value < CONVERGED_OBJECTIVE:
             break
-    best_params = _decode(np.asarray(best_x, dtype=float), best_template)
+    best_params = _decode(best_x, best_kernel)
     best_value = objective(best_params, samples)
     return FitResult(
         params=best_params,

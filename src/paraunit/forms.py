@@ -17,11 +17,14 @@ form's poles (or, for a matrix fraction, its denominator's condition number)
 before computing; ``form(z)`` is the one-point case of ``eval_many``.
 
 Evaluation costs what the structure requires.  A product form computes
-every factor's gain ``phi_j(z) - 1`` in one broadcast over its poles.  A
-realization whose ``A`` is upper triangular (every realization the package
-writes) reads its poles off the diagonal and back-substitutes
-``(zI - A) X = B`` one state at a time, vectorized across the points; any
-other ``A`` runs ``eigvals`` once and an LU per point.
+every factor's gain ``phi_j(z) - 1`` in one broadcast over its poles and
+points, :func:`_blaschke_values`.  That is the package's one Blaschke
+kernel: :func:`blaschke_scalar` is its one-pole case, and the lossless fit
+calls it for the poles it searches.  A realization whose ``A`` is upper
+triangular (every realization the package writes) reads its poles off the
+diagonal and back-substitutes ``(zI - A) X = B`` one state at a time,
+vectorized across the points; any other ``A`` runs ``eigvals`` once and an
+LU per point.
 
 Forms are immutable: constructors validate and copy their inputs and the
 stored arrays are marked read-only.  Matrix fractions that the package's
@@ -122,37 +125,44 @@ def blaschke_scalar(pole: Pole, z):
     The pole-at-infinity limit is ``phi(z) = z``.  On the unit circle
     ``|phi(z)| = 1`` for every admissible pole.  Points within
     ``EVAL_POLE_MARGIN`` of the pole raise ``EvalAtPole``, as in every
-    form's ``eval_many``.
+    form's ``eval_many``.  This is the one-pole case of
+    :func:`_blaschke_values`.
     """
-    zs = np.array(z, dtype=complex)
-    if pole.is_infinity:
-        return zs[()]
-    alpha = pole.value
-    if np.any(np.abs(zs - alpha) <= EVAL_POLE_MARGIN):
-        raise EvalAtPole(f"a point is within {EVAL_POLE_MARGIN:.0e} of pole {alpha}")
-    return ((1.0 - alpha.conjugate() * zs) / (zs - alpha))[()]
+    zs = np.asarray(z, dtype=complex)
+    return _blaschke_values([pole], zs.reshape(-1)).reshape(zs.shape)[()]
 
 
-def _blaschke_gains(poles, zs: np.ndarray) -> np.ndarray:
-    """The ``(d, N)`` array of ``phi_j(z) - 1`` for every pole and point.
+def _blaschke_values(poles, zs: np.ndarray) -> np.ndarray:
+    """The ``(d, N)`` array of ``phi_j(z)`` for every pole and point.
 
-    One broadcast over the finite poles, with the formula of
-    :func:`blaschke_scalar`; a pole at infinity gives ``z - 1``.  A point
-    within ``EVAL_POLE_MARGIN`` of a finite pole raises ``EvalAtPole``
-    naming the first such pole in the order given, as ``blaschke_scalar``
-    called pole by pole would.
+    Finite poles go through :func:`_finite_blaschke_values`; a pole at
+    infinity gives ``z``.
     """
     finite = np.array([not pole.is_infinity for pole in poles], dtype=bool)
-    alphas = np.array([pole.value for pole in poles if not pole.is_infinity], dtype=complex)[:, None]
+    values = np.empty((finite.size, zs.size), dtype=complex)
+    values[finite] = _finite_blaschke_values([pole.value for pole in poles if not pole.is_infinity], zs)
+    values[~finite] = zs
+    return values
+
+
+def _finite_blaschke_values(alphas, zs: np.ndarray) -> np.ndarray:
+    """``phi(z) = (1 - conj(alpha) z) / (z - alpha)`` for finite pole values.
+
+    Row ``j`` of the ``(d, N)`` result holds the factor of ``alphas[j]`` at
+    every point of ``zs``.  A point within ``EVAL_POLE_MARGIN`` of a pole
+    raises ``EvalAtPole`` naming the first such pole in the order given.
+    """
+    alphas = np.asarray(alphas, dtype=complex)[:, None]
+    # the points enter as a row: numpy runs a (1, 1) by (1,) product through
+    # a loop that rounds otherwise than a batch's (which may fuse
+    # multiply-adds), so a lone point would not match its batch value
+    zs = zs[None, :]
     offsets = zs - alphas
     near = (np.abs(offsets) <= EVAL_POLE_MARGIN).any(axis=1)
     if near.any():
         alpha = complex(alphas[np.argmax(near), 0])
         raise EvalAtPole(f"a point is within {EVAL_POLE_MARGIN:.0e} of pole {alpha}")
-    gains = np.empty((finite.size, zs.size), dtype=complex)
-    gains[finite] = (1.0 - alphas.conj() * zs) / offsets - 1.0
-    gains[~finite] = zs - 1.0
-    return gains
+    return (1.0 - alphas.conj() * zs) / offsets
 
 
 def _points(zs) -> np.ndarray:
@@ -261,7 +271,7 @@ class BlaschkePotapovForm(_Form):
     def eval_many(self, zs) -> np.ndarray:
         """Evaluate at a batch of points; returns an ``(N, p, m)`` array."""
         zs = _points(zs)
-        gains = _blaschke_gains(self.poles, zs)
+        gains = _blaschke_values(self.poles, zs) - 1.0
         directions = [v for _, v in self.factors]
         if self.side == ISO:
             return _iso_product(gains, directions, self.constant)

@@ -40,11 +40,11 @@ from .forms import (
     LaurentPolyForm,
     MFDForm,
     StateSpaceRealization,
+    _blaschke_values,
     _fold_right,
     _phase_correction,
     _transposed_factors,
     _unit_direction,
-    blaschke_scalar,
 )
 from .linalg import _is_upper_triangular, _schur, isometry_residual, unitary_completion
 from .tolerances import (
@@ -170,33 +170,28 @@ def extract_constant(r_big, ss: StateSpaceRealization) -> np.ndarray:
         raise DimensionMismatch(
             f"embedding size {k} matches neither n+p={n + p} nor n+m={n + m}"
         )
+    r = ss.realization_matrix
     if k == n + p:
         try:
-            return _extract_tall(r_big, ss)
+            return _extract_tall(r_big, r, n)
         except InconsistentPair:
             if p != m:
                 raise
     # R = diag(I, U) r_big transposes to the tall case R^T = r_big^T diag(I, U^T)
-    big = StateSpaceRealization(r_big[:n, :n], r_big[:n, n:], r_big[n:, :n], r_big[n:, n:])
-    return _extract_tall(big.transpose().realization_matrix, ss.transpose()).T
+    return _extract_tall(r_big.T, r.T, n).T
 
 
-def _extract_tall(r_big: np.ndarray, ss: StateSpaceRealization) -> np.ndarray:
-    """``U`` with ``R = r_big @ diag(I_n, U)``, for a ``(n + p)``-square ``r_big``."""
-    n, p, m = ss.n, ss.p, ss.m
+def _extract_tall(r_big: np.ndarray, r: np.ndarray, n: int) -> np.ndarray:
+    """``U`` with ``r = r_big @ diag(I_n, U)``, for a square ``r_big`` with as many rows as ``r``."""
     unitarity = isometry_residual(r_big)
     if unitarity > ISOMETRY_TOL:
         raise InconsistentPair(
             f"embedding matrix is not unitary: residual {unitarity:.3e}"
         )
-    r = ss.realization_matrix
     u = (r_big.conj().T @ r)[n:, n:]
-    padded = np.block(
-        [
-            [np.eye(n, dtype=complex), np.zeros((n, m), dtype=complex)],
-            [np.zeros((p, n), dtype=complex), u],
-        ]
-    )
+    padded = np.zeros_like(r)
+    padded[:n, :n] = np.eye(n)
+    padded[n:, n:] = u
     residual = float(np.linalg.norm(r - r_big @ padded))
     if residual > EXTRACT_TOL:
         raise InconsistentPair(
@@ -228,7 +223,9 @@ def truncate_to_rect(
     ``f_sq(z) @ constant`` (iso) or ``constant @ f_sq(z)`` (coiso), so the
     constant of ``f_sq`` is kept.  ``side`` picks where the constant
     multiplies for a square constant (``"iso"`` on the right, ``"coiso"`` on
-    the left); rectangular constants determine it from their shape.
+    the left) and defaults to the side of ``f_sq``, so that
+    ``truncate_to_rect(*embed_to_square(f))`` rebuilds ``f``; rectangular
+    constants determine it from their shape.
     """
     if f_sq.p != f_sq.m:
         raise DimensionMismatch("f_sq must be square")
@@ -238,7 +235,7 @@ def truncate_to_rect(
         raise DimensionMismatch("constant must be 2-D")
     rows, cols = constant.shape
     if side is None:
-        side = ISO if rows >= cols else COISO
+        side = f_sq.side if rows == cols else ISO if rows > cols else COISO
     if side == COISO:
         return truncate_to_rect(f_sq.transpose(), constant.T, ISO).transpose()
     if rows != k or cols > k:
@@ -294,15 +291,12 @@ def flip_scalar(f: BlaschkePotapovForm, z: complex) -> complex:
     offending pole raises ``EvalAtPole``, as every ``eval_many`` does.
     """
     z = complex(z)
-    value = 1.0 + 0.0j
-    for pole in f.poles:
-        if pole.is_schur:
-            continue
+    offending = [pole for pole in f.poles if not pole.is_schur]
+    for pole in offending:
         zero = 0.0 if pole.is_infinity else 1.0 / pole.value.conjugate()
         if abs(z - zero) <= EVAL_POLE_MARGIN:
             raise EvalAtPole(f"{z} is within {EVAL_POLE_MARGIN:.0e} of the zero {zero} of phi for {pole}")
-        value /= blaschke_scalar(pole, z)
-    return complex(value)
+    return complex(1.0 / np.prod(_blaschke_values(offending, np.array([z]))))
 
 
 def ss_to_mfd(ss: StateSpaceRealization, side: str = RIGHT) -> MFDForm:

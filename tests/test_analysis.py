@@ -30,9 +30,9 @@ from paraunit import (
     ss_to_mfd,
 )
 import paraunit.analysis
-from paraunit.analysis import _autocorrelation
+from paraunit.analysis import _autocorrelation, _circle_degree
 from paraunit.linalg import solve_stein
-from paraunit.tolerances import SCHUR_MARGIN
+from paraunit.tolerances import CIRCLE_SAMPLES, SCHUR_MARGIN
 from conftest import block_hankel, fir_form, perturb_direction, random_form, random_unitary
 from golden import (
     SQRT2,
@@ -131,36 +131,25 @@ class TestCircleResidual:
         assert not cert.passed
         assert cert.residual > 1e-2
 
-    def test_requires_enough_samples(self):
-        with pytest.raises(ValueError):
-            circle_residual(row_example_bp(0.5), samples=4)
-
     def test_default_samples_track_degree(self):
         # cos(.3) + i sin(.3) z^32 is not lossless; 64 samples would alias it to a pass
         fir = phase_fir(32)
         cert = circle_residual(fir)
         assert not cert.passed
         assert abs(cert.residual - 0.56) <= 0.01
-        with pytest.raises(ValueError, match="degree 32"):
-            circle_residual(fir, samples=64)
 
     def test_aliasing_sample_count_raises(self):
         # at degree 8, 8 samples would read 8.9e-16 and the default reads 0.565
         fir = phase_fir(8)
         assert abs(circle_residual(fir).residual - 0.565) <= 0.001
-        with pytest.raises(ValueError, match="degree 8"):
-            circle_residual(fir, samples=8)
-        with pytest.raises(ValueError, match="degree 8"):
-            circle_residual(fir, samples=16)
-        assert not circle_residual(fir, samples=17).passed
 
     @pytest.mark.parametrize("broken", [False, True])
     @pytest.mark.parametrize("kind", ["bp", "bp_coiso", "ss", "mfd", "laurent"])
     def test_matches_reference_loop(self, kind, broken):
         form = circle_test_form(kind, broken)
-        samples = 72
+        samples = max(CIRCLE_SAMPLES, 2 * _circle_degree(form) + 1)
         worst, witness = reference_circle_residual(form, samples)
-        cert = circle_residual(form, samples=samples)
+        cert = circle_residual(form)
         assert abs(cert.residual - worst) <= 1e-13
         if broken:
             # the maximum is unique, so both must report the same point

@@ -79,7 +79,7 @@ class TestChartKernel:
             kernel = _ChartKernel(template, samples)
             start = _encode(template)
             x = start + rng.normal(scale=3.0, size=start.size)
-            expected = objective(_decode(x, template), samples)
+            expected = objective(_decode(x, kernel), samples)
             assert abs(_chart_objective(x, kernel) - expected) <= 1e-12 * expected
 
     def test_sample_on_a_decoded_pole_raises_on_both_paths(self):
@@ -88,16 +88,18 @@ class TestChartKernel:
         for seed in range(40):
             template = random_template(rng, seed)
             x = _encode(template) + rng.normal(size=_encode(template).size)
-            params = _decode(x, template)
+            zero = np.zeros((template.p, template.m))
+            params = _decode(x, _ChartKernel(template, SampleSet([(1.0, zero)])))
             poles = [pole.value for pole in params.poles if fit._searched(pole)]
             if not poles:
                 continue
             zs = np.append(circle_points(8), poles[-1])
-            samples = SampleSet([(z, np.zeros((template.p, template.m))) for z in zs])
-            with pytest.raises(EvalAtPole):
+            samples = SampleSet([(z, zero) for z in zs])
+            with pytest.raises(EvalAtPole) as public:
                 objective(params, samples)
-            with pytest.raises(EvalAtPole):
+            with pytest.raises(EvalAtPole) as chart:
                 _chart_objective(x, _ChartKernel(template, samples))
+            assert str(chart.value) == str(public.value)
             checked += 1
         assert checked >= 20
 

@@ -80,6 +80,17 @@ class TestBlaschkeScalar:
             for z in circle_points(64):
                 assert abs(abs(blaschke_scalar(alpha, z)) - 1.0) <= 1e-12
 
+    def test_one_point_matches_the_batch(self):
+        # the one-pole case of the batched kernel: a point alone and in a
+        # batch of any shape take the same arithmetic
+        rng = np.random.default_rng(41)
+        zs = rng.uniform(0.2, 3.0, 64) * np.exp(1j * rng.uniform(0, 2 * np.pi, 64))
+        for pole in [Pole(0.4 - 0.3j), Pole(-1.5 + 2.0j), Pole(0.0), Pole.infinity()]:
+            batch = blaschke_scalar(pole, zs)
+            assert np.array_equal(blaschke_scalar(pole, zs.reshape(8, 8)), batch.reshape(8, 8))
+            for z, value in zip(zs, batch):
+                assert blaschke_scalar(pole, z) == value
+
     def test_eval_at_pole(self):
         # the same margin as every form's eval_many
         for z in (0.5, 0.5 + 1e-10):

@@ -387,7 +387,9 @@ class TestSquareEmbedding:
             else:
                 assert np.linalg.norm(constant @ square(z) - form(z)) <= 1e-12
 
-    @pytest.mark.parametrize("seed,side,p,m", [(64, ISO, 3, 1), (65, COISO, 2, 4)])
+    @pytest.mark.parametrize(
+        "seed,side,p,m", [(64, ISO, 3, 1), (65, COISO, 2, 4), (66, COISO, 2, 2), (68, COISO, 3, 3)]
+    )
     def test_round_trip_is_exact(self, seed, side, p, m):
         form = random_form(seed, side, p, m, 2)
         rebuilt = truncate_to_rect(*embed_to_square(form))
