@@ -20,11 +20,13 @@ Evaluation costs what the structure requires.  A product form computes
 every factor's gain ``phi_j(z) - 1`` in one broadcast over its poles and
 points, :func:`_blaschke_values`.  That is the package's one Blaschke
 kernel: :func:`blaschke_scalar` is its one-pole case, and the lossless fit
-calls it for the poles it searches.  A realization whose ``A`` is upper
-triangular (every realization the package writes) reads its poles off the
-diagonal and back-substitutes ``(zI - A) X = B`` one state at a time,
-vectorized across the points; any other ``A`` runs ``eigvals`` once and an
-LU per point.
+calls it for the poles it searches.  A realization decides its structure
+once, in its Schur view :attr:`StateSpaceRealization.schur`, and reads its
+poles off the view's diagonal.  An upper triangular ``A`` (every
+realization the package writes) is its own Schur form, and its evaluation
+back-substitutes ``(zI - A) X = B`` one state at a time, vectorized across
+the points; any other ``A`` takes one ``zgees`` for the view and an LU of
+``zI - A`` per point.
 
 Forms are immutable: constructors validate and copy their inputs and the
 stored arrays are marked read-only.  Matrix fractions that the package's
@@ -40,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EvalAtPole, SingularDenominator
-from .linalg import _is_upper_triangular, as_complex_matrix, isometry_residual
+from .linalg import _schur_form, as_complex_matrix, isometry_residual
 from .tolerances import (
     DIRECTION_NORM_SLACK,
     DIRECTION_RENORM_SKIP,
@@ -342,8 +344,8 @@ class StateSpaceRealization(_Form):
         self.b = _readonly(b)
         self.c = _readonly(c)
         self.d = _readonly(d)
-        # filled on first use by pole_candidates() and analysis._gramians
-        self._eigenvalues = None
+        # filled on first use by the schur property and analysis._gramians
+        self._schur = None
         self._gramians = None
 
     @property
@@ -362,21 +364,33 @@ class StateSpaceRealization(_Form):
     def realization_matrix(self) -> np.ndarray:
         return np.block([[self.a, self.b], [self.c, self.d]])
 
-    def pole_candidates(self) -> np.ndarray:
-        """Eigenvalues of A (a superset of the poles when non-minimal).
+    @property
+    def schur(self):
+        """Schur view ``(T, U, U* B, C U)`` with ``A = U T U*``, computed on first use.
 
-        An upper triangular ``A`` has them on its diagonal.
+        The one structure test of a realization (:func:`linalg._schur_form`):
+        an upper triangular ``A`` gives ``(A, None, B, C)``, the identity
+        change with no copy; any other ``A`` takes one ``zgees``.  The arrays
+        are read-only and kept on the object.
         """
-        if self._eigenvalues is None:
-            a = self.a
-            self._eigenvalues = np.diagonal(a) if _is_upper_triangular(a) else np.linalg.eigvals(a)
-        return self._eigenvalues
+        if self._schur is None:
+            t, u = _schur_form(self.a)
+            if u is None:
+                self._schur = t, u, self.b, self.c
+            else:
+                self._schur = tuple(_readonly(x) for x in (t, u, u.conj().T @ self.b, self.c @ u))
+        return self._schur
+
+    def pole_candidates(self) -> np.ndarray:
+        """Eigenvalues of A (a superset of the poles when non-minimal): the diagonal of ``T``."""
+        return np.diagonal(self.schur[0])
 
     def eval_many(self, zs) -> np.ndarray:
         """Evaluate at a batch of points; returns an ``(N, p, m)`` array.
 
         An upper triangular ``A`` is back-substituted, O(n^2 m N); any other
-        ``A`` takes one LU of ``zI - A`` per point, O(n^3 N).
+        ``A`` takes one LU of ``zI - A`` per point, O(n^3 N), which is more
+        accurate inside the disk than back-substituting its Schur form.
         """
         zs = _points(zs)
         out = np.broadcast_to(self.d, (zs.size, self.p, self.m)).copy()
@@ -386,7 +400,7 @@ class StateSpaceRealization(_Form):
         if np.any(near):
             z = zs[np.argmax(near.any(axis=1))]
             raise EvalAtPole(f"{z} is within {EVAL_POLE_MARGIN:.0e} of a pole of A")
-        if _is_upper_triangular(self.a):
+        if self.schur[1] is None:
             return out + _triangular_transfer(self.a, self.b, self.c, zs)
         resolvent = np.linalg.solve(zs[:, None, None] * np.eye(self.n) - self.a, self.b)
         return out + self.c @ resolvent

@@ -31,8 +31,8 @@ def _lapack():
     Raw LAPACK calls: scipy.linalg.schur / solve_triangular checks cost more
     than a whole solve at n <= 8, and as_complex_matrix has already rejected
     NaN / Inf.  Imported on first use, because loading scipy.linalg costs more
-    than most CLI commands, and only the Stein solve and the fraction of a
-    realization whose ``A`` is not upper triangular need it.
+    than most CLI commands, and only the Stein solve and the Schur form of a
+    matrix that is not upper triangular (:func:`_schur_form`) need it.
     """
     from scipy.linalg.lapack import zgees, ztrtrs
 
@@ -50,6 +50,16 @@ def _schur(a: np.ndarray):
 def _is_upper_triangular(a: np.ndarray) -> bool:
     """Whether the square matrix ``a`` has no nonzero entry below its diagonal."""
     return not np.tril(a, -1).any()
+
+
+def _schur_form(a: np.ndarray):
+    """``(T, U)`` with ``A = U T U*`` and ``T`` upper triangular; ``U`` is ``None`` when ``T is a``.
+
+    The one place that decides a matrix's structure: an upper triangular
+    matrix (every realization the package writes) is its own Schur form, and
+    any other takes one ``zgees``.
+    """
+    return (a, None) if _is_upper_triangular(a) else _schur(a)
 
 
 def as_complex_matrix(x, name: str = "matrix") -> np.ndarray:
@@ -151,13 +161,11 @@ def solve_stein(a, q, side: str = "cont") -> np.ndarray:
     triangular, ``X = U* W U`` solves ``X - T X T* = U* Q U`` column by
     column from the last, each an upper-triangular solve with
     ``I - conj(t_jj) T``.  O(n^3) time, O(n^2) memory; the stability test
-    reads ``max |diag T|``.  The ``"obs"`` side solves the same equation
-    with ``A*`` in place of ``A``.  An upper triangular matrix is its own
-    ``T`` (``U = I``), and a lower triangular one is reversed into one
-    (``U = J``, the order-reversing permutation), so neither runs the Schur
-    step: every realization the package writes has an upper triangular
-    ``A``, whose ``"obs"`` side is the lower triangular case.  Any other
-    matrix goes through the complex Schur form (LAPACK ``zgees``).
+    reads ``max |diag T|``.  ``A`` is classified once by
+    :func:`_schur_form`: an upper triangular ``A`` (every realization the
+    package writes) is its own ``T`` and runs no Schur step.  The ``"obs"``
+    side flips the same form, ``A* = (U J)(J T* J)(U J)*`` with ``J`` the
+    order-reversing permutation, since ``J T* J`` is upper triangular too.
     """
     a = as_complex_matrix(a, "a")
     q = as_complex_matrix(q, "q")
@@ -171,17 +179,14 @@ def solve_stein(a, q, side: str = "cont") -> np.ndarray:
         raise NotHermitian(f"q is not Hermitian: residual {herm_residual:.3e}")
     if n == 0:
         return q.copy()
-    if side == "obs":
-        a = a.conj().T
-    upper = _is_upper_triangular(a)
-    lower = not upper and _is_upper_triangular(a.T)
-    # J A J is upper triangular for a lower triangular A and the order-reversing J
-    if lower:
-        a, q = np.ascontiguousarray(a[::-1, ::-1]), q[::-1, ::-1]
-    if upper or lower:
-        t, u, x = a, None, q.copy()
+    t, u = _schur_form(a)
+    rev = slice(None, None, -1 if side == "obs" else 1)
+    if side == "obs":  # A* = (U J)(J T* J)(U J)*, where rev applies J
+        t = np.ascontiguousarray(t.conj().T[rev, rev])
+    if u is None:
+        x = q[rev, rev].copy()
     else:
-        t, u = _schur(a)
+        u = u[:, rev]
         x = u.conj().T @ q @ u
     rho = float(np.max(np.abs(np.diagonal(t))))
     if rho >= 1.0 - SCHUR_MARGIN:
@@ -195,9 +200,7 @@ def solve_stein(a, q, side: str = "cont") -> np.ndarray:
         x[:, j], info = ztrtrs((eye - tc[j, j] * t_rows).T, rhs)
         if info != 0:  # pragma: no cover - the margin keeps every pivot nonzero
             raise ConvergenceFailure(f"triangular solve failed: LAPACK trtrs info {info}")
-    w = x if u is None else u @ x @ u.conj().T
-    if lower:
-        w = w[::-1, ::-1]
+    w = x[rev, rev] if u is None else u @ x @ u.conj().T
     return 0.5 * (w + w.conj().T)
 
 
@@ -227,17 +230,11 @@ def hermitian_eig(m):
 def spectral_radius(a) -> float:
     """Largest eigenvalue modulus of a square matrix of any size ``n >= 1``.
 
-    An upper triangular matrix (every realization the package writes) has
-    its eigenvalues on the diagonal; any other runs ``eigvals``.
+    Read off the diagonal of its Schur form (:func:`_schur_form`): an upper
+    triangular matrix (every realization the package writes) is its own.
     """
     a = as_complex_matrix(a, "a")
     n = _require_square(a, "a")
     if n < 1:
         raise DimensionMismatch("matrix must be at least 1x1")
-    if _is_upper_triangular(a):
-        return float(np.max(np.abs(np.diagonal(a))))
-    try:
-        eigenvalues = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failures are rare
-        raise ConvergenceFailure(f"eigenvalue iteration failed: {exc}") from exc
-    return float(np.max(np.abs(eigenvalues)))
+    return float(np.max(np.abs(np.diagonal(_schur_form(a)[0]))))

@@ -46,7 +46,7 @@ from .forms import (
     _transposed_factors,
     _unit_direction,
 )
-from .linalg import _is_upper_triangular, _schur, isometry_residual, unitary_completion
+from .linalg import isometry_residual, unitary_completion
 from .tolerances import (
     EMBED_RESIDUAL_TOL,
     EVAL_POLE_MARGIN,
@@ -303,8 +303,8 @@ def ss_to_mfd(ss: StateSpaceRealization, side: str = RIGHT) -> MFDForm:
     """Matrix fraction of a realization over a scalar denominator.
 
     The realization is multiplied out in one forward sweep over the states
-    of an upper triangular ``A``; any other ``A`` is first replaced by its
-    complex Schur form ``T = U* A U``, with ``(U* B, C U)``.  The work
+    of its Schur view ``(T, U, U* B, C U)`` (:attr:`StateSpaceRealization.schur`),
+    which is the realization itself when ``A`` is upper triangular.  The work
     polynomial ``W`` starts as ``[C | D]``.  Peeling state ``j`` (pole
     ``t = T[j, j]``) turns it into
     ``(z - t) W[:, 1:] + W[:, :1] [T | B][j, j+1:]`` and multiplies the
@@ -315,10 +315,7 @@ def ss_to_mfd(ss: StateSpaceRealization, side: str = RIGHT) -> MFDForm:
     downstream do not require coprimeness.  Entries too large for the
     sweep raise ``ValueError``: the fraction overflowed.
     """
-    a, b, c = ss.a, ss.b, ss.c
-    if not _is_upper_triangular(a):
-        a, u = _schur(a)
-        b, c = u.conj().T @ b, c @ u
+    a, _, b, c = ss.schur
     top = np.hstack([a, b])
     work = np.hstack([c, ss.d])[None]
     den = np.ones(1, dtype=complex)

@@ -10,13 +10,14 @@ from paraunit import (
     Pole,
     SampleSet,
     StateSpaceRealization,
+    bp_to_realization,
     build_paraunitary,
     random_params,
     ss_to_mfd,
 )
 from paraunit.cli import execute
 from paraunit.documents import read_document, write_document
-from conftest import circle_points, random_form, random_unitary
+from conftest import circle_points, perturb_direction, random_form, random_unitary
 from golden import row_example_bp, row_example_ss_normalized, row_example_ss_unnormalized
 
 
@@ -205,6 +206,50 @@ class TestConvert:
         code, _, err = run(capsys, "convert", str(source), "--to", "ss", "-o", str(tmp_path / "x.json"))
         assert code == 2
         assert "flip" in err
+
+
+def write_rotated_pair(tmp_path, perturbed=False):
+    """Paths of a 4x2 d8 cascade ss document and of the same realization after a
+    seeded unitary state change, whose ``A`` is dense."""
+    form = random_form(8, ISO, 4, 2, 8, schur_only=True)
+    if perturbed:
+        form = perturb_direction(form, 1.01, 4)
+    ss = bp_to_realization(form, validate=False)
+    u = random_unitary(np.random.default_rng(8), ss.n)
+    dense = StateSpaceRealization(u.conj().T @ ss.a @ u, u.conj().T @ ss.b, ss.c @ u, ss.d)
+    paths = tmp_path / "triangular.json", tmp_path / "dense.json"
+    for path, realization in zip(paths, (ss, dense)):
+        write_document(path, realization)
+    return paths
+
+
+def verdict_lines(out):
+    """``(certificate, verdict)`` of every certificate line the CLI printed."""
+    return [(line.split()[0], line.rsplit("=", 1)[1]) for line in out.splitlines() if "verdict=" in line]
+
+
+class TestDenseRealization:
+    def test_commands_match_the_triangular_document(self, tmp_path, capsys):
+        reports = []
+        for path in write_rotated_pair(tmp_path):
+            mfd = path.with_name(f"{path.stem}_mfd.json")
+            runs = [
+                run(capsys, "check", str(path)), run(capsys, "gramians", str(path)),
+                run(capsys, "convert", str(path), "--to", "mfd", "-o", str(mfd)), run(capsys, "check", str(mfd)),
+                run(capsys, "eval", str(path), "--at", "0.6,0.8"),
+            ]
+            assert [code for code, _, _ in runs] == [0] * len(runs)
+            value = np.array([[complex(x) for x in line.split()] for line in runs[-1][1].splitlines()[1:]])
+            reports.append(([verdict_lines(out) for _, out, _ in runs], value))
+        (triangular, expected), (dense, value) = reports
+        assert dense == triangular
+        assert [verdict for _, verdict in sum(dense, [])] == ["Pass"] * 6
+        assert np.linalg.norm(value - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_perturbed_dense_document_fails(self, tmp_path, capsys):
+        triangular, dense = (run(capsys, "check", str(path)) for path in write_rotated_pair(tmp_path, perturbed=True))
+        assert dense[0] == triangular[0] == 1
+        assert verdict_lines(dense[1]) == verdict_lines(triangular[1])
 
 
 class TestFlipAndEmbed:

@@ -1,15 +1,18 @@
 """The certificate suite on the structure every package realization has.
 
 ``bp_to_realization`` writes an upper triangular ``A``, and the package's
-conversions write fractions over ``den(z) I`` with a scalar ``den``.  The
-Stein solve, the spectral radius, the realization's evaluation and its
-fraction read that structure instead of running a Schur form or an
-eigenvalue solver.  The guards below make sure no certificate on such a
-realization reaches either one, and that the suite solves one Stein pair per
-realization and no eigenvectors for the contraction certificate.  The table
-pins every verdict and McMillan degree on a seeded set of forms, as computed
-before these structural paths existed (with the Schur step and the per-point
-LU).
+conversions write fractions over ``den(z) I`` with a scalar ``den``.  A
+realization decides its structure once, in its Schur view ``ss.schur``
+(``linalg._schur_form``); for a triangular ``A`` the view is the identity
+change, so the Stein solve, the spectral radius, the realization's
+evaluation and its fraction run neither a Schur form nor an eigenvalue
+solver.  The guards below make sure no certificate on such a realization
+reaches either one, and that the suite solves one Stein pair per realization
+and no eigenvectors for the contraction certificate.  The table pins every
+verdict and McMillan degree on a seeded set of forms, as computed before
+these structural paths existed (with the Schur step and the per-point LU).
+A dense realization, the same cascade after a unitary state change, takes
+the view's Schur step and must give the same verdicts and degree.
 """
 
 import numpy as np
@@ -17,13 +20,13 @@ import pytest
 
 import paraunit.analysis
 import paraunit.linalg
-import paraunit.transforms
 from paraunit import (
     COISO,
     ISO,
     LEFT,
     RIGHT,
     SideMismatch,
+    StateSpaceRealization,
     bp_to_mfd,
     bp_to_realization,
     circle_residual,
@@ -34,7 +37,7 @@ from paraunit import (
     spectral_radius,
     ss_to_mfd,
 )
-from conftest import circle_points, perturb_direction, random_form
+from conftest import circle_points, perturb_direction, random_form, random_unitary
 
 SHAPES = {"4x2": (ISO, 4, 2), "2x4": (COISO, 2, 4), "3x3": (ISO, 3, 3)}
 
@@ -61,9 +64,13 @@ def seeded_form(shape, d):
     return random_form(1000 + d, side, p, m, d, schur_only=True)
 
 
-def verdicts(form):
-    """Verdict letters of the six columns of ``PINNED`` and the McMillan degree."""
-    ss = bp_to_realization(form, validate=False)
+def verdicts(form, ss=None):
+    """Verdict letters of the six columns of ``PINNED`` and the McMillan degree.
+
+    ``ss`` realizes ``form``; by default it is the cascade realization.
+    """
+    if ss is None:
+        ss = bp_to_realization(form, validate=False)
     side = RIGHT if form.p >= form.m else LEFT
     certs = [
         circle_residual(ss), realization_check(ss), *gramian_certificate(ss)[2],
@@ -101,7 +108,6 @@ def no_schur_or_eigvals(monkeypatch):
         raise AssertionError("a triangular realization reached a Schur or eigenvalue solver")
 
     monkeypatch.setattr(paraunit.linalg, "_schur", refuse)
-    monkeypatch.setattr(paraunit.transforms, "_schur", refuse)
     monkeypatch.setattr(np.linalg, "eigvals", refuse)
 
 
@@ -143,3 +149,28 @@ def test_suite_solves_one_stein_pair(monkeypatch, shape):
     certs += gramian_certificate(ss)[2]
     assert all(cert.passed for cert in certs)
     assert solves == ["cont", "obs"]
+
+
+def rotated(ss, seed):
+    """``ss`` after a seeded unitary state change ``A -> U* A U``: a dense ``A`` for ``n > 1``."""
+    u = random_unitary(np.random.default_rng(seed), ss.n)
+    return StateSpaceRealization(u.conj().T @ ss.a @ u, u.conj().T @ ss.b, ss.c @ u, ss.d)
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize("d", [1, 8, 64])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_dense_realization_keeps_verdicts_and_poles(shape, d, perturbed):
+    form = seeded_form(shape, d)
+    if perturbed:
+        form = perturb_direction(form, 1.01, d // 2)
+    ss = bp_to_realization(form, validate=False)
+    dense = rotated(ss, d)
+    assert (dense.schur[1] is None) == (d == 1)
+    assert verdicts(form, dense) == verdicts(form)
+    # each pole candidate is an eigenvalue of A within 1e-12 backward; a forward
+    # comparison cannot hold, because the cascade's origin poles form Jordan
+    # chains, which a rounding error of 1e-16 splits by up to 0.2 at d64
+    for pole in dense.pole_candidates():
+        assert np.linalg.svd(pole * np.eye(d) - ss.a, compute_uv=False)[-1] <= 1e-12
+    assert abs(spectral_radius(dense.a) - spectral_radius(ss.a)) <= 1e-12
