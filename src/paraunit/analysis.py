@@ -33,10 +33,12 @@ from .forms import (
     MFDForm,
     StateSpaceRealization,
 )
-# perfbench/tracing.py shims analysis.evaluate, analysis.spectral_radius and
-# analysis.hermitian_eig, so these names stay importable here
+# perfbench/tracing.py shims analysis.evaluate, analysis.solve_stein,
+# analysis.spectral_radius and analysis.hermitian_eig, so these names stay
+# importable here
 from .forms import evaluate  # noqa: F401
-from .linalg import _finite_norm, hermitian_eig, solve_stein, spectral_radius  # noqa: F401
+from .linalg import _finite_norm, _solve_stein_schur
+from .linalg import hermitian_eig, solve_stein, spectral_radius  # noqa: F401
 from .tolerances import (
     CIRCLE_SAMPLES,
     CIRCLE_TOL,
@@ -147,12 +149,15 @@ def realization_check(ss: StateSpaceRealization, tol: float = REALIZATION_TOL) -
 def _gramians(ss: StateSpaceRealization):
     """``(w_cont, w_obs)`` of ``ss``, solved on first use and kept, read-only, on ``ss``.
 
-    ``solve_stein`` raises ``NotSchurStable`` near the circle, and then nothing
-    is kept.  The blocks of ``ss`` are read-only, so the pair cannot go stale.
+    Both sides are solved on the Schur view ``ss.schur``, so ``A`` is
+    factored at most once.  The solve raises ``NotSchurStable`` near the
+    circle, and then nothing is kept.  The blocks of ``ss`` are read-only, so
+    the pair cannot go stale.
     """
     if ss._gramians is None:
-        w_cont = solve_stein(ss.a, ss.b @ ss.b.conj().T, side="cont")
-        w_obs = solve_stein(ss.a, ss.c.conj().T @ ss.c, side="obs")
+        t, u = ss.schur[:2]
+        w_cont = _solve_stein_schur(t, u, ss.b @ ss.b.conj().T, side="cont")
+        w_obs = _solve_stein_schur(t, u, ss.c.conj().T @ ss.c, side="obs")
         w_cont.setflags(write=False)
         w_obs.setflags(write=False)
         ss._gramians = w_cont, w_obs

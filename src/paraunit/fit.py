@@ -13,6 +13,11 @@ start from the poles a Loewner pencil identifies (:func:`_loewner_poles`),
 with seeded directions and frame; the plain seeded restarts follow only if
 none of those recovers the target.  ``restarts`` may therefore mean up to
 ``2 * restarts`` searches, and ``FitResult.iterations`` counts all of them.
+An identified pole within ``LOEWNER_ORIGIN_RADIUS`` of the origin starts
+at the origin and stays there (:func:`_identified_start`): the pencil
+spreads an origin pole of multiplicity ``k`` to radius about
+``eps^(1/k)``, where a searched pole's radius and phase columns of the
+Jacobian are proportional to that radius, so the search would crawl.
 
 Each restart builds one :class:`_ChartKernel` from its frozen template and
 the samples; the kernel states the coordinate layout, which
@@ -60,6 +65,7 @@ from .tolerances import (
     DIRECTION_NORM_SLACK,
     FIT_EVAL_BUDGET,
     ISOMETRY_TOL,
+    LOEWNER_ORIGIN_RADIUS,
     LOEWNER_RANK_RTOL,
     POLE_CIRCLE_MARGIN,
     RADIUS_CHART_MARGIN,
@@ -147,6 +153,15 @@ def _real_to_radius(x):
     r = (1.0 - RADIUS_MARGIN) * np.where(np.greater_equal(x, 0.0), 1.0, scale) / (1.0 + scale)
     # the quotient never exceeds 1 - RADIUS_MARGIN; it can underflow to 0
     return np.maximum(r, RADIUS_CHART_MARGIN)
+
+
+def _identified_start(a: complex) -> Pole:
+    """The start of an identified pole ``a``: the origin, which the search
+    keeps fixed, when ``|a| <= LOEWNER_ORIGIN_RADIUS``, and otherwise ``a``
+    with its radius clamped into the radius chart."""
+    if abs(a) <= LOEWNER_ORIGIN_RADIUS:
+        return Pole(0.0)
+    return Pole(_chart_radius(abs(a)) * np.exp(1j * cmath.phase(a)))
 
 
 def _searched(pole: Pole) -> bool:
@@ -462,10 +477,13 @@ def fit_lossless(
     Each restart draws a fresh seeded starting point (its origin poles stay
     at the origin for the whole search), snaps the constant block to its
     closed-form (Procrustes) optimum when that lowers the objective, and
-    runs one :func:`minimize` from there.  When :func:`_loewner_poles` identifies the ``d`` poles from
-    the samples, ``restarts`` identified restarts come first: each takes the
-    directions and frame of its seeded draw and every pole from the
-    identification, with its radius clamped into the radius chart.  The
+    runs one :func:`minimize` from there.  When :func:`_loewner_poles`
+    identifies the ``d`` poles from the samples, ``restarts`` identified
+    restarts come first: each takes the directions and frame of its seeded
+    draw and every pole from the identification
+    (:func:`_identified_start`): a pole of modulus at most
+    ``LOEWNER_ORIGIN_RADIUS`` starts at the origin, where it stays, and any
+    other with its radius clamped into the radius chart.  The
     ``restarts`` seeded restarts of the plain draws follow, so a target the
     identified starts do not recover is searched at least as widely as
     without them, by up to ``2 * restarts`` searches.  The loop stops at
@@ -497,9 +515,7 @@ def fit_lossless(
     # None keeps the seeded draw's own poles
     pole_sets = [None]
     if identified is not None:
-        pole_sets.insert(0, tuple(
-            Pole(_chart_radius(abs(a)) * np.exp(1j * cmath.phase(a))) for a in identified
-        ))
+        pole_sets.insert(0, tuple(_identified_start(a) for a in identified))
     for poles, restart in itertools.product(pole_sets, range(restarts)):
         template = random_params(seed + restart, side, p, m, d, schur_only=True)
         if poles is not None:

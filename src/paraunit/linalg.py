@@ -177,9 +177,19 @@ def solve_stein(a, q, side: str = "cont") -> np.ndarray:
     herm_residual = float(np.linalg.norm(q - q.conj().T))
     if herm_residual > STEIN_HERMITIAN_RTOL * max(1.0, float(np.linalg.norm(q))):
         raise NotHermitian(f"q is not Hermitian: residual {herm_residual:.3e}")
+    return _solve_stein_schur(*_schur_form(a), q, side=side)
+
+
+def _solve_stein_schur(t: np.ndarray, u, q: np.ndarray, side: str) -> np.ndarray:
+    """:func:`solve_stein` on the Schur form ``(T, U)`` of ``A`` (:func:`_schur_form`).
+
+    Makes the stability test but none of the input checks, so a caller that
+    already holds the form of ``A`` (a realization's Schur view) solves
+    both sides without factoring ``A`` again.
+    """
+    n = t.shape[0]
     if n == 0:
         return q.copy()
-    t, u = _schur_form(a)
     rev = slice(None, None, -1 if side == "obs" else 1)
     if side == "obs":  # A* = (U J)(J T* J)(U J)*, where rev applies J
         t = np.ascontiguousarray(t.conj().T[rev, rev])

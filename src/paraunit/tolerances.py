@@ -86,3 +86,14 @@ FIT_EVAL_BUDGET = 200
 #: singular values of ``[L S]`` and ``[L; S]`` stay above 8e-5 and the
 #: dropped ones below 7.4e-16, so the cut sits five orders from either side.
 LOEWNER_RANK_RTOL = 1e-10
+#: An identified pole of at most this modulus starts the search at the
+#: origin, where it stays.  An origin pole of multiplicity ``k`` comes out of
+#: the pencil as a cluster of radius about ``eps^(1/k)``.  On 1200 seeded
+#: Schur draws (``p, m <= 4``, ``d <= 6``) the widest cluster measured 7.8e-11
+#: for one, 1.5e-6 for two, 4.8e-5 for three and 5.1e-5 to 2.0e-4 for four,
+#: so the cut takes every cluster of up to three; a pole of a wider cluster
+#: starts searched, as every identified pole did before the cut.  None of
+#: the draws' 3122 true nonzero finite poles lay below it, and one that does
+#: costs the fit speed only: a start that misses falls through to the seeded
+#: restarts.
+LOEWNER_ORIGIN_RADIUS = 1e-4

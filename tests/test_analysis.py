@@ -236,12 +236,13 @@ class TestGramianMemo:
     @pytest.fixture
     def solves(self, monkeypatch):
         sides = []
+        solve = paraunit.analysis._solve_stein_schur
 
         def counted(*args, **kwargs):
             sides.append(kwargs["side"])
-            return solve_stein(*args, **kwargs)
+            return solve(*args, **kwargs)
 
-        monkeypatch.setattr(paraunit.analysis, "solve_stein", counted)
+        monkeypatch.setattr(paraunit.analysis, "_solve_stein_schur", counted)
         return sides
 
     def test_pair_is_solved_once(self, solves):

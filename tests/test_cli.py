@@ -15,6 +15,7 @@ from paraunit import (
     random_params,
     ss_to_mfd,
 )
+import paraunit.linalg
 from paraunit.cli import execute
 from paraunit.documents import read_document, write_document
 from conftest import circle_points, perturb_direction, random_form, random_unitary
@@ -250,6 +251,16 @@ class TestDenseRealization:
         triangular, dense = (run(capsys, "check", str(path)) for path in write_rotated_pair(tmp_path, perturbed=True))
         assert dense[0] == triangular[0] == 1
         assert verdict_lines(dense[1]) == verdict_lines(triangular[1])
+
+    @pytest.mark.parametrize("command", ["check", "gramians"])
+    def test_one_schur_factorization_per_command(self, monkeypatch, tmp_path, capsys, command):
+        calls = []
+        schur = paraunit.linalg._schur
+        monkeypatch.setattr(paraunit.linalg, "_schur", lambda a: calls.append(1) or schur(a))
+        triangular, dense = write_rotated_pair(tmp_path)
+        assert run(capsys, command, str(triangular))[0] == 0 and not calls
+        assert run(capsys, command, str(dense))[0] == 0
+        assert len(calls) == 1
 
 
 class TestFlipAndEmbed:

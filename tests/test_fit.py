@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ import paraunit.fit as fit
 from paraunit.fit import (
     _ChartKernel, _chart_jacobian, _chart_objective, _chart_residual, _decode, _encode, minimize,
 )
-from paraunit.tolerances import RADIUS_CHART_MARGIN
+from paraunit.tolerances import LOEWNER_ORIGIN_RADIUS, RADIUS_CHART_MARGIN
 from conftest import circle_points
 
 
@@ -371,3 +373,59 @@ class TestLoewnerPoles:
         assert result.objective <= 2.0 * np.linalg.norm(noise) ** 2 < seeded_only.objective
         # neither converges: 16 searches with identification, 8 without
         assert not result.converged and len(searches) == 16 + 8
+
+
+class TestOriginStarts:
+    # (seed, side, p, m, d, origin poles) of seeded targets
+    ORIGIN_TARGETS = [
+        (311, COISO, 1, 2, 2, 1),
+        (306, ISO, 3, 1, 2, 1),
+        (309, COISO, 1, 2, 2, 2),
+        (536, ISO, 3, 1, 3, 3),
+    ]
+
+    @pytest.mark.parametrize("seed, side, p, m, d, origins", ORIGIN_TARGETS)
+    def test_origin_poles_recover_on_the_first_search(self, monkeypatch, seed, side, p, m, d, origins):
+        target = random_params(seed, side, p, m, d, schur_only=True)
+        assert sum(pole.value == 0 for pole in target.poles) == origins
+        samples = samples_from_params(target)
+        searches = []
+
+        def counted(x, kernel):
+            searches.append(1)
+            return minimize(x, kernel)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fit, "minimize", counted)
+            result = fit_lossless(samples, d=d, p=p, m=m, side=side, seed=seed + 1)
+        assert result.converged and len(searches) == 1
+        assert sum(pole.value == 0 for pole in result.params.poles) == origins
+        with monkeypatch.context() as patch:
+            patch.setattr(fit, "LOEWNER_ORIGIN_RADIUS", 0.0)
+            clamped = fit_lossless(samples, d=d, p=p, m=m, side=side, seed=seed + 1)
+        assert result.iterations < clamped.iterations
+
+    def test_one_origin_pole_costs_few_evaluations(self):
+        target = random_params(311, COISO, 1, 2, 2, schur_only=True)
+        result = fit_lossless(samples_from_params(target), d=2, p=1, m=2, side=COISO, seed=312)
+        assert result.converged and result.iterations <= 20
+
+    def test_loewner_poles_keep_the_raw_cluster(self):
+        # the snap to the origin happens in fit_lossless alone
+        target = random_params(536, ISO, 3, 1, 3, schur_only=True)
+        poles = fit._loewner_poles(samples_from_params(target), 3)
+        assert ((0 < np.abs(poles)) & (np.abs(poles) <= LOEWNER_ORIGIN_RADIUS)).all()
+
+    def test_triple_origin_miss_recovers(self):
+        # three origin poles, which the pencil identifies at radius 1.2e-6
+        target = random_params(7062, COISO, 3, 3, 5, schur_only=True)
+        result = fit_lossless(samples_from_params(target), d=5, p=3, m=3, side=COISO, seed=8062)
+        assert result.converged
+
+    @pytest.mark.parametrize("radius", [3e-5, 3e-7])
+    def test_true_pole_below_the_cut_still_recovers(self, radius):
+        target = random_params(311, COISO, 1, 2, 2, schur_only=True)
+        target = replace(target, poles=(Pole(radius * np.exp(0.7j)),) + target.poles[1:])
+        assert fit._searched(target.poles[0])
+        result = fit_lossless(samples_from_params(target), d=2, p=1, m=2, side=COISO, seed=312)
+        assert result.converged

@@ -127,16 +127,16 @@ def test_suite_on_a_cascade_runs_no_schur_step(no_schur_or_eigvals, shape, d):
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_suite_solves_one_stein_pair(monkeypatch, shape):
     solves = []
-    solve_stein = paraunit.analysis.solve_stein
+    solve = paraunit.analysis._solve_stein_schur
 
     def counted(*args, **kwargs):
         solves.append(kwargs["side"])
-        return solve_stein(*args, **kwargs)
+        return solve(*args, **kwargs)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the contraction certificate computed eigenvectors")
 
-    monkeypatch.setattr(paraunit.analysis, "solve_stein", counted)
+    monkeypatch.setattr(paraunit.analysis, "_solve_stein_schur", counted)
     form = seeded_form(shape, 16)
     ss = bp_to_realization(form)
     with monkeypatch.context() as patch:
