@@ -8,11 +8,16 @@ moves in polar coordinates whose radius runs through a smooth bijection
 from the real line onto ``(0, 1 - RADIUS_MARGIN)``, and all angles are
 unconstrained reals wrapped modulo ``2 pi`` when decoded.
 
-The degree fixes a member's poles by its samples, so the first restarts
-start from the poles a Loewner pencil identifies (:func:`_loewner_poles`),
-with seeded directions and frame; the plain seeded restarts follow only if
-none of those recovers the target.  ``restarts`` may therefore mean up to
-``2 * restarts`` searches, and ``FitResult.iterations`` counts all of them.
+The degree fixes a member's poles by its samples, and the poles fix its
+directions, so the restarts run in three kinds.  The first starts from the
+identified product: the poles a Loewner pencil identifies
+(:func:`_loewner_poles`) and the directions the samples then determine
+(:func:`_identified_directions`), which usually recovers the target with
+no search at all.  The other identified restarts take the identified poles
+with seeded directions and frame, and the plain seeded restarts follow only
+if none of those recovers the target.  ``restarts`` may therefore mean up
+to ``2 * restarts`` searches, and ``FitResult.iterations`` counts all of
+them.
 An identified pole within ``LOEWNER_ORIGIN_RADIUS`` of the origin starts
 at the origin and stays there (:func:`_identified_start`): the pencil
 spreads an origin pole of multiplicity ``k`` to radius about
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,6 +57,7 @@ from .forms import COISO, ISO, Pole, _blaschke_values, _finite_blaschke_values, 
 from .linalg import isometry_residual
 from .params import (
     ParaunitaryParam,
+    _angles_for_unit_vector,
     _isometry_derivatives,
     _unit_vector_derivatives,
     _with_leading_phase,
@@ -373,8 +380,8 @@ def minimize(x: np.ndarray, kernel: _ChartKernel):
     least-squares solve of the kernel's residual, with the exact Jacobian of
     :func:`_chart_jacobian` and at most
     :data:`~paraunit.tolerances.FIT_EVAL_BUDGET` residual evaluations.
-    scipy.optimize is imported here, on the first fit, because loading it
-    costs more than most CLI commands and only the fit calls it."""
+    scipy.optimize is imported here, on the first search, because loading
+    it costs more than most CLI commands and only the fit calls it."""
     from scipy.optimize import least_squares
 
     return least_squares(
@@ -407,6 +414,48 @@ def _splice_optimal_frame(x: np.ndarray, kernel: _ChartKernel) -> np.ndarray:
     out = np.array(x, dtype=float)
     out[kernel.frame] = _optimal_frame_angles(x, kernel)
     return out
+
+
+def _identified_directions(kernel: _ChartKernel):
+    """The direction rows, in the kernel's layout, of the product with the
+    template's poles that the kernel's samples determine, or ``None``.
+
+    The samples walk the iso chain of :func:`_chart_chain` (reversed and
+    conjugated for coiso) one factor at a time.  The pole ``a`` of the
+    first factor left is a pole of order ``q`` of what is left, its
+    multiplicity among the poles left (only exactly equal values repeat, as
+    origin poles do), and the coefficient of ``(z - a)^-q`` has the range
+    of the factor's direction ``v``.  One least-squares solve of the
+    samples on ``{1}`` and each ``(z - b)^-s`` of the poles left gives that
+    coefficient (the fixed-pole residue step of vector fitting, Gustavsen &
+    Semlyen 1999), ``v`` is its leading left singular vector, and the
+    samples are multiplied by the factor's inverse ``I + (1/phi - 1) v v*``.
+    ``None`` means a step was not finite or a coefficient was zero.
+    """
+    alphas = np.array([pole.value for pole in kernel.template.poles], dtype=complex)
+    phis = _finite_blaschke_values(alphas, kernel.zs)
+    if not phis.all():
+        return None
+    chain = slice(None) if kernel.iso else slice(None, None, -1)
+    alphas, inverse_gains = alphas[chain], (1.0 / phis - 1.0)[chain]
+    zs, values = kernel.zs, kernel.targets
+    rows = np.empty(kernel.direction_shape)
+    for j, alpha in enumerate(alphas):
+        # alpha is the first key, so columns 1 to q hold its powers
+        multiplicity = Counter(alphas[j:].tolist())
+        basis = [np.ones_like(zs)]
+        basis += [(zs - b) ** -s for b, q in multiplicity.items() for s in range(1, q + 1)]
+        solution = np.linalg.lstsq(np.stack(basis, axis=1), values.reshape(zs.size, -1), rcond=None)[0]
+        coefficient = solution[multiplicity[alpha]].reshape(values.shape[1:])
+        if not (np.isfinite(coefficient).all() and coefficient.any()):
+            return None
+        v = np.linalg.svd(coefficient)[0][:, 0]
+        values = values + (inverse_gains[j, :, None] * (v.conj() @ values))[:, None, :] * v[:, None]
+        if not kernel.iso:
+            v = v.conj()
+        polar, phases = _angles_for_unit_vector(v * np.exp(-1j * np.angle(v[0])))
+        rows[j] = np.concatenate([polar, phases[1:]])
+    return rows[chain]
 
 
 def _loewner_poles(samples: SampleSet, d: int):
@@ -477,14 +526,18 @@ def fit_lossless(
     Each restart draws a fresh seeded starting point (its origin poles stay
     at the origin for the whole search), snaps the constant block to its
     closed-form (Procrustes) optimum when that lowers the objective, and
-    runs one :func:`minimize` from there.  When :func:`_loewner_poles`
-    identifies the ``d`` poles from the samples, ``restarts`` identified
-    restarts come first: each takes the directions and frame of its seeded
-    draw and every pole from the identification
+    runs one :func:`minimize` from there unless the start already
+    converged.  When :func:`_loewner_poles` identifies the ``d`` poles from
+    the samples, ``restarts`` identified restarts come first: each takes the
+    frame of its seeded draw and every pole from the identification
     (:func:`_identified_start`): a pole of modulus at most
     ``LOEWNER_ORIGIN_RADIUS`` starts at the origin, where it stays, and any
-    other with its radius clamped into the radius chart.  The
-    ``restarts`` seeded restarts of the plain draws follow, so a target the
+    other with its radius clamped into the radius chart.  The first of them
+    starts from the identified product: its directions are those the
+    samples determine for these poles (:func:`_identified_directions`),
+    or its seeded draw's when that finds nothing.  The others take their
+    seeded draw's directions.  The ``restarts`` seeded restarts of the
+    plain draws follow, so a target the
     identified starts do not recover is searched at least as widely as
     without them, by up to ``2 * restarts`` searches.  The loop stops at
     the first objective below ``CONVERGED_OBJECTIVE``.  The overall best
@@ -522,6 +575,10 @@ def fit_lossless(
             template = replace(template, poles=poles)
         kernel = _ChartKernel(template, samples)
         x = _encode(template)
+        if poles is not None and restart == 0:
+            rows = _identified_directions(kernel)
+            if rows is not None:
+                x[kernel.directions] = rows.ravel()
         value = _chart_objective(x, kernel)
         if x.size:
             trial = _splice_optimal_frame(x, kernel)

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from paraunit import (
     COISO,
@@ -180,6 +182,8 @@ class TestChartJacobian:
             return _chart_residual(x, kernel)
 
         monkeypatch.setattr(fit, "_chart_residual", counted)
+        # the identified product would start at the target and search nothing
+        monkeypatch.setattr(fit, "_identified_directions", lambda kernel: None)
         target = random_params(11, ISO, 2, 1, 1, schur_only=True)
         samples = samples_from_params(target, count=64)
         result = fit_lossless(samples, d=1, p=2, m=1, seed=100, restarts=1)
@@ -389,6 +393,8 @@ class TestOriginStarts:
         target = random_params(seed, side, p, m, d, schur_only=True)
         assert sum(pole.value == 0 for pole in target.poles) == origins
         samples = samples_from_params(target)
+        # the identified product would start at the target and search nothing
+        monkeypatch.setattr(fit, "_identified_directions", lambda kernel: None)
         searches = []
 
         def counted(x, kernel):
@@ -428,4 +434,55 @@ class TestOriginStarts:
         target = replace(target, poles=(Pole(radius * np.exp(0.7j)),) + target.poles[1:])
         assert fit._searched(target.poles[0])
         result = fit_lossless(samples_from_params(target), d=2, p=1, m=2, side=COISO, seed=312)
+        assert result.converged
+
+
+class TestIdentifiedProduct:
+    # (target seed, side, p, m, d, fit seed): misses of the searches from
+    # identified poles with seeded directions
+    MISSES = [
+        (7024, COISO, 4, 4, 4, 8024),
+        (7039, ISO, 4, 3, 4, 8039),
+        (780, ISO, 4, 2, 6, 781),
+        (100, ISO, 4, 2, 12, 100),
+        (5, ISO, 3, 2, 20, 5),
+    ]
+
+    @pytest.mark.parametrize("seed, side, p, m, d, fit_seed", MISSES)
+    def test_recorded_misses_recover_at_the_start(self, seed, side, p, m, d, fit_seed):
+        target = random_params(seed, side, p, m, d, schur_only=True)
+        result = fit_lossless(samples_from_params(target), d=d, p=p, m=m, side=side, seed=fit_seed)
+        assert result.converged and result.iterations <= 10
+
+    @pytest.mark.parametrize(
+        "seed, side, p, m, d", [(536, ISO, 3, 1, 3), (309, COISO, 1, 2, 2), (7024, COISO, 4, 4, 4)]
+    )
+    def test_directions_match_the_target(self, seed, side, p, m, d):
+        target = random_params(seed, side, p, m, d, schur_only=True)
+        template = replace(random_params(seed + 1, side, p, m, d, schur_only=True), poles=target.poles)
+        rows = fit._identified_directions(_ChartKernel(template, samples_from_params(target)))
+        found = build_paraunitary(replace(template, directions=rows)).factors
+        for (_, v), (_, w) in zip(found, build_paraunitary(target).factors):
+            assert abs(abs(np.vdot(v, w)) - 1.0) <= 1e-10
+
+    def test_sample_at_a_zero_of_phi_finds_nothing(self):
+        template = replace(random_params(3, ISO, 2, 1, 1, schur_only=True), poles=(Pole(0.5),))
+        # phi of the pole 0.5 vanishes at z = 2
+        zs = np.append(circle_points(8), 2.0)
+        samples = SampleSet([(z, np.ones((2, 1))) for z in zs])
+        assert fit._identified_directions(_ChartKernel(template, samples)) is None
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        side=st.sampled_from([ISO, COISO]),
+        dims=st.tuples(st.integers(1, 4), st.integers(1, 4)).map(sorted),
+        d=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_schur_members_recover(self, side, dims, d, seed):
+        small, large = dims
+        p, m = (large, small) if side == ISO else (small, large)
+        target = random_params(seed, side, p, m, d, schur_only=True)
+        assume(sum(pole.value == 0 for pole in target.poles) <= 3)
+        result = fit_lossless(samples_from_params(target), d=d, p=p, m=m, side=side, seed=seed + 1)
         assert result.converged

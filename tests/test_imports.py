@@ -7,9 +7,10 @@ Schur form of a matrix that is not upper triangular (``linalg._schur_form``,
 which decides the structure of a realization's Schur view, its spectral
 radius and its Stein solve once), the fit's pole identification
 (``fit._loewner_poles``: its generalized eigenvalues) and its search
-(``fit.minimize``).  Evaluating a realization whose ``A`` is upper
-triangular, reading its spectral radius and multiplying it out into a
-fraction need numpy alone.
+(``fit.minimize``), which runs only when the start from the identified
+product does not already recover the target.  Evaluating a realization
+whose ``A`` is upper triangular, reading its spectral radius and
+multiplying it out into a fraction need numpy alone.
 """
 
 import ast
@@ -20,6 +21,9 @@ import sys
 from pathlib import Path
 
 import paraunit
+from paraunit import ISO, SampleSet, build_paraunitary, random_params
+from paraunit.documents import write_document
+from conftest import circle_points
 
 PACKAGE = Path(paraunit.__file__).parent
 
@@ -69,6 +73,17 @@ def test_gramians_loads_linalg_but_not_optimize(tmp_path):
     loaded = scipy_modules_after(
         generate(bp), ["convert", str(bp), "--to", "ss", "-o", str(ss)], ["gramians", str(ss)]
     )
+    assert "scipy.linalg" in loaded
+    assert not [name for name in loaded if name.startswith("scipy.optimize")]
+
+
+def test_fit_from_the_identified_product_loads_no_optimize(tmp_path):
+    target = build_paraunitary(random_params(17, ISO, 2, 1, 1, schur_only=True))
+    zs = circle_points(32)
+    samples = tmp_path / "samples.json"
+    write_document(samples, SampleSet(list(zip(zs, target.eval_many(zs)))))
+    loaded = scipy_modules_after(["fit", str(samples), "--degree", "1"])
+    # the pencil's eigenvalues need scipy.linalg; no search runs
     assert "scipy.linalg" in loaded
     assert not [name for name in loaded if name.startswith("scipy.optimize")]
 
