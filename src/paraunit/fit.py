@@ -10,14 +10,14 @@ unconstrained reals wrapped modulo ``2 pi`` when decoded.
 
 The degree fixes a member's poles by its samples, and the poles fix its
 directions, so the restarts run in three kinds.  The first starts from the
-identified product: the poles a Loewner pencil identifies
-(:func:`_loewner_poles`) and the directions the samples then determine
-(:func:`_identified_directions`), which usually recovers the target with
-no search at all.  The other identified restarts take the identified poles
-with seeded directions and frame, and the plain seeded restarts follow only
-if none of those recovers the target.  ``restarts`` may therefore mean up
-to ``2 * restarts`` searches, and ``FitResult.iterations`` counts all of
-them.
+identified product: the poles a Loewner pencil identifies from one SVD
+of ``x L - S`` (:func:`_loewner_poles`) and the directions the samples
+then determine (:func:`_identified_directions`), which usually recovers
+the target with no search at all.  The other identified restarts take
+the identified poles with seeded directions and frame, and the plain
+seeded restarts follow only if none of those recovers the target.
+``restarts`` may therefore mean up to ``2 * restarts`` searches, and
+``FitResult.iterations`` counts all of them.
 An identified pole within ``LOEWNER_ORIGIN_RADIUS`` of the origin starts
 at the origin and stays there (:func:`_identified_start`): the pencil
 spreads an origin pole of multiplicity ``k`` to radius about
@@ -81,28 +81,36 @@ from .tolerances import (
 
 
 class SampleSet:
-    """Target samples ``(z_k, G_k)`` with all values sharing one shape."""
+    """Target samples ``(z_k, G_k)`` with all values sharing one shape.
+
+    The shapes are checked before finiteness, so a set with both faults
+    raises :class:`~paraunit.errors.DimensionMismatch`.  A non-finite
+    sample raises ``ValueError`` naming the first one, and its point before
+    its value.
+    """
 
     def __init__(self, pairs):
         zs = []
         values = []
-        for index, (z, g) in enumerate(pairs):
+        for z, g in pairs:
             zs.append(complex(z))
             values.append(np.asarray(g, dtype=complex))
-            if not cmath.isfinite(zs[-1]):
-                raise ValueError(f"sample {index}: point {zs[-1]} is not finite")
-            if not np.isfinite(values[-1]).all():
-                raise ValueError(f"sample {index}: value is not finite")
         if not zs:
             raise DimensionMismatch("sample set must be non-empty")
         shape = values[0].shape
         if len(shape) != 2:
             raise DimensionMismatch("sample values must be matrices")
-        for g in values:
-            if g.shape != shape:
-                raise DimensionMismatch("all sample values must share dimensions")
+        if any(g.shape != shape for g in values):
+            raise DimensionMismatch("all sample values must share dimensions")
         self.zs = np.asarray(zs, dtype=complex)
         self.targets = np.stack(values)
+        finite_points = np.isfinite(self.zs)
+        finite_values = np.isfinite(self.targets).all(axis=(1, 2))
+        if not (finite_points.all() and finite_values.all()):
+            index = int(np.argmin(finite_points & finite_values))
+            if not finite_points[index]:
+                raise ValueError(f"sample {index}: point {zs[index]} is not finite")
+            raise ValueError(f"sample {index}: value is not finite")
 
     @property
     def p(self) -> int:
@@ -469,9 +477,12 @@ def _loewner_poles(samples: SampleSet, d: int):
         ``L_ji = l_j (G(mu_j) - G(lam_i)) r_i / (mu_j - lam_i)``
         ``S_ji = l_j (mu_j G(mu_j) - lam_i G(lam_i)) r_i / (mu_j - lam_i)``
 
-    are projected onto the numerical rank of ``[L S]`` (its left singular
-    vectors) and of ``[L; S]`` (the right ones), and the ``d`` finite
-    generalized eigenvalues of smallest modulus come back, in that order.
+    are projected onto the numerical rank of ``x L - S`` at the first right
+    point ``x = lam_0``: when the samples fix the member, it has the rank of
+    ``[L S]`` and of ``[L; S]`` (Antoulas, Lefteriu & Ionita, 2017), so its
+    one SVD gives both projections, its leading left singular vectors for
+    the rows and right ones for the columns.  The ``d`` finite generalized
+    eigenvalues of smallest modulus come back, in that order.
     A constant term adds at most ``min(p, m)`` to the rank, as infinite
     eigenvalues, so a degree-``d`` member's pencil has rank at most
     ``d + min(p, m)``.  The projection keeps no more than that, which drops
@@ -497,13 +508,8 @@ def _loewner_poles(samples: SampleSet, d: int):
     at_mu = samples.targets[1::2][np.arange(mu.size), left, :][:, right]
     loewner = (at_mu - at_lam) / gaps
     shifted = (mu[:, None] * at_mu - lam * at_lam) / gaps
-    rows, row_values, _ = np.linalg.svd(np.hstack([loewner, shifted]), full_matrices=False)
-    _, column_values, columns = np.linalg.svd(np.vstack([loewner, shifted]), full_matrices=False)
-    rank = min(
-        int(np.count_nonzero(row_values > LOEWNER_RANK_RTOL * row_values[0])),
-        int(np.count_nonzero(column_values > LOEWNER_RANK_RTOL * column_values[0])),
-        bound,
-    )
+    rows, singular, columns = np.linalg.svd(lam[0] * loewner - shifted, full_matrices=False)
+    rank = min(int(np.count_nonzero(singular > LOEWNER_RANK_RTOL * singular[0])), bound)
     rows, columns = rows[:, :rank].conj().T, columns[:rank].conj().T
     values = eig(rows @ shifted @ columns, rows @ loewner @ columns, right=False)
     finite = values[np.isfinite(values)]

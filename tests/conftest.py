@@ -13,7 +13,7 @@ from paraunit import (
     random_params,
 )
 from paraunit.forms import _unit_direction
-from paraunit.tolerances import SCHUR_MARGIN
+from paraunit.tolerances import LOEWNER_RANK_RTOL, SCHUR_MARGIN
 
 
 def random_form(seed, side, p, m, d, schur_only=False):
@@ -140,6 +140,47 @@ def constant_system(d) -> StateSpaceRealization:
         np.zeros((p, 0), dtype=complex),
         d,
     )
+
+
+# The two-sided Loewner projection: the reference that the one SVD of
+# fit._loewner_poles is tested against.
+
+
+def two_sided_loewner_poles(samples, d):
+    """The ``d`` smallest finite poles of the tangential Loewner pencil of
+    ``fit._loewner_poles``, projected from two rectangular SVDs: onto the
+    numerical rank of ``[L S]`` (its left singular vectors) and of
+    ``[L; S]`` (the right ones), each cut at ``LOEWNER_RANK_RTOL`` and at
+    ``d + min(p, m)``.  The reference that the one SVD of ``x L - S`` is
+    tested against; ``None`` in the same cases."""
+    from scipy.linalg import eig
+
+    lam, mu = samples.zs[0::2], samples.zs[1::2]
+    bound = d + min(samples.p, samples.m)
+    if d == 0 or min(lam.size, mu.size) <= bound:
+        return None
+    gaps = mu[:, None] - lam
+    if not gaps.all():
+        return None
+    right = np.arange(lam.size) % samples.m
+    left = np.arange(mu.size) % samples.p
+    at_lam = samples.targets[0::2][np.arange(lam.size), :, right][:, left].T
+    at_mu = samples.targets[1::2][np.arange(mu.size), left, :][:, right]
+    loewner = (at_mu - at_lam) / gaps
+    shifted = (mu[:, None] * at_mu - lam * at_lam) / gaps
+    rows, row_values, _ = np.linalg.svd(np.hstack([loewner, shifted]), full_matrices=False)
+    _, column_values, columns = np.linalg.svd(np.vstack([loewner, shifted]), full_matrices=False)
+    rank = min(
+        int(np.count_nonzero(row_values > LOEWNER_RANK_RTOL * row_values[0])),
+        int(np.count_nonzero(column_values > LOEWNER_RANK_RTOL * column_values[0])),
+        bound,
+    )
+    rows, columns = rows[:, :rank].conj().T, columns[:rank].conj().T
+    values = eig(rows @ shifted @ columns, rows @ loewner @ columns, right=False)
+    finite = values[np.isfinite(values)]
+    if finite.size < d:
+        return None
+    return finite[np.argsort(np.abs(finite), kind="stable")[:d]]
 
 
 # The dense block Hankel matrix: the reference that the autocorrelation

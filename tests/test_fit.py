@@ -23,7 +23,7 @@ from paraunit.fit import (
     _ChartKernel, _chart_jacobian, _chart_objective, _chart_residual, _decode, _encode, minimize,
 )
 from paraunit.tolerances import LOEWNER_ORIGIN_RADIUS, RADIUS_CHART_MARGIN
-from conftest import circle_points
+from conftest import circle_points, two_sided_loewner_poles
 
 
 def samples_from_params(params, count=64):
@@ -209,6 +209,22 @@ class TestSampleSet:
         with pytest.raises(DimensionMismatch):
             SampleSet([(1.0, np.eye(2)), (2.0, np.eye(3))])
 
+    def test_names_the_first_bad_sample_and_its_point_first(self):
+        zs = list(circle_points(6))
+        values = [np.eye(2) for _ in zs]
+        zs[4] = complex(np.nan, 0.0)
+        values[2] = np.array([[np.inf, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="sample 2: value is not finite"):
+            SampleSet(list(zip(zs, values)))
+        zs[2] = complex(0.0, np.inf)
+        with pytest.raises(ValueError, match="sample 2: point infj is not finite"):
+            SampleSet(list(zip(zs, values)))
+
+    def test_shapes_are_checked_before_finiteness(self):
+        values = [np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]]), np.eye(3)]
+        with pytest.raises(DimensionMismatch):
+            SampleSet(list(zip(circle_points(3), values)))
+
     def test_pairs_round_trip(self):
         params = random_params(5, COISO, 1, 2, 1, schur_only=True)
         samples = samples_from_params(params, count=8)
@@ -318,6 +334,29 @@ class TestLoewnerPoles:
                 seen.add("origin" if pole.value == 0 else "nonzero")
             seen.add(side)
         assert seen == {ISO, COISO, "origin", "nonzero"}
+
+    def test_matches_the_two_sided_reference(self):
+        for case, side, p, m, d in sweep_cases():
+            _, samples = sweep_target(case, side, p, m, d)
+            poles, reference = fit._loewner_poles(samples, d), two_sided_loewner_poles(samples, d)
+            gaps = np.abs(poles[:, None] - reference)
+            error = max(gaps.min(axis=0).max(), gaps.min(axis=1).max())
+            assert error <= 1e-7, f"case {case}: {error:.1e} from the reference"
+
+    def test_makes_one_svd(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        for case, side, p, m, d in list(sweep_cases())[:6]:
+            _, samples = sweep_target(case, side, p, m, d)
+            calls.clear()
+            assert fit._loewner_poles(samples, d) is not None
+            assert len(calls) == 1, f"case {case}: {len(calls)} SVDs"
 
     @staticmethod
     def fit_both_ways(monkeypatch, samples, d, p, m, **options):
