@@ -320,8 +320,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fit_cmd.add_argument("--degree", type=int, required=True)
     fit_cmd.add_argument(
         "--restarts", type=int, default=8,
-        help="seeded draws to start from; the poles identified from the samples "
-        "start each draw first, so up to twice as many searches run (default: 8)",
+        help="seeded draws to start from, after one start from the poles and "
+        "directions identified from the samples (default: 8)",
     )
     fit_cmd.add_argument("--seed", type=int, default=0)
     fit_cmd.add_argument("--side", choices=[ISO, COISO], default=None)

@@ -8,15 +8,15 @@ moves in polar coordinates whose radius runs through a smooth bijection
 from the real line onto ``(0, 1 - RADIUS_MARGIN)``, and all angles are
 unconstrained reals wrapped modulo ``2 pi`` when decoded.
 
-The degree fixes a member's poles by its samples, and the poles fix its
-directions, so the restarts run in three kinds.  The first starts from the
+A coiso member is the transpose of an iso one, so the search runs on iso
+chains alone: :func:`fit_lossless` fits a coiso target as its transpose
+and transposes the result back.  The degree fixes a member's poles by its
+samples, and the poles fix its directions, so the first start is the
 identified product: the poles a Loewner pencil identifies from one SVD
 of ``x L - S`` (:func:`_loewner_poles`) and the directions the samples
 then determine (:func:`_identified_directions`), which usually recovers
-the target with no search at all.  The other identified restarts take
-the identified poles with seeded directions and frame, and the plain
-seeded restarts follow only if none of those recovers the target.
-``restarts`` may therefore mean up to ``2 * restarts`` searches, and
+the target with no search at all.  The ``restarts`` seeded starts follow
+only if it does not, so a fit makes up to ``restarts + 1`` searches, and
 ``FitResult.iterations`` counts all of them.
 An identified pole within ``LOEWNER_ORIGIN_RADIUS`` of the origin starts
 at the origin and stays there (:func:`_identified_start`): the pencil
@@ -24,16 +24,15 @@ spreads an origin pole of multiplicity ``k`` to radius about
 ``eps^(1/k)``, where a searched pole's radius and phase columns of the
 Jacobian are proportional to that radius, so the search would crawl.
 
-Each restart builds one :class:`_ChartKernel` from its frozen template and
+Each start builds one :class:`_ChartKernel` from its frozen template and
 the samples; the kernel states the coordinate layout, which
 :func:`_chart_point` decodes.  The search evaluates :func:`_chart_residual`,
 which takes the coordinate vector straight to the real view of
-``values - targets`` with array operations: the origin-pole gains and the
-(transposed, for coiso) targets are computed once, the searched poles'
-gains come from the product form's own Blaschke kernel
-(:func:`~paraunit.forms._finite_blaschke_values`, which also refuses a
-sample at a pole), the directions from one batched chart call, and the
-constant from the Householder chain of
+``values - targets`` with array operations: the origin-pole gains are
+computed once, the searched poles' gains come from the product form's own
+Blaschke kernel (:func:`~paraunit.forms._finite_blaschke_values`, which
+also refuses a sample at a pole), the directions from one batched chart
+call, and the constant from the Householder chain of
 :func:`~paraunit.params.isometry_from_angles`.  It builds no parameter
 object and no product form, yet makes every check that path makes; the
 objective is its squared norm.  :func:`_chart_jacobian` gives the exact
@@ -195,36 +194,30 @@ def _encode(params: ParaunitaryParam) -> np.ndarray:
 
 
 class _ChartKernel:
-    """What :func:`_chart_residual` needs of one restart, computed once, and
+    """What :func:`_chart_residual` needs of one start, computed once, and
     the one statement of the coordinate layout.
 
-    The coordinates of a template run: the radius and phase coordinates of
-    each searched pole, interleaved, then one row of ``2 (k - 1)`` angles
-    per factor direction, then the frame angles; the slices ``radii``,
-    ``thetas``, ``directions`` and ``frame`` read them.  The search moves no
-    origin or infinite pole of the template, so their gains ``phi - 1`` are
-    the same at every call; only the rows of searched poles are recomputed.
-    A coiso form is evaluated as its transpose, an iso product, against
-    targets transposed here.
+    The template is iso, and the ``(N, p, m)`` targets at the points ``zs``
+    are those of the function it fits (:func:`fit_lossless` hands a coiso
+    fit over as its transpose).  The coordinates of a template run: the
+    radius and phase coordinates of each searched pole, interleaved, then
+    one row of ``2 (p - 1)`` angles per factor direction, then the frame
+    angles; the slices ``radii``, ``thetas``, ``directions`` and ``frame``
+    read them.  The search moves no origin or infinite pole of the
+    template, so their gains ``phi - 1`` are the same at every call; only
+    the rows of searched poles are recomputed.
     """
 
-    def __init__(self, template: ParaunitaryParam, samples: SampleSet):
-        if template.p != samples.p or template.m != samples.m:
-            raise DimensionMismatch(
-                f"params are {template.p}x{template.m} but samples are "
-                f"{samples.p}x{samples.m}"
-            )
+    def __init__(self, template: ParaunitaryParam, zs: np.ndarray, targets: np.ndarray):
         self.template = template
-        self.iso = template.side == ISO
-        self.zs = samples.zs
-        self.targets = samples.targets if self.iso else samples.targets.swapaxes(1, 2).copy()
-        self.k = template.factor_dimension
-        self.frame_shape = (template.p, template.m) if self.iso else (template.m, template.p)
+        self.zs = zs
+        self.targets = targets
+        self.k = template.p
         searched = [_searched(pole) for pole in template.poles]
         self.searched_rows = np.flatnonzero(searched)
         fixed = np.flatnonzero(np.logical_not(searched))
-        self.gains = np.empty((template.d, samples.zs.size), dtype=complex)
-        self.gains[fixed] = _blaschke_values([template.poles[j] for j in fixed], samples.zs) - 1.0
+        self.gains = np.empty((template.d, zs.size), dtype=complex)
+        self.gains[fixed] = _blaschke_values([template.poles[j] for j in fixed], zs) - 1.0
         radii_end = 2 * self.searched_rows.size
         self.radii = slice(0, radii_end, 2)
         self.thetas = slice(1, radii_end, 2)
@@ -269,10 +262,7 @@ def _chart_chain(point, kernel: _ChartKernel):
     same order.
 
     ``gains`` is the ``(d, N)`` array of ``phi_j - 1`` at the samples, the
-    searched rows from the product form's own Blaschke kernel.  For a coiso
-    template the chain is already reversed and conjugated, and the constant
-    is the transpose of the coiso constant, so the iso product yields
-    ``F(z)^T``.
+    searched rows from the product form's own Blaschke kernel.
     """
     radii, _, alphas, rows, frame = point
     if (np.abs(radii - 1.0) <= POLE_CIRCLE_MARGIN).any():
@@ -281,16 +271,13 @@ def _chart_chain(point, kernel: _ChartKernel):
     directions = unit_vector_from_angles(k, rows[:, : k - 1], _with_leading_phase(rows[:, k - 1 :]))
     if not (np.abs(np.linalg.norm(directions, axis=1) - 1.0) <= DIRECTION_NORM_SLACK).all():
         raise ValueError(f"a direction norm is further than {DIRECTION_NORM_SLACK:.0e} from one")
-    constant = isometry_from_angles(*kernel.frame_shape, frame)
+    constant = isometry_from_angles(k, kernel.template.m, frame)
     residual = isometry_residual(constant)
     if not residual <= ISOMETRY_TOL:
         raise ValueError(f"constant is not a (co)isometry: residual {residual:.3e}")
     gains = kernel.gains.copy()
     gains[kernel.searched_rows] = _finite_blaschke_values(alphas, kernel.zs) - 1.0
-    if kernel.iso:
-        return gains, directions, constant
-    # the coiso constant is the adjoint of the chart's isometry
-    return gains[::-1], directions[::-1].conj(), constant.conj()
+    return gains, directions, constant
 
 
 def _chart_residual(x, kernel: _ChartKernel) -> np.ndarray:
@@ -313,15 +300,14 @@ def _chart_jacobian(x, kernel: _ChartKernel) -> np.ndarray:
     radius coordinate also carries the logistic factor
     ``r (1 - r / (1 - RADIUS_MARGIN))``, zero where the radius is clamped.
     A direction moves ``v v*`` by ``dv v* + v dv*``.  The wrap modulo
-    ``2 pi`` has derivative 1.  A coiso chain is reversed and conjugated as
-    :func:`_chart_chain` builds it, and the columns are mapped back.
+    ``2 pi`` has derivative 1.
     """
     point = _chart_point(x, kernel)
     gains, directions, constant = _chart_chain(point, kernel)
     radii, turns, alphas, rows, frame_angles = point
     d, n = gains.shape
     k, width = constant.shape
-    # a_j = L_j v_j and b_j = v_j* R_j, in chain order
+    # a_j = L_j v_j and b_j = v_j* R_j
     prefix = np.empty((d + 1, n, k, k), dtype=complex)
     prefix[0] = np.eye(k)
     suffix = np.empty((d, n, k, width), dtype=complex)
@@ -335,9 +321,6 @@ def _chart_jacobian(x, kernel: _ChartKernel) -> np.ndarray:
         suffix[j] = right
         b[j] = directions[j].conj() @ suffix[j]
         right = suffix[j] + (gains[j, :, None] * b[j])[:, None, :] * directions[j][:, None]
-    # back to the template's factor order, as the coordinates run
-    order = slice(None) if kernel.iso else slice(None, None, -1)
-    gains, prefix_t, suffix, a, b = gains[order], prefix[:d][order], suffix[order], a[order], b[order]
     jac = np.empty((kernel.size, n, k, width), dtype=complex)
 
     by_gain = a[kernel.searched_rows, :, :, None] * b[kernel.searched_rows, :, None, :]
@@ -355,12 +338,10 @@ def _chart_jacobian(x, kernel: _ChartKernel) -> np.ndarray:
     by_angle = _unit_vector_derivatives(k, rows[:, : k - 1], _with_leading_phase(rows[:, k - 1 :]))
     # the leading phase is fixed to zero, so it has no coordinate
     dv = np.delete(by_angle, k - 1, axis=1)
-    if not kernel.iso:
-        dv = dv.conj()
     # L_j dv and dv* R_j as (d, angles, N, k) and (d, angles, N, width),
     # each one matrix product per factor
     angles = dv.shape[1]
-    left = dv @ prefix_t.transpose(0, 3, 1, 2).reshape(d, k, n * k)
+    left = dv @ prefix[:d].transpose(0, 3, 1, 2).reshape(d, k, n * k)
     right = dv.conj() @ suffix.transpose(0, 2, 1, 3).reshape(d, k, n * width)
     left = left.reshape(d, angles, n, k, 1)
     right = right.reshape(d, angles, n, 1, width)
@@ -368,9 +349,7 @@ def _chart_jacobian(x, kernel: _ChartKernel) -> np.ndarray:
     by_direction *= gains[:, None, :, None, None]
     jac[kernel.directions] = by_direction.reshape(-1, n, k, width)
 
-    frame = _isometry_derivatives(*kernel.frame_shape, frame_angles)
-    if not kernel.iso:
-        frame = frame.conj()
+    frame = _isometry_derivatives(k, width, frame_angles)
     # B_1 ... B_d dU for every frame angle, as one matrix product
     by_frame = prefix[d].reshape(n * k, k) @ frame.transpose(1, 0, 2).reshape(k, -1)
     jac[kernel.frame] = by_frame.reshape(n, k, -1, width).transpose(2, 0, 1, 3)
@@ -403,17 +382,13 @@ def _optimal_frame_angles(x: np.ndarray, kernel: _ChartKernel) -> np.ndarray:
 
     On (or near) the unit circle the factor chain is pointwise unitary, so
     minimizing over the constant alone is an orthogonal Procrustes problem;
-    its polar-factor solution is converted back to chart angles.  A coiso
-    form ``U C(z)`` is fitted as its transpose ``C(z)^T U^T``, as the
-    kernel holds it.
+    its polar-factor solution is converted back to chart angles.
     """
     gains, directions, _ = _chart_chain(_chart_point(x, kernel), kernel)
     values = _iso_product(gains, directions, np.eye(kernel.k, dtype=complex))
     accumulated = np.einsum("nij,nil->jl", values.conj(), kernel.targets)
     w, _, vh = np.linalg.svd(accumulated)
-    best = w[:, : accumulated.shape[1]] @ vh
-    # the coiso chart holds the adjoint U*, the conjugate of the U^T found here
-    return angles_for_isometry(best if kernel.iso else best.conj())
+    return angles_for_isometry(w[:, : accumulated.shape[1]] @ vh)
 
 
 def _splice_optimal_frame(x: np.ndarray, kernel: _ChartKernel) -> np.ndarray:
@@ -428,24 +403,23 @@ def _identified_directions(kernel: _ChartKernel):
     """The direction rows, in the kernel's layout, of the product with the
     template's poles that the kernel's samples determine, or ``None``.
 
-    The samples walk the iso chain of :func:`_chart_chain` (reversed and
-    conjugated for coiso) one factor at a time.  The pole ``a`` of the
-    first factor left is a pole of order ``q`` of what is left, its
-    multiplicity among the poles left (only exactly equal values repeat, as
-    origin poles do), and the coefficient of ``(z - a)^-q`` has the range
-    of the factor's direction ``v``.  One least-squares solve of the
-    samples on ``{1}`` and each ``(z - b)^-s`` of the poles left gives that
-    coefficient (the fixed-pole residue step of vector fitting, Gustavsen &
-    Semlyen 1999), ``v`` is its leading left singular vector, and the
-    samples are multiplied by the factor's inverse ``I + (1/phi - 1) v v*``.
+    The samples walk the chain of :func:`_chart_chain` one factor at a
+    time.  The pole ``a`` of the first factor left is a pole of order ``q``
+    of what is left, its multiplicity among the poles left (only exactly
+    equal values repeat, as origin poles do), and the coefficient of
+    ``(z - a)^-q`` has the range of the factor's direction ``v``.  One
+    least-squares solve of the samples on ``{1}`` and each ``(z - b)^-s`` of
+    the poles left gives that coefficient (the fixed-pole residue step of
+    vector fitting, Gustavsen & Semlyen 1999), ``v`` is its leading left
+    singular vector, and the samples are multiplied by the factor's inverse
+    ``I + (1/phi - 1) v v*``.
     ``None`` means a step was not finite or a coefficient was zero.
     """
     alphas = np.array([pole.value for pole in kernel.template.poles], dtype=complex)
     phis = _finite_blaschke_values(alphas, kernel.zs)
     if not phis.all():
         return None
-    chain = slice(None) if kernel.iso else slice(None, None, -1)
-    alphas, inverse_gains = alphas[chain], (1.0 / phis - 1.0)[chain]
+    inverse_gains = 1.0 / phis - 1.0
     zs, values = kernel.zs, kernel.targets
     rows = np.empty(kernel.direction_shape)
     for j, alpha in enumerate(alphas):
@@ -459,11 +433,9 @@ def _identified_directions(kernel: _ChartKernel):
             return None
         v = np.linalg.svd(coefficient)[0][:, 0]
         values = values + (inverse_gains[j, :, None] * (v.conj() @ values))[:, None, :] * v[:, None]
-        if not kernel.iso:
-            v = v.conj()
         polar, phases = _angles_for_unit_vector(v * np.exp(-1j * np.angle(v[0])))
         rows[j] = np.concatenate([polar, phases[1:]])
-    return rows[chain]
+    return rows
 
 
 def _loewner_poles(samples: SampleSet, d: int):
@@ -527,31 +499,30 @@ def fit_lossless(
     seed: int = 0,
     restarts: int = 8,
 ) -> FitResult:
-    """Best-of-restarts least-squares fit over the Schur-stable chart.
+    """Best-of-starts least-squares fit over the Schur-stable chart.
 
-    Each restart draws a fresh seeded starting point (its origin poles stay
-    at the origin for the whole search), snaps the constant block to its
+    A coiso fit runs as the iso fit of the transposed targets, and its best
+    parameters are transposed back (:meth:`ParaunitaryParam.transpose`), so
+    every search runs on an iso chain.  When :func:`_loewner_poles`
+    identifies the ``d`` poles from the samples, the first start is the
+    identified product: the frame of restart 0's seeded draw, every pole
+    from the identification (:func:`_identified_start`: a pole of modulus
+    at most ``LOEWNER_ORIGIN_RADIUS`` starts at the origin, where it stays,
+    and any other with its radius clamped into the radius chart), and the
+    directions the samples determine for these poles
+    (:func:`_identified_directions`), or the draw's own when that finds
+    nothing.  The ``restarts`` seeded draws follow (their origin poles stay
+    at the origin for the whole search), so a fit makes at most
+    ``restarts + 1`` searches.  Each start snaps the constant block to its
     closed-form (Procrustes) optimum when that lowers the objective, and
     runs one :func:`minimize` from there unless the start already
-    converged.  When :func:`_loewner_poles` identifies the ``d`` poles from
-    the samples, ``restarts`` identified restarts come first: each takes the
-    frame of its seeded draw and every pole from the identification
-    (:func:`_identified_start`): a pole of modulus at most
-    ``LOEWNER_ORIGIN_RADIUS`` starts at the origin, where it stays, and any
-    other with its radius clamped into the radius chart.  The first of them
-    starts from the identified product: its directions are those the
-    samples determine for these poles (:func:`_identified_directions`),
-    or its seeded draw's when that finds nothing.  The others take their
-    seeded draw's directions.  The ``restarts`` seeded restarts of the
-    plain draws follow, so a target the
-    identified starts do not recover is searched at least as widely as
-    without them, by up to ``2 * restarts`` searches.  The loop stops at
-    the first objective below ``CONVERGED_OBJECTIVE``.  The overall best
-    candidate wins, and any returned candidate is (co)isometric on the
-    circle by construction, whatever the fit quality.  ``iterations``
-    counts the residual evaluations of every search, identified and seeded
-    (scipy's ``nfev``; the Jacobian is exact and evaluates no residual),
-    and ``converged`` means the reported objective is below
+    converged.  The loop stops at the first objective below
+    ``CONVERGED_OBJECTIVE``.  The overall best candidate wins, and any
+    returned candidate is (co)isometric on the circle by construction,
+    whatever the fit quality.  ``iterations`` counts the residual
+    evaluations of every search (scipy's ``nfev``; the Jacobian is exact
+    and evaluates no residual), and ``converged`` means the reported
+    objective, that of the returned parameters on ``samples``, is below
     ``CONVERGED_OBJECTIVE``.
     """
     if restarts < 1:
@@ -566,25 +537,30 @@ def fit_lossless(
         raise DimensionMismatch(
             f"need at least {2 * d + 1} samples for degree {d}, got {len(samples)}"
         )
+    transposed = side != ISO
+    targets = samples.targets.swapaxes(1, 2) if transposed else samples.targets
+
+    def draw(restart):
+        template = random_params(seed + restart, side, p, m, d, schur_only=True)
+        return template.transpose() if transposed else template
+
+    # (template, whether it is the identified product), drawn one at a
+    # time: most fits stop at the first start
+    starts = ((draw(restart), False) for restart in range(restarts))
+    identified = _loewner_poles(samples, d)
+    if identified is not None:
+        poles = tuple(_identified_start(a) for a in identified)
+        starts = itertools.chain([(replace(draw(0), poles=poles), True)], starts)
     best_x = None
     best_kernel = None
     best_value = np.inf
     evaluations = 0
-    identified = _loewner_poles(samples, d)
-    # None keeps the seeded draw's own poles
-    pole_sets = [None]
-    if identified is not None:
-        pole_sets.insert(0, tuple(_identified_start(a) for a in identified))
-    for poles, restart in itertools.product(pole_sets, range(restarts)):
-        template = random_params(seed + restart, side, p, m, d, schur_only=True)
-        if poles is not None:
-            template = replace(template, poles=poles)
-        kernel = _ChartKernel(template, samples)
+    for template, product in starts:
+        kernel = _ChartKernel(template, samples.zs, targets)
         x = _encode(template)
-        if poles is not None and restart == 0:
-            rows = _identified_directions(kernel)
-            if rows is not None:
-                x[kernel.directions] = rows.ravel()
+        rows = _identified_directions(kernel) if product else None
+        if rows is not None:
+            x[kernel.directions] = rows.ravel()
         value = _chart_objective(x, kernel)
         if x.size:
             trial = _splice_optimal_frame(x, kernel)
@@ -604,6 +580,8 @@ def fit_lossless(
         if best_value < CONVERGED_OBJECTIVE:
             break
     best_params = _decode(best_x, best_kernel)
+    if transposed:
+        best_params = best_params.transpose()
     best_value = objective(best_params, samples)
     return FitResult(
         params=best_params,

@@ -105,6 +105,29 @@ class ParaunitaryParam:
         flat.extend(self.frame)
         return np.asarray(flat, dtype=float)
 
+    def transpose(self) -> "ParaunitaryParam":
+        """Parameters of ``F(z)^T``: the other side, ``p`` and ``m`` swapped,
+        the poles and direction rows reversed, and every phase angle negated.
+
+        Negating a phase conjugates its vector exactly, so
+        ``build_paraunitary(P.transpose())`` equals
+        ``build_paraunitary(P).transpose()`` entry for entry (a zero
+        imaginary part may differ in sign), and transposing twice returns
+        ``P``.  The phases are the ``k - 1`` free phases of each direction
+        row, and the trailing ``big - j`` angles of frame column ``j``'s
+        block of ``2 (big - j) - 1``, ``big = max(p, m)``.
+        """
+        k = self.factor_dimension
+        rows = np.reshape(self.directions, (self.d, 2 * (k - 1)))
+        rows[:, k - 1 :] *= -1.0
+        frame = np.array(self.frame)
+        position = 0
+        for dim in range(max(self.p, self.m), abs(self.p - self.m), -1):
+            frame[position + dim - 1 : position + 2 * dim - 1] *= -1.0
+            position += 2 * dim - 1
+        side = COISO if self.side == ISO else ISO
+        return ParaunitaryParam(side, self.m, self.p, self.d, self.poles[::-1], rows[::-1], frame)
+
 
 def unit_vector_from_angles(k, polar, phases) -> np.ndarray:
     """Hyperspherical unit vector in ``C^k``, or a stack of them.

@@ -6,6 +6,7 @@ import pytest
 from paraunit import (
     LEFT,
     BlaschkePotapovForm,
+    COISO,
     ISO,
     Pole,
     SampleSet,
@@ -366,6 +367,19 @@ class TestFit:
         objective_line = next(line for line in out.splitlines() if line.startswith("objective = "))
         assert float(objective_line.split("=")[1]) <= 1e-8
         assert read_document(out_path).d == 1
+        code, _, _ = run(capsys, "check", str(out_path))
+        assert code == 0
+
+    def test_fit_wide_samples_writes_a_coiso_form(self, tmp_path, capsys):
+        target = build_paraunitary(random_params(17, COISO, 2, 3, 2, schur_only=True))
+        zs = circle_points(32)
+        source = tmp_path / "samples.json"
+        write_document(source, SampleSet(list(zip(zs, target.eval_many(zs)))))
+        out_path = tmp_path / "fit.json"
+        code, out, _ = run(capsys, "fit", str(source), "--degree", "2", "-o", str(out_path))
+        assert code == 0 and "converged = yes" in out
+        fitted = read_document(out_path)
+        assert (fitted.side, fitted.p, fitted.m, fitted.d) == (COISO, 2, 3, 2)
         code, _, _ = run(capsys, "check", str(out_path))
         assert code == 0
 

@@ -20,8 +20,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import paraunit
-from paraunit import ISO, SampleSet, build_paraunitary, random_params
+from paraunit import COISO, ISO, SampleSet, build_paraunitary, random_params
 from paraunit.documents import write_document
 from conftest import circle_points
 
@@ -77,8 +79,9 @@ def test_gramians_loads_linalg_but_not_optimize(tmp_path):
     assert not [name for name in loaded if name.startswith("scipy.optimize")]
 
 
-def test_fit_from_the_identified_product_loads_no_optimize(tmp_path):
-    target = build_paraunitary(random_params(17, ISO, 2, 1, 1, schur_only=True))
+@pytest.mark.parametrize("side, p, m", [(ISO, 2, 1), (COISO, 1, 2)])
+def test_fit_from_the_identified_product_loads_no_optimize(tmp_path, side, p, m):
+    target = build_paraunitary(random_params(17, side, p, m, 1, schur_only=True))
     zs = circle_points(32)
     samples = tmp_path / "samples.json"
     write_document(samples, SampleSet(list(zip(zs, target.eval_many(zs)))))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paraunit import (
     AngleCountMismatch,
@@ -210,6 +212,29 @@ class TestBuildParaunitary:
     def test_wrong_invariant_raises(self):
         with pytest.raises(AngleCountMismatch):
             ParaunitaryParam(ISO, 2, 2, 1, (Pole(0.0),), ((0.0,),), (0.0,) * 4)
+
+
+class TestTranspose:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        side=st.sampled_from([ISO, COISO]),
+        dims=st.tuples(st.integers(1, 4), st.integers(1, 4)).map(sorted),
+        d=st.integers(0, 6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_builds_the_transposed_form_exactly(self, side, dims, d, seed):
+        small, large = dims
+        p, m = (large, small) if side == ISO else (small, large)
+        # poles anywhere: the origin, infinity, and either side of the circle
+        params = random_params(seed, side, p, m, d)
+        transposed = params.transpose()
+        assert transposed.transpose() == params
+        built, expected = build_paraunitary(transposed), build_paraunitary(params).transpose()
+        assert (built.side, built.p, built.m) == (expected.side, expected.p, expected.m)
+        assert built.poles == expected.poles
+        for (_, v), (_, w) in zip(built.factors, expected.factors, strict=True):
+            assert np.array_equal(v, w)
+        assert np.array_equal(built.constant, expected.constant)
 
 
 class TestRandomParams:
