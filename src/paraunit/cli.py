@@ -27,7 +27,7 @@ from .analysis import (
     realization_check,
 )
 from .documents import kind_of, read_document, write_document
-from .errors import DocumentError
+from .errors import DocumentError, NotSchurStable, SideMismatch
 from .fit import fit_lossless
 from .forms import (
     COISO,
@@ -43,7 +43,6 @@ from .forms import (
 # perfbench/tracing.py shims cli.spectral_radius, so the name stays importable here
 from .linalg import spectral_radius  # noqa: F401
 from .params import build_paraunitary, random_params
-from .tolerances import SCHUR_MARGIN
 from .transforms import (
     allpass_embed,
     bp_to_laurent,
@@ -129,18 +128,16 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _gramians_exist(ss: StateSpaceRealization) -> bool:
-    """Whether the gramians of ``ss`` exist; prints a note when they do not.
-
-    The Stein solver needs a spectral radius below ``1 - SCHUR_MARGIN``; a
-    lossless realization with a pole closer to the circle is still certified
-    by its realization matrix.  The radius is read off the realization's
-    Schur view, which the gramian solves then reuse.
-    """
-    if ss.n == 0 or float(np.max(np.abs(ss.pole_candidates()))) < 1.0 - SCHUR_MARGIN:
-        return True
-    print("note: state matrix is not Schur stable; gramian certificates skipped")
-    return False
+def _gramian_certificate(ss: StateSpaceRealization, kwargs):
+    """:func:`gramian_certificate` of ``ss``, or ``None`` with a note when its
+    Stein solve finds a pole within ``SCHUR_MARGIN`` of the circle: a
+    lossless realization with such a pole is still certified by its
+    realization matrix."""
+    try:
+        return gramian_certificate(ss, **kwargs)
+    except NotSchurStable:
+        print("note: state matrix is not Schur stable; gramian certificates skipped")
+        return None
 
 
 def _collect_check_certificates(obj, tol: float | None):
@@ -149,11 +146,16 @@ def _collect_check_certificates(obj, tol: float | None):
         return [circle_residual(obj, **kwargs)]
     if isinstance(obj, StateSpaceRealization):
         certs = [realization_check(obj, **kwargs)]
-        if _gramians_exist(obj):
-            certs.extend(gramian_certificate(obj, **kwargs)[2])
-        return certs
+        gramians = _gramian_certificate(obj, kwargs)
+        return certs if gramians is None else certs + gramians[2]
     if isinstance(obj, MFDForm):
-        return [mfd_check(obj, tol=tol)]
+        try:
+            return [mfd_check(obj, tol=tol)]
+        except SideMismatch:
+            # a fraction on the side its shape has no Hankel test for (a wide
+            # right or tall left one): its circle samples track its degree,
+            # so their verdict is exact
+            return [circle_residual(obj, **kwargs)]
     if isinstance(obj, LaurentPolyForm):
         return [laurent_check(obj, **kwargs)]
     raise DocumentError(f"documents of kind {kind_of(obj)!r} have no certificates")
@@ -221,9 +223,10 @@ def _cmd_gramians(args) -> int:
         raise DocumentError("gramians expects an ss document")
     tol = _resolve_tol(args)
     kwargs = {"tol": tol} if tol is not None else {}
-    if not _gramians_exist(obj):
+    gramians = _gramian_certificate(obj, kwargs)
+    if gramians is None:
         return _print_certificates([realization_check(obj, **kwargs)])
-    w_cont, w_obs, certs = gramian_certificate(obj, **kwargs)
+    w_cont, w_obs, certs = gramians
     _print_matrix("W_cont", w_cont)
     _print_matrix("W_obs", w_obs)
     return _print_certificates(certs)

@@ -13,11 +13,13 @@ chains alone: :func:`fit_lossless` fits a coiso target as its transpose
 and transposes the result back.  The degree fixes a member's poles by its
 samples, and the poles fix its directions, so the first start is the
 identified product: the poles a Loewner pencil identifies from one SVD
-of ``x L - S`` (:func:`_loewner_poles`) and the directions the samples
-then determine (:func:`_identified_directions`), which usually recovers
-the target with no search at all.  The ``restarts`` seeded starts follow
-only if it does not, so a fit makes up to ``restarts + 1`` searches, and
-``FitResult.iterations`` counts all of them.
+of ``x L - S`` and one standard eigenproblem (:func:`_loewner_poles`)
+and the directions the samples then determine
+(:func:`_identified_directions`), which usually recovers the target with
+no search at all.  The ``restarts`` seeded starts follow only if it does
+not, so a fit makes up to ``restarts + 1`` searches, and
+``FitResult.iterations`` counts all of them.  The identification needs
+numpy alone; scipy is loaded by :func:`minimize`, on the first search.
 An identified pole within ``LOEWNER_ORIGIN_RADIUS`` of the origin starts
 at the origin and stays there (:func:`_identified_start`): the pencil
 spreads an origin pole of multiplicity ``k`` to radius about
@@ -391,14 +393,6 @@ def _optimal_frame_angles(x: np.ndarray, kernel: _ChartKernel) -> np.ndarray:
     return angles_for_isometry(w[:, : accumulated.shape[1]] @ vh)
 
 
-def _splice_optimal_frame(x: np.ndarray, kernel: _ChartKernel) -> np.ndarray:
-    if kernel.size == kernel.directions.stop:
-        return x
-    out = np.array(x, dtype=float)
-    out[kernel.frame] = _optimal_frame_angles(x, kernel)
-    return out
-
-
 def _identified_directions(kernel: _ChartKernel):
     """The direction rows, in the kernel's layout, of the product with the
     template's poles that the kernel's samples determine, or ``None``.
@@ -450,19 +444,25 @@ def _loewner_poles(samples: SampleSet, d: int):
         ``S_ji = l_j (mu_j G(mu_j) - lam_i G(lam_i)) r_i / (mu_j - lam_i)``
 
     are projected onto the numerical rank of ``x L - S`` at the first right
-    point ``x = lam_0``: when the samples fix the member, it has the rank of
-    ``[L S]`` and of ``[L; S]`` (Antoulas, Lefteriu & Ionita, 2017), so its
-    one SVD gives both projections, its leading left singular vectors for
-    the rows and right ones for the columns.  The ``d`` finite generalized
-    eigenvalues of smallest modulus come back, in that order.
+    point ``x = lam_0``, built directly as
+    ``l_j ((x - mu_j) G(mu_j) - (x - lam_i) G(lam_i)) r_i / (mu_j - lam_i)``,
+    so ``S`` itself is never formed.  When the samples fix the member,
+    ``x L - S`` has the rank of ``[L S]`` and of ``[L; S]`` (Antoulas,
+    Lefteriu & Ionita, 2017), so its one SVD gives both projections, its
+    leading left singular vectors ``U_r`` for the rows and right ones
+    ``V_r`` for the columns.  Then
+    ``U_r* (x L - S) V_r = diag(s_r)``, so the projected pencil's
+    eigenvalues are ``a = x - 1/nu`` for the eigenvalues ``nu`` of the
+    standard problem ``diag(s_r)^-1 U_r* L V_r`` (the shift-invert
+    transform; Saad, 2011), and ``nu = 0`` is an infinite one.  The ``d``
+    finite eigenvalues of smallest modulus come back, in that order.
     A constant term adds at most ``min(p, m)`` to the rank, as infinite
     eigenvalues, so a degree-``d`` member's pencil has rank at most
     ``d + min(p, m)``.  The projection keeps no more than that, which drops
     the directions noise adds, and the pencil must have more rows and
     columns than that to fix the poles.  ``None`` means nothing was
     identified: ``d = 0``, a pencil that small, a right point equal to a
-    left one, or fewer than ``d`` finite eigenvalues.  scipy.linalg is
-    imported here, as :func:`minimize` imports its solver.
+    left one, or fewer than ``d`` finite eigenvalues.
     """
     lam, mu = samples.zs[0::2], samples.zs[1::2]
     bound = d + min(samples.p, samples.m)
@@ -471,19 +471,19 @@ def _loewner_poles(samples: SampleSet, d: int):
     gaps = mu[:, None] - lam
     if not gaps.all():
         return None
-    from scipy.linalg import eig
-
     right = np.arange(lam.size) % samples.m
     left = np.arange(mu.size) % samples.p
     # l_j G(lam_i) r_i and l_j G(mu_j) r_i, rows j and columns i
     at_lam = samples.targets[0::2][np.arange(lam.size), :, right][:, left].T
     at_mu = samples.targets[1::2][np.arange(mu.size), left, :][:, right]
+    x = lam[0]
     loewner = (at_mu - at_lam) / gaps
-    shifted = (mu[:, None] * at_mu - lam * at_lam) / gaps
-    rows, singular, columns = np.linalg.svd(lam[0] * loewner - shifted, full_matrices=False)
+    pencil = ((x - mu)[:, None] * at_mu - (x - lam) * at_lam) / gaps  # x L - S
+    rows, singular, columns = np.linalg.svd(pencil, full_matrices=False)
     rank = min(int(np.count_nonzero(singular > LOEWNER_RANK_RTOL * singular[0])), bound)
     rows, columns = rows[:, :rank].conj().T, columns[:rank].conj().T
-    values = eig(rows @ shifted @ columns, rows @ loewner @ columns, right=False)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        values = x - 1.0 / np.linalg.eigvals(rows @ loewner @ columns / singular[:rank, None])
     finite = values[np.isfinite(values)]
     if finite.size < d:
         return None
@@ -562,17 +562,18 @@ def fit_lossless(
         if rows is not None:
             x[kernel.directions] = rows.ravel()
         value = _chart_objective(x, kernel)
-        if x.size:
-            trial = _splice_optimal_frame(x, kernel)
-            trial_value = _chart_objective(trial, kernel)
-            if trial_value < value:
-                x, value = trial, trial_value
-            if value >= CONVERGED_OBJECTIVE:
-                result = minimize(x, kernel)
-                evaluations += int(result.nfev)
-                # scipy's cost is half the squared residual norm
-                if 2.0 * result.cost < value:
-                    x, value = result.x, 2.0 * float(result.cost)
+        # every chart has at least one frame angle, as m (2p - m) >= 1
+        trial = x.copy()
+        trial[kernel.frame] = _optimal_frame_angles(x, kernel)
+        trial_value = _chart_objective(trial, kernel)
+        if trial_value < value:
+            x, value = trial, trial_value
+        if value >= CONVERGED_OBJECTIVE:
+            result = minimize(x, kernel)
+            evaluations += int(result.nfev)
+            # scipy's cost is half the squared residual norm
+            if 2.0 * result.cost < value:
+                x, value = result.x, 2.0 * float(result.cost)
         if value < best_value:
             best_value = value
             best_x = x

@@ -199,7 +199,7 @@ def _solve_stein_schur(t: np.ndarray, u, q: np.ndarray, side: str) -> np.ndarray
         u = u[:, rev]
         x = u.conj().T @ q @ u
     rho = float(np.max(np.abs(np.diagonal(t))))
-    if rho >= 1.0 - SCHUR_MARGIN:
+    if not rho < 1.0 - SCHUR_MARGIN:  # a NaN fails too
         raise NotSchurStable(f"spectral radius {rho:.12f} is not below 1 - {SCHUR_MARGIN:.0e}")
     tc = t.conj()
     eye = np.eye(n, dtype=complex)

@@ -89,8 +89,8 @@ LOEWNER_RANK_RTOL = 1e-10
 #: An identified pole of at most this modulus starts the search at the
 #: origin, where it stays.  An origin pole of multiplicity ``k`` comes out of
 #: the pencil as a cluster of radius about ``eps^(1/k)``.  On 1200 seeded
-#: Schur draws (``p, m <= 4``, ``d <= 6``) the widest cluster measured 1.3e-10
-#: for one, 1.4e-6 for two, 4.5e-5 for three and 2.4e-5 to 3.1e-4 for four,
+#: Schur draws (``p, m <= 4``, ``d <= 6``) the widest cluster measured 6.4e-10
+#: for one, 1.6e-6 for two, 5.4e-5 for three and 5.0e-5 to 2.8e-4 for four,
 #: so the cut takes every cluster of up to three; a pole of a wider cluster
 #: starts searched, as every identified pole did before the cut.  None of
 #: the draws' 3129 true nonzero finite poles lay below it, and one that does

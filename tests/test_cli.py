@@ -11,6 +11,7 @@ from paraunit import (
     Pole,
     SampleSet,
     StateSpaceRealization,
+    bp_to_mfd,
     bp_to_realization,
     build_paraunitary,
     random_params,
@@ -152,6 +153,32 @@ class TestConvert:
         assert code == 0
         code, out, _ = run(capsys, "check", str(mfd_path))
         assert code == 0 and "mfd_hankel_right" in out
+
+    @pytest.mark.parametrize("via_ss", [False, True])
+    @pytest.mark.parametrize("side, p, m, fraction", [(COISO, 1, 2, "right"), (ISO, 2, 1, "left")])
+    def test_fraction_without_a_hankel_test_checks_on_the_circle(
+        self, tmp_path, capsys, via_ss, side, p, m, fraction
+    ):
+        # the Hankel test has no wide right or tall left form, so check
+        # certifies such a fraction by its circle samples; the fraction of a
+        # perturbed direction is the negative control
+        form = random_form(1, side, p, m, 2, schur_only=True)
+        broken = perturb_direction(form, 1.01, 1)
+        source, mfd_path, control = tmp_path / "f.json", tmp_path / "f_mfd.json", tmp_path / "control.json"
+        if via_ss:
+            write_document(source, bp_to_realization(form))
+            write_document(control, ss_to_mfd(bp_to_realization(broken, validate=False), fraction))
+        else:
+            write_document(source, form)
+            write_document(control, bp_to_mfd(broken, fraction))
+        code, _, _ = run(capsys, "convert", str(source), "--to", "mfd", "--side", fraction, "-o", str(mfd_path))
+        assert code == 0
+        code, out, err = run(capsys, "check", str(mfd_path))
+        assert (code, err) == (0, "")
+        assert verdict_lines(out) == [("circle_residual", "Pass")]
+        code, out, _ = run(capsys, "check", str(control))
+        assert code == 1
+        assert verdict_lines(out) == [("circle_residual", "Fail")]
 
     def test_bp_to_mfd_is_accurate_inside_the_disk(self, tmp_path, capsys):
         source, mfd_path = tmp_path / "f.json", tmp_path / "f_mfd.json"

@@ -5,12 +5,12 @@ take, so the package imports them inside the functions that run them: the
 Stein solve (``linalg.solve_stein``: its LAPACK triangular solves), the
 Schur form of a matrix that is not upper triangular (``linalg._schur_form``,
 which decides the structure of a realization's Schur view, its spectral
-radius and its Stein solve once), the fit's pole identification
-(``fit._loewner_poles``: its generalized eigenvalues) and its search
-(``fit.minimize``), which runs only when the start from the identified
-product does not already recover the target.  Evaluating a realization
-whose ``A`` is upper triangular, reading its spectral radius and
-multiplying it out into a fraction need numpy alone.
+radius and its Stein solve once) and the fit's search (``fit.minimize``),
+which runs only when the start from the identified product does not
+already recover the target.  Evaluating a realization whose ``A`` is
+upper triangular, reading its spectral radius, multiplying it out into a
+fraction and identifying a fit's poles (one standard eigenproblem) need
+numpy alone.
 """
 
 import ast
@@ -86,9 +86,9 @@ def test_fit_from_the_identified_product_loads_no_optimize(tmp_path, side, p, m)
     samples = tmp_path / "samples.json"
     write_document(samples, SampleSet(list(zip(zs, target.eval_many(zs)))))
     loaded = scipy_modules_after(["fit", str(samples), "--degree", "1"])
-    # the pencil's eigenvalues need scipy.linalg; no search runs
-    assert "scipy.linalg" in loaded
-    assert not [name for name in loaded if name.startswith("scipy.optimize")]
+    # the pencil's eigenvalues come from numpy's standard eigvals, and no
+    # search runs, so nothing of scipy loads
+    assert loaded == []
 
 
 def module_level_nodes(tree):
