@@ -93,7 +93,8 @@ def circle_residual(form, tol: float = CIRCLE_TOL) -> Certificate:
     Evaluates the form at ``z_k = exp(2 pi i k / N)`` in one ``eval_many``
     call and reports the largest Frobenius norm of ``F*F - I_m`` (tall case)
     or ``F F* - I_p`` (wide case); the witness is that matrix at the last
-    point reaching the maximum.
+    point reaching the maximum.  Values too large for the products give an
+    ``inf`` residual.
 
     ``N`` is ``max(CIRCLE_SAMPLES, 2 * degree + 1)``, with the degree ``d``
     of a product form, ``n`` of a realization, ``gamma`` of a Laurent
@@ -107,13 +108,17 @@ def circle_residual(form, tol: float = CIRCLE_TOL) -> Certificate:
     samples = max(CIRCLE_SAMPLES, 2 * _circle_degree(form) + 1)
     values = form.eval_many(np.exp(2j * np.pi * np.arange(samples) / samples))
     adjoints = values.conj().swapaxes(1, 2)
-    if form.p >= form.m:
-        grams = adjoints @ values - np.eye(form.m)
-    else:
-        grams = values @ adjoints - np.eye(form.p)
-    deviations = np.linalg.norm(grams, axis=(1, 2))
-    worst = samples - 1 - int(np.argmax(deviations[::-1]))
-    return Certificate("circle_residual", float(deviations[worst]), tol, witness=grams[worst])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if form.p >= form.m:
+            grams = adjoints @ values - np.eye(form.m)
+        else:
+            grams = values @ adjoints - np.eye(form.p)
+        deviations = np.linalg.norm(grams, axis=(1, 2))
+    worst = samples - 1 - int(np.argmax(deviations[::-1]))  # a nan counts as the largest
+    residual = float(deviations[worst])
+    return Certificate(
+        "circle_residual", residual if math.isfinite(residual) else math.inf, tol, witness=grams[worst]
+    )
 
 
 def realization_check(ss: StateSpaceRealization, tol: float = REALIZATION_TOL) -> Certificate:
@@ -152,12 +157,14 @@ def _gramians(ss: StateSpaceRealization):
     Both sides are solved on the Schur view ``ss.schur``, so ``A`` is
     factored at most once.  The solve raises ``NotSchurStable`` near the
     circle, and then nothing is kept.  The blocks of ``ss`` are read-only, so
-    the pair cannot go stale.
+    the pair cannot go stale.  ``B`` or ``C`` large enough to overflow
+    ``B B*`` or ``C* C`` gives a gramian with non-finite entries, silently.
     """
     if ss._gramians is None:
         t, u = ss.schur[:2]
-        w_cont = _solve_stein_schur(t, u, ss.b @ ss.b.conj().T, side="cont")
-        w_obs = _solve_stein_schur(t, u, ss.c.conj().T @ ss.c, side="obs")
+        with np.errstate(over="ignore", invalid="ignore"):
+            w_cont = _solve_stein_schur(t, u, ss.b @ ss.b.conj().T, side="cont")
+            w_obs = _solve_stein_schur(t, u, ss.c.conj().T @ ss.c, side="obs")
         w_cont.setflags(write=False)
         w_obs.setflags(write=False)
         ss._gramians = w_cont, w_obs
@@ -171,7 +178,9 @@ def gramian_certificate(ss: StateSpaceRealization, tol: float = GRAMIAN_TOL):
     A lossless tall system in this realization class has ``W_obs = I`` and
     ``I - W_cont`` positive semidefinite; wide systems mirror the roles, and
     square systems have both gramians equal to the identity.  A contraction
-    certificate's witness is the eigenvalue list of ``I - W``.
+    certificate's witness is the eigenvalue list of ``I - W``.  A gramian that
+    overflowed gives its certificates an ``inf`` residual (and a contraction
+    certificate no witness).
 
     Returns ``(w_cont, w_obs, certificates)``.  The gramians are solved once
     per realization and shared with later calls and with
@@ -182,11 +191,13 @@ def gramian_certificate(ss: StateSpaceRealization, tol: float = GRAMIAN_TOL):
     eye = np.eye(n)
 
     def identity_cert(name, w):
-        return Certificate(name, float(np.linalg.norm(w - eye)), tol, witness=w - eye)
+        return Certificate(name, _finite_norm(w - eye), tol, witness=w - eye)
 
     def contraction_cert(name, w):
         if n == 0:
             return Certificate(name, 0.0, tol, witness=np.zeros(0))
+        if not np.isfinite(w).all():  # eigvalsh would give nan, which max(0.0, .) drops
+            return Certificate(name, math.inf, tol)
         values = np.linalg.eigvalsh(eye - w)  # solve_stein returns w exactly Hermitian
         return Certificate(name, max(0.0, -float(values[0])), tol, witness=values)
 
@@ -289,11 +300,14 @@ def mcmillan_degree(ss: StateSpaceRealization) -> int:
     the eigenvalues of ``F* W_obs F`` for the factor ``F = V diag(sqrt(l))``
     of ``W_cont = V diag(l) V*`` (negative rounding in ``l`` clipped to
     zero).  They are those of ``W_cont^{1/2} W_obs W_cont^{1/2}``, which is
-    ``F* W_obs F`` conjugated by the unitary ``V``.
+    ``F* W_obs F`` conjugated by the unitary ``V``.  Gramians that overflowed
+    raise ``ValueError``.
     """
     if ss.n == 0:
         return 0
     w_cont, w_obs = _gramians(ss)
+    if not (np.isfinite(w_cont).all() and np.isfinite(w_obs).all()):
+        raise ValueError("gramians overflowed: B B* or C* C is not finite")
     values, vectors = np.linalg.eigh(w_cont)
     factor = vectors * np.sqrt(np.clip(values, 0.0, None))
     product_values = np.linalg.eigvalsh(factor.conj().T @ w_obs @ factor)

@@ -3,8 +3,10 @@
 Thin, contract-pinning wrappers around LAPACK: symmetrization on return and
 the stability and symmetry tests (thresholds from :mod:`paraunit.tolerances`)
 are fixed here so the rest of the package can rely on them.  Every kernel is
-O(n^3) in time and O(n^2) in memory, with no size cap.  All functions are
-pure and take 2-D complex arrays.
+O(n^3) in time and O(n^2) in memory, with no size cap, except the Stein
+solve up to order ``STEIN_DENSE_ORDER_LIMIT = 8``: one dense Kronecker
+system, O(n^6) time and O(n^4) memory at most 64 unknowns.  All functions
+are pure and take 2-D complex arrays.
 """
 
 from __future__ import annotations
@@ -21,7 +23,13 @@ from .errors import (
     NotIsometric,
     NotSchurStable,
 )
-from .tolerances import HERMITIAN_RTOL, ISOMETRY_TOL, SCHUR_MARGIN, STEIN_HERMITIAN_RTOL
+from .tolerances import (
+    HERMITIAN_RTOL,
+    ISOMETRY_TOL,
+    SCHUR_MARGIN,
+    STEIN_DENSE_ORDER_LIMIT,
+    STEIN_HERMITIAN_RTOL,
+)
 
 
 @functools.cache
@@ -29,10 +37,11 @@ def _lapack():
     """The complex Schur (``zgees``) and triangular-solve (``ztrtrs``) drivers.
 
     Raw LAPACK calls: scipy.linalg.schur / solve_triangular checks cost more
-    than a whole solve at n <= 8, and as_complex_matrix has already rejected
-    NaN / Inf.  Imported on first use, because loading scipy.linalg costs more
-    than most CLI commands, and only the Stein solve and the Schur form of a
-    matrix that is not upper triangular (:func:`_schur_form`) need it.
+    than a whole column solve at small n, and as_complex_matrix has already
+    rejected NaN / Inf.  Imported on first use, because loading scipy.linalg
+    costs more than most CLI commands, and only the Stein solve's column loop
+    (order above ``STEIN_DENSE_ORDER_LIMIT``) and the Schur form of a matrix
+    that is not upper triangular (:func:`_schur_form`) need it.
     """
     from scipy.linalg.lapack import zgees, ztrtrs
 
@@ -158,10 +167,13 @@ def solve_stein(a, q, side: str = "cont") -> np.ndarray:
     Notes
     -----
     Bartels-Stewart / Kitagawa: with ``A = U T U*`` and ``T`` upper
-    triangular, ``X = U* W U`` solves ``X - T X T* = U* Q U`` column by
-    column from the last, each an upper-triangular solve with
-    ``I - conj(t_jj) T``.  O(n^3) time, O(n^2) memory; the stability test
-    reads ``max |diag T|``.  ``A`` is classified once by
+    triangular, ``X = U* W U`` solves ``X - T X T* = U* Q U``.  Up to order
+    ``STEIN_DENSE_ORDER_LIMIT = 8`` that is one dense numpy solve of the
+    ``n^2`` system ``(I - T kron conj T) vec X = vec Q`` (row-major ``vec``;
+    the system is upper triangular), which needs no scipy.  Larger orders
+    solve column by column from the last, each an upper-triangular LAPACK
+    solve with ``I - conj(t_jj) T``: O(n^3) time, O(n^2) memory.  The
+    stability test reads ``max |diag T|``.  ``A`` is classified once by
     :func:`_schur_form`: an upper triangular ``A`` (every realization the
     package writes) is its own ``T`` and runs no Schur step.  The ``"obs"``
     side flips the same form, ``A* = (U J)(J T* J)(U J)*`` with ``J`` the
@@ -185,7 +197,9 @@ def _solve_stein_schur(t: np.ndarray, u, q: np.ndarray, side: str) -> np.ndarray
 
     Makes the stability test but none of the input checks, so a caller that
     already holds the form of ``A`` (a realization's Schur view) solves
-    both sides without factoring ``A`` again.
+    both sides without factoring ``A`` again.  Orders up to
+    ``STEIN_DENSE_ORDER_LIMIT`` take one dense solve and larger ones the
+    column loop (the bound's reason is in :mod:`paraunit.tolerances`).
     """
     n = t.shape[0]
     if n == 0:
@@ -202,14 +216,19 @@ def _solve_stein_schur(t: np.ndarray, u, q: np.ndarray, side: str) -> np.ndarray
     if not rho < 1.0 - SCHUR_MARGIN:  # a NaN fails too
         raise NotSchurStable(f"spectral radius {rho:.12f} is not below 1 - {SCHUR_MARGIN:.0e}")
     tc = t.conj()
-    eye = np.eye(n, dtype=complex)
-    t_rows = np.ascontiguousarray(t.T)  # I - c T^T in C order is I - c T in Fortran order
-    ztrtrs = _lapack()[1]
-    for j in range(n - 1, -1, -1):  # column j is overwritten by its solution, last first
-        rhs = x[:, j] + t @ (x[:, j + 1 :] @ tc[j, j + 1 :])
-        x[:, j], info = ztrtrs((eye - tc[j, j] * t_rows).T, rhs)
-        if info != 0:  # pragma: no cover - the margin keeps every pivot nonzero
-            raise ConvergenceFailure(f"triangular solve failed: LAPACK trtrs info {info}")
+    if n <= STEIN_DENSE_ORDER_LIMIT:  # row-major vec(T X T*) = (T kron conj T) vec X
+        kron = (t[:, None, :, None] * -tc[None, :, None, :]).reshape(n * n, n * n)
+        kron.flat[:: n * n + 1] += 1.0
+        x = np.linalg.solve(kron, x.reshape(n * n)).reshape(n, n)
+    else:
+        eye = np.eye(n, dtype=complex)
+        t_rows = np.ascontiguousarray(t.T)  # I - c T^T in C order is I - c T in Fortran order
+        ztrtrs = _lapack()[1]
+        for j in range(n - 1, -1, -1):  # column j is overwritten by its solution, last first
+            rhs = x[:, j] + t @ (x[:, j + 1 :] @ tc[j, j + 1 :])
+            x[:, j], info = ztrtrs((eye - tc[j, j] * t_rows).T, rhs)
+            if info != 0:  # pragma: no cover - the margin keeps every pivot nonzero
+                raise ConvergenceFailure(f"triangular solve failed: LAPACK trtrs info {info}")
     w = x[rev, rev] if u is None else u @ x @ u.conj().T
     return 0.5 * (w + w.conj().T)
 

@@ -44,6 +44,28 @@ HERMITIAN_RTOL = 1e-10
 #: Hermitian-symmetry tolerance of a Stein right-hand side ``Q``, relative
 #: to ``max(1, ||Q||_F)``: the solution is symmetrized on return.
 STEIN_HERMITIAN_RTOL = 1e-12
+#: Stein pairs up to this order take one dense solve of the ``n^2``
+#: Kronecker system ``(I - T kron conj T) vec X = vec Q``, which is upper
+#: triangular and needs numpy alone; larger orders solve column by column
+#: with LAPACK ``ztrtrs`` (Kitagawa).  The dense cost grows as ``n^6`` and
+#: the column loop's as ``n^3`` plus a Python step per column.  Median
+#: microseconds per side on iso 4x2 cascades, the two paths interleaved in
+#: one process on a 2-vCPU machine:
+#:
+#: ====== ==== ==== ==== ==== ==== ==== ==== ====
+#: n      1    2    3    4    5    6    7    8
+#: loop   17.1 24.1 29.8 36.0 42.1 47.9 54.9 62.6
+#: dense  19.7 21.5 23.3 27.2 34.9 45.4 64.7 94.3
+#: ====== ==== ==== ==== ==== ==== ==== ==== ====
+#:
+#: The loop is faster from order 7, by at most 32 us a side at order 8, but
+#: the dense path loads no scipy, whose ``scipy.linalg`` import (about
+#: 0.27 s) was most of a fresh-process CLI ``check`` or ``gramians`` on a
+#: degree-8 realization.  From order 9 the dense solve costs about twice the
+#: loop (about three times at 10, more than ten times at 16).
+#: ``scipy.linalg.solve_discrete_lyapunov`` switches from the same dense
+#: Kronecker solve to a bilinear transform at order 10.
+STEIN_DENSE_ORDER_LIMIT = 8
 #: An MFD denominator with a larger condition number counts as singular.
 MFD_COND_LIMIT = 1e12
 #: A realization must satisfy its (co)isometry condition this well before

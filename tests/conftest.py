@@ -130,6 +130,16 @@ def series_cascade(outer: StateSpaceRealization, inner: StateSpaceRealization) -
     return StateSpaceRealization(a, b, c, d)
 
 
+def overflowing_realization(shape: str) -> StateSpaceRealization:
+    """Schur-stable one-state ``"tall"`` or ``"wide"`` realization whose ``B B*`` overflows.
+
+    Its ``W_obs`` is ``4/3``, so the certificate on ``W_obs`` fails by ``1/3``.
+    """
+    if shape == "tall":
+        return StateSpaceRealization([[0.5]], [[1e300]], [[1.0], [0.0]], [[0.0], [1.0]])
+    return StateSpaceRealization([[0.5]], [[1e300, 0.0]], [[1.0]], [[0.0, 1.0]])
+
+
 def constant_system(d) -> StateSpaceRealization:
     """Zero-state realization of a constant matrix."""
     d = np.asarray(d, dtype=complex)

@@ -33,7 +33,14 @@ import paraunit.analysis
 from paraunit.analysis import _autocorrelation, _circle_degree
 from paraunit.linalg import solve_stein
 from paraunit.tolerances import CIRCLE_SAMPLES, SCHUR_MARGIN
-from conftest import block_hankel, fir_form, perturb_direction, random_form, random_unitary
+from conftest import (
+    block_hankel,
+    fir_form,
+    overflowing_realization,
+    perturb_direction,
+    random_form,
+    random_unitary,
+)
 from golden import (
     SQRT2,
     row_example_bp,
@@ -116,6 +123,12 @@ class TestCircleResidual:
 
     def test_worked_example_passes(self):
         assert circle_residual(row_example_bp(0.5)).passed
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_values_read_inf(self):
+        cert = circle_residual(LaurentPolyForm(0, [[[1e300]], [[1e300]]]))
+        assert cert.residual == np.inf
+        assert not cert.passed
 
     def test_rescaled_direction_fails(self):
         form = row_example_bp(0.5)
@@ -228,6 +241,16 @@ class TestGramianCertificate:
             assert ss.n == 80
             _, _, certs = gramian_certificate(ss)
             assert all(c.passed for c in certs)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "shape, name", [("tall", "gramian_cont_contraction"), ("wide", "gramian_cont_identity")]
+    )
+    def test_overflowing_gramian_fails_with_inf(self, shape, name):
+        certs = {c.name: c for c in gramian_certificate(overflowing_realization(shape))[2]}
+        assert certs[name].residual == np.inf
+        assert not certs[name].passed
+        assert all(not np.isnan(c.residual) for c in certs.values())
 
 
 class TestGramianMemo:
@@ -454,6 +477,12 @@ class TestMcmillanDegree:
         ss = StateSpaceRealization([[1.2]], [[1.0]], [[1.0]], [[0.0]])
         with pytest.raises(NotSchurStable):
             mcmillan_degree(ss)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shape", ["tall", "wide"])
+    def test_overflowing_gramians_raise(self, shape):
+        with pytest.raises(ValueError, match="gramians overflowed"):
+            mcmillan_degree(overflowing_realization(shape))
 
     def test_degree_80_within_scipy_rank_band(self):
         # some squared Hankel singular values of a degree-80 cascade lie near

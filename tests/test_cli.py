@@ -20,7 +20,13 @@ from paraunit import (
 import paraunit.linalg
 from paraunit.cli import execute
 from paraunit.documents import read_document, write_document
-from conftest import circle_points, perturb_direction, random_form, random_unitary
+from conftest import (
+    circle_points,
+    overflowing_realization,
+    perturb_direction,
+    random_form,
+    random_unitary,
+)
 from golden import row_example_bp, row_example_ss_normalized, row_example_ss_unnormalized
 
 
@@ -520,6 +526,19 @@ class TestUsageErrors:
         assert err == ""
         line = next(line for line in out.splitlines() if line.startswith(("realization", "mfd")))
         assert "residual=inf" in line and "verdict=Fail" in line
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["check", "gramians"])
+    @pytest.mark.parametrize("shape", ["tall", "wide"])
+    def test_overflowing_gramian_fails_with_inf(self, tmp_path, capsys, command, shape):
+        path = tmp_path / "ss.json"
+        write_document(path, overflowing_realization(shape))
+        code, out, err = run(capsys, command, str(path))
+        assert code == 1
+        assert err == ""
+        line = next(line for line in out.splitlines() if line.startswith("gramian_cont"))
+        assert "residual=inf" in line and "verdict=Fail" in line
+        assert "residual=nan" not in out
 
     def test_params_document_has_no_certificates(self, tmp_path, capsys):
         path = tmp_path / "params.json"

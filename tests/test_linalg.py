@@ -163,11 +163,13 @@ class TestSolveStein:
         with pytest.raises(DimensionMismatch):
             solve_stein(np.zeros((2, 2)), np.eye(3))
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 40])
     @pytest.mark.parametrize("structure", ["upper", "lower", "dense"])
     @pytest.mark.parametrize("side", ["cont", "obs"])
     def test_structures_match_scipy(self, n, structure, side):
-        # upper and lower triangular matrices skip the Schur step; dense ones take it
+        # upper and lower triangular matrices skip the Schur step; dense ones
+        # take it; orders up to STEIN_DENSE_ORDER_LIMIT = 8 solve one dense
+        # Kronecker system and larger ones column by column
         rng = np.random.default_rng([n, len(structure)])
         diagonal = 0.95 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
         t = np.diag(diagonal) + np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 1) / np.sqrt(n)
@@ -194,9 +196,15 @@ class TestSolveStein:
 
     @pytest.mark.parametrize("side", ["cont", "obs"])
     def test_triangular_rejects_just_inside_margin(self, side):
-        for a in (np.array([[0.5, 2.0], [0.0, 1.0 - 5e-10]]), np.array([[1.0 - 5e-10, 0.0], [2.0, 0.5]])):
+        # the 9-state case is past the dense bound and takes the column loop
+        last_of_nine = np.triu(np.full((9, 9), 0.5)) + np.diag([0.0] * 8 + [0.5 - 5e-10])
+        for a in (
+            np.array([[0.5, 2.0], [0.0, 1.0 - 5e-10]]),
+            np.array([[1.0 - 5e-10, 0.0], [2.0, 0.5]]),
+            last_of_nine,
+        ):
             with pytest.raises(NotSchurStable):
-                solve_stein(a, np.eye(2), side=side)
+                solve_stein(a, np.eye(len(a)), side=side)
 
 
 class TestHermitianEig:
