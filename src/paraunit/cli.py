@@ -227,8 +227,11 @@ def _cmd_gramians(args) -> int:
     if gramians is None:
         return _print_certificates([realization_check(obj, **kwargs)])
     w_cont, w_obs, certs = gramians
-    _print_matrix("W_cont", w_cont)
-    _print_matrix("W_obs", w_obs)
+    for name, gramian in (("W_cont", w_cont), ("W_obs", w_obs)):
+        if np.isfinite(gramian).all():
+            _print_matrix(name, gramian)
+        else:
+            print(f"{name} = (overflowed {gramian.shape[0]}x{gramian.shape[1]})")
     return _print_certificates(certs)
 
 

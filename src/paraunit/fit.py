@@ -207,7 +207,9 @@ class _ChartKernel:
     angles; the slices ``radii``, ``thetas``, ``directions`` and ``frame``
     read them.  The search moves no origin or infinite pole of the
     template, so their gains ``phi - 1`` are the same at every call; only
-    the rows of searched poles are recomputed.
+    the rows of searched poles are recomputed.  A start builds one factor
+    chain from its kernel (:func:`_start_values`), which gives the start's
+    value, its Procrustes frame and the value of the snapped trial.
     """
 
     def __init__(self, template: ParaunitaryParam, zs: np.ndarray, targets: np.ndarray):
@@ -257,6 +259,16 @@ def _decode(x: np.ndarray, kernel: _ChartKernel) -> ParaunitaryParam:
     return replace(kernel.template, poles=tuple(poles), directions=rows, frame=frame)
 
 
+def _frame_constant(kernel: _ChartKernel, frame) -> np.ndarray:
+    """The constant block at the wrapped ``frame`` angles, refused unless it
+    is an isometry within ``ISOMETRY_TOL``."""
+    constant = isometry_from_angles(kernel.k, kernel.template.m, frame)
+    residual = isometry_residual(constant)
+    if not residual <= ISOMETRY_TOL:
+        raise ValueError(f"constant is not a (co)isometry: residual {residual:.3e}")
+    return constant
+
+
 def _chart_chain(point, kernel: _ChartKernel):
     """``(gains, directions, constant)`` of the iso product that
     :func:`_chart_residual` evaluates at the decoded ``point``
@@ -273,10 +285,7 @@ def _chart_chain(point, kernel: _ChartKernel):
     directions = unit_vector_from_angles(k, rows[:, : k - 1], _with_leading_phase(rows[:, k - 1 :]))
     if not (np.abs(np.linalg.norm(directions, axis=1) - 1.0) <= DIRECTION_NORM_SLACK).all():
         raise ValueError(f"a direction norm is further than {DIRECTION_NORM_SLACK:.0e} from one")
-    constant = isometry_from_angles(k, kernel.template.m, frame)
-    residual = isometry_residual(constant)
-    if not residual <= ISOMETRY_TOL:
-        raise ValueError(f"constant is not a (co)isometry: residual {residual:.3e}")
+    constant = _frame_constant(kernel, frame)
     gains = kernel.gains.copy()
     gains[kernel.searched_rows] = _finite_blaschke_values(alphas, kernel.zs) - 1.0
     return gains, directions, constant
@@ -358,12 +367,6 @@ def _chart_jacobian(x, kernel: _ChartKernel) -> np.ndarray:
     return jac.reshape(kernel.size, -1).view(float).T
 
 
-def _chart_objective(x, kernel: _ChartKernel) -> float:
-    """``objective(_decode(x, kernel), samples)``: the squared norm of the residual."""
-    residual = _chart_residual(x, kernel)
-    return float(residual @ residual)
-
-
 def minimize(x: np.ndarray, kernel: _ChartKernel):
     """One restart's local search from ``x``: a ``dogbox`` trust-region
     least-squares solve of the kernel's residual, with the exact Jacobian of
@@ -379,18 +382,36 @@ def minimize(x: np.ndarray, kernel: _ChartKernel):
     )
 
 
-def _optimal_frame_angles(x: np.ndarray, kernel: _ChartKernel) -> np.ndarray:
-    """Closed-form best constant block for the current factor chain.
+def _squared_distance(chain: np.ndarray, constant: np.ndarray, targets: np.ndarray) -> float:
+    """``||chain constant - targets||^2`` for the ``(N, k, k)`` values of a
+    factor chain, with one ``(N k x k) @ (k x m)`` matrix product."""
+    values = (chain.reshape(-1, constant.shape[0]) @ constant).reshape(targets.shape)
+    residual = (values - targets).ravel().view(float)
+    return float(residual @ residual)
 
-    On (or near) the unit circle the factor chain is pointwise unitary, so
-    minimizing over the constant alone is an orthogonal Procrustes problem;
-    its polar-factor solution is converted back to chart angles.
+
+def _start_values(x, kernel: _ChartKernel):
+    """``(value, frame, trial_value)`` of a start ``x``, from one factor chain.
+
+    ``value`` is the objective at ``x``.  ``frame`` holds the chart angles
+    of the closed-form best constant block for the chain at ``x``: on (or
+    near) the unit circle the chain is pointwise unitary, so minimizing over
+    the constant alone is an orthogonal Procrustes problem (Schonemann,
+    1966), solved by the polar factor of ``sum_z P(z)* T(z)`` for the chain
+    values ``P`` and the targets ``T``.  ``trial_value`` is the objective
+    with the frame angles of ``x`` replaced by ``frame``.  The chain is
+    built once, with the checks of :func:`_chart_chain`, and the trial's
+    constant passes the same isometry test as the start's.
     """
-    gains, directions, _ = _chart_chain(_chart_point(x, kernel), kernel)
-    values = _iso_product(gains, directions, np.eye(kernel.k, dtype=complex))
-    accumulated = np.einsum("nij,nil->jl", values.conj(), kernel.targets)
+    gains, directions, constant = _chart_chain(_chart_point(x, kernel), kernel)
+    chain = _iso_product(gains, directions, np.eye(kernel.k, dtype=complex))
+    value = _squared_distance(chain, constant, kernel.targets)
+    accumulated = np.einsum("nij,nil->jl", chain.conj(), kernel.targets)
     w, _, vh = np.linalg.svd(accumulated)
-    return angles_for_isometry(w[:, : accumulated.shape[1]] @ vh)
+    frame = angles_for_isometry(w[:, : accumulated.shape[1]] @ vh)
+    # wrapped as _chart_point wraps the trial's coordinates
+    trial = _frame_constant(kernel, np.mod(frame, 2.0 * np.pi))
+    return value, frame, _squared_distance(chain, trial, kernel.targets)
 
 
 def _identified_directions(kernel: _ChartKernel):
@@ -505,7 +526,8 @@ def fit_lossless(
     parameters are transposed back (:meth:`ParaunitaryParam.transpose`), so
     every search runs on an iso chain.  When :func:`_loewner_poles`
     identifies the ``d`` poles from the samples, the first start is the
-    identified product: the frame of restart 0's seeded draw, every pole
+    identified product: the frame of restart 0's seeded draw (drawn once,
+    for both starts), every pole
     from the identification (:func:`_identified_start`: a pole of modulus
     at most ``LOEWNER_ORIGIN_RADIUS`` starts at the origin, where it stays,
     and any other with its radius clamped into the radius chart), and the
@@ -513,8 +535,10 @@ def fit_lossless(
     (:func:`_identified_directions`), or the draw's own when that finds
     nothing.  The ``restarts`` seeded draws follow (their origin poles stay
     at the origin for the whole search), so a fit makes at most
-    ``restarts + 1`` searches.  Each start snaps the constant block to its
-    closed-form (Procrustes) optimum when that lowers the objective, and
+    ``restarts + 1`` searches.  Each start evaluates its factor chain once
+    (:func:`_start_values`), which gives its objective, the frame of its
+    closed-form (Procrustes) constant block and the objective with that
+    frame; the start snaps to that frame when it lowers the objective, and
     runs one :func:`minimize` from there unless the start already
     converged.  The loop stops at the first objective below
     ``CONVERGED_OBJECTIVE``.  The overall best candidate wins, and any
@@ -545,12 +569,13 @@ def fit_lossless(
         return template.transpose() if transposed else template
 
     # (template, whether it is the identified product), drawn one at a
-    # time: most fits stop at the first start
-    starts = ((draw(restart), False) for restart in range(restarts))
+    # time: most fits stop at the first start, which takes restart 0's frame
+    first = draw(0)
+    starts = ((draw(restart) if restart else first, False) for restart in range(restarts))
     identified = _loewner_poles(samples, d)
     if identified is not None:
         poles = tuple(_identified_start(a) for a in identified)
-        starts = itertools.chain([(replace(draw(0), poles=poles), True)], starts)
+        starts = itertools.chain([(replace(first, poles=poles), True)], starts)
     best_x = None
     best_kernel = None
     best_value = np.inf
@@ -561,13 +586,10 @@ def fit_lossless(
         rows = _identified_directions(kernel) if product else None
         if rows is not None:
             x[kernel.directions] = rows.ravel()
-        value = _chart_objective(x, kernel)
         # every chart has at least one frame angle, as m (2p - m) >= 1
-        trial = x.copy()
-        trial[kernel.frame] = _optimal_frame_angles(x, kernel)
-        trial_value = _chart_objective(trial, kernel)
+        value, frame, trial_value = _start_values(x, kernel)
         if trial_value < value:
-            x, value = trial, trial_value
+            x[kernel.frame], value = frame, trial_value
         if value >= CONVERGED_OBJECTIVE:
             result = minimize(x, kernel)
             evaluations += int(result.nfev)

@@ -540,6 +540,16 @@ class TestUsageErrors:
         assert "residual=inf" in line and "verdict=Fail" in line
         assert "residual=nan" not in out
 
+    @pytest.mark.parametrize("shape", ["tall", "wide"])
+    def test_overflowed_gramian_prints_no_entries(self, tmp_path, capsys, shape):
+        path = tmp_path / "ss.json"
+        write_document(path, overflowing_realization(shape))
+        code, out, err = run(capsys, "gramians", str(path))
+        assert code == 1
+        assert "nan" not in out and "Warning" not in err
+        assert "W_cont = (overflowed 1x1)" in out.splitlines()
+        assert "W_obs = " in out and "W_obs = (overflowed" not in out
+
     def test_params_document_has_no_certificates(self, tmp_path, capsys):
         path = tmp_path / "params.json"
         write_document(path, random_params(0, ISO, 2, 1, 1))

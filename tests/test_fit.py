@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from paraunit import (
 )
 import paraunit.fit as fit
 from paraunit.fit import (
-    _ChartKernel, _chart_jacobian, _chart_objective, _chart_residual, _decode, _encode, minimize,
+    _ChartKernel, _chart_jacobian, _chart_residual, _decode, _encode, _start_values, minimize,
 )
 from paraunit.tolerances import LOEWNER_ORIGIN_RADIUS, RADIUS_CHART_MARGIN
 from conftest import circle_points, two_sided_loewner_poles
@@ -91,14 +92,22 @@ def random_kernel_inputs(rng, seed, count=9):
 class TestChartKernel:
     def test_matches_public_objective(self):
         rng = np.random.default_rng(31)
+        origins = 0
         for seed in range(200):
             template, zs, targets = random_kernel_inputs(rng, seed)
             samples = SampleSet(list(zip(zs, targets)))
             kernel = _ChartKernel(template, samples.zs, samples.targets)
             start = _encode(template)
             x = start + rng.normal(scale=3.0, size=start.size)
+            value, frame, trial_value = _start_values(x, kernel)
             expected = objective(_decode(x, kernel), samples)
-            assert abs(_chart_objective(x, kernel) - expected) <= 1e-12 * expected
+            assert abs(value - expected) <= 1e-12 * expected
+            trial = x.copy()
+            trial[kernel.frame] = frame
+            expected = objective(_decode(trial, kernel), samples)
+            assert abs(trial_value - expected) <= 1e-12 * expected
+            origins += Pole(0.0) in template.poles
+        assert origins >= 20
 
     def test_sample_on_a_decoded_pole_raises_on_both_paths(self):
         rng = np.random.default_rng(32)
@@ -116,7 +125,7 @@ class TestChartKernel:
             with pytest.raises(EvalAtPole) as public:
                 objective(params, samples)
             with pytest.raises(EvalAtPole) as chart:
-                _chart_objective(x, _ChartKernel(template, samples.zs, samples.targets))
+                _start_values(x, _ChartKernel(template, samples.zs, samples.targets))
             assert str(chart.value) == str(public.value)
             checked += 1
         assert checked >= 20
@@ -196,8 +205,8 @@ class TestChartJacobian:
         samples = samples_from_params(target, count=64)
         result = fit_lossless(samples, d=1, p=2, m=1, seed=100, restarts=1)
         assert result.converged and result.iterations > 0
-        # the start, the Procrustes splice, then one call per search step
-        assert len(calls) == result.iterations + 2
+        # one call per search step: the start reads its chain through _start_values
+        assert len(calls) == result.iterations
 
 
 class TestSampleSet:
@@ -416,9 +425,19 @@ class TestLoewnerPoles:
             return minimize(x, kernel)
 
         monkeypatch.setattr(fit, "minimize", counted)
+        draws = Counter()
+
+        def drawn(seed, *args, **kwargs):
+            draws[seed] += 1
+            return random_params(seed, *args, **kwargs)
+
+        monkeypatch.setattr(fit, "random_params", drawn)
         result, seeded_only = self.fit_both_ways(
             monkeypatch, noisy, d, p, m, side=side, seed=9000 + case, restarts=8,
         )
+        # each fit draws each seed once: restart 0 reuses the draw the
+        # identified start took its frame from
+        assert draws == {9000 + case + restart: 2 for restart in range(8)}
         assert result.objective <= seeded_only.objective
         # the identified starts reach the noise floor; the seeded ones do not
         assert result.objective <= 2.0 * np.linalg.norm(noise) ** 2 < seeded_only.objective
@@ -522,6 +541,26 @@ class TestIdentifiedProduct:
         target = random_params(seed, COISO, p, m, d, schur_only=True)
         result = fit_lossless(samples_from_params(target), d=d, p=p, m=m, side=COISO, seed=fit_seed)
         assert result.converged
+
+    @pytest.mark.parametrize("seed, side, p, m, d", [(11, ISO, 2, 1, 1), (7024, COISO, 4, 4, 4)])
+    def test_start_builds_one_chain(self, monkeypatch, seed, side, p, m, d):
+        calls = Counter()
+
+        def counted(name):
+            function = getattr(fit, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return wrapper
+
+        for name in ("_chart_chain", "_iso_product"):
+            monkeypatch.setattr(fit, name, counted(name))
+        target = random_params(seed, side, p, m, d, schur_only=True)
+        result = fit_lossless(samples_from_params(target), d=d, p=p, m=m, side=side, seed=seed + 1)
+        assert result.converged and result.iterations == 0
+        assert calls == {"_chart_chain": 1, "_iso_product": 1}
 
     def test_sample_at_a_zero_of_phi_finds_nothing(self):
         template = replace(random_params(3, ISO, 2, 1, 1, schur_only=True), poles=(Pole(0.5),))
