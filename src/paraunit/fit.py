@@ -27,17 +27,20 @@ spreads an origin pole of multiplicity ``k`` to radius about
 Jacobian are proportional to that radius, so the search would crawl.
 
 Each start builds one :class:`_ChartKernel` from its frozen template and
-the samples; the kernel states the coordinate layout, which
-:func:`_chart_point` decodes.  The search evaluates :func:`_chart_residual`,
-which takes the coordinate vector straight to the real view of
-``values - targets`` with array operations: the origin-pole gains are
-computed once, the searched poles' gains come from the product form's own
-Blaschke kernel (:func:`~paraunit.forms._finite_blaschke_values`, which
-also refuses a sample at a pole), the directions from one batched chart
-call, and the constant from the Householder chain of
+the samples; the kernel states the coordinate layout and encodes the
+template in it, and :func:`_chart_point` decodes it.  Every finite point
+of the chart is a lossless function, so the decoding makes one check: the
+decoded poles and angles must be finite.  The search evaluates
+:func:`_chart_residual`, which takes the coordinate vector straight to the
+real view of ``values - targets`` with array operations: the origin-pole
+gains are computed once, the searched poles' gains come from the product
+form's own Blaschke kernel (:func:`~paraunit.forms._finite_blaschke_values`,
+which also refuses a sample at a pole), the directions from one batched
+chart call, and the constant from the Householder chain of
 :func:`~paraunit.params.isometry_from_angles`.  It builds no parameter
-object and no product form, yet makes every check that path makes; the
-objective is its squared norm.  :func:`_chart_jacobian` gives the exact
+object and no product form, yet refuses what :func:`objective` refuses at
+the decoded parameters (:func:`_decode` reads :func:`_chart_point` too);
+the objective is its squared norm.  :func:`_chart_jacobian` gives the exact
 Jacobian of the residual from one prefix and one suffix sweep over the same
 factor chain, so the search spends no residual evaluation on finite
 differences.  :func:`objective` stays the public path; the reported
@@ -53,9 +56,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AngleCountMismatch, DimensionMismatch
+from .errors import DimensionMismatch
 from .forms import COISO, ISO, Pole, _blaschke_values, _finite_blaschke_values, _iso_product
-from .linalg import isometry_residual
 from .params import (
     ParaunitaryParam,
     _angles_for_unit_vector,
@@ -70,12 +72,9 @@ from .params import (
 )
 from .tolerances import (
     CONVERGED_OBJECTIVE,
-    DIRECTION_NORM_SLACK,
     FIT_EVAL_BUDGET,
-    ISOMETRY_TOL,
     LOEWNER_ORIGIN_RADIUS,
     LOEWNER_RANK_RTOL,
-    POLE_CIRCLE_MARGIN,
     RADIUS_CHART_MARGIN,
     RADIUS_MARGIN,
 )
@@ -185,16 +184,6 @@ def _searched(pole: Pole) -> bool:
     return not pole.is_infinity and pole.value != 0
 
 
-def _encode(params: ParaunitaryParam) -> np.ndarray:
-    coords = []
-    for pole in params.poles:
-        if _searched(pole):
-            coords.append(_radius_to_real(abs(pole.value)))
-            coords.append(cmath.phase(pole.value))
-    coords.extend(params.angle_vector())
-    return np.asarray(coords, dtype=float)
-
-
 class _ChartKernel:
     """What :func:`_chart_residual` needs of one start, computed once, and
     the one statement of the coordinate layout.
@@ -205,11 +194,12 @@ class _ChartKernel:
     radius and phase coordinates of each searched pole, interleaved, then
     one row of ``2 (p - 1)`` angles per factor direction, then the frame
     angles; the slices ``radii``, ``thetas``, ``directions`` and ``frame``
-    read them.  The search moves no origin or infinite pole of the
-    template, so their gains ``phi - 1`` are the same at every call; only
-    the rows of searched poles are recomputed.  A start builds one factor
-    chain from its kernel (:func:`_start_values`), which gives the start's
-    value, its Procrustes frame and the value of the snapped trial.
+    read them, and ``start`` is the template's own coordinate vector, built
+    through the same slices.  The search moves no origin or infinite pole
+    of the template, so their gains ``phi - 1`` are the same at every call;
+    only the rows of searched poles are recomputed.  A start builds one
+    factor chain from its kernel (:func:`_start_values`), which gives the
+    start's value, its Procrustes frame and the value of the snapped trial.
     """
 
     def __init__(self, template: ParaunitaryParam, zs: np.ndarray, targets: np.ndarray):
@@ -229,6 +219,12 @@ class _ChartKernel:
         self.directions = slice(radii_end, radii_end + template.d * 2 * (self.k - 1))
         self.frame = slice(self.directions.stop, None)
         self.size = self.directions.stop + len(template.frame)
+        self.start = np.empty(self.size)
+        alphas = [template.poles[j].value for j in self.searched_rows]
+        self.start[self.radii] = [_radius_to_real(abs(alpha)) for alpha in alphas]
+        self.start[self.thetas] = [cmath.phase(alpha) for alpha in alphas]
+        self.start[self.directions] = np.ravel(template.directions)
+        self.start[self.frame] = template.frame
 
 
 def _chart_point(x, kernel: _ChartKernel):
@@ -239,15 +235,28 @@ def _chart_point(x, kernel: _ChartKernel):
     belong to the searched poles, ``rows`` is the ``(d, 2 (k - 1))`` array
     of direction angles and ``frame`` holds the frame angles; every angle is
     wrapped modulo ``2 pi``.
+
+    This is the chart's one check.  A ``ValueError`` refuses coordinates
+    that decode to a non-finite ``alpha``, direction angle or frame angle:
+    a nan coordinate, or an infinite phase or angle.  It is raised before
+    any gain is computed, and no numpy warning precedes it.  An infinite
+    radius coordinate decodes to a legal radius.  Finite coordinates need
+    no other test: the radius chart keeps every radius at least
+    ``RADIUS_MARGIN`` inside the circle, and
+    ``RADIUS_MARGIN > POLE_CIRCLE_MARGIN``; the angle charts give unit
+    directions and an isometric constant.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (kernel.size,):
-        raise AngleCountMismatch(f"need {kernel.size} coordinates, got shape {x.shape}")
-    wrapped = np.mod(x, 2.0 * np.pi)
+    # an infinite angle wraps to nan, which the test below refuses
+    with np.errstate(invalid="ignore"):
+        wrapped = np.mod(x, 2.0 * np.pi)
     radii = _real_to_radius(x[kernel.radii])
     turns = np.exp(1j * wrapped[kernel.thetas])
+    alphas = radii * turns
+    if not (np.isfinite(alphas).all() and np.isfinite(wrapped[kernel.directions.start :]).all()):
+        raise ValueError("chart coordinates decode to a non-finite pole or angle")
     rows = wrapped[kernel.directions].reshape(kernel.direction_shape)
-    return radii, turns, radii * turns, rows, wrapped[kernel.frame]
+    return radii, turns, alphas, rows, wrapped[kernel.frame]
 
 
 def _decode(x: np.ndarray, kernel: _ChartKernel) -> ParaunitaryParam:
@@ -259,33 +268,18 @@ def _decode(x: np.ndarray, kernel: _ChartKernel) -> ParaunitaryParam:
     return replace(kernel.template, poles=tuple(poles), directions=rows, frame=frame)
 
 
-def _frame_constant(kernel: _ChartKernel, frame) -> np.ndarray:
-    """The constant block at the wrapped ``frame`` angles, refused unless it
-    is an isometry within ``ISOMETRY_TOL``."""
-    constant = isometry_from_angles(kernel.k, kernel.template.m, frame)
-    residual = isometry_residual(constant)
-    if not residual <= ISOMETRY_TOL:
-        raise ValueError(f"constant is not a (co)isometry: residual {residual:.3e}")
-    return constant
-
-
 def _chart_chain(point, kernel: _ChartKernel):
     """``(gains, directions, constant)`` of the iso product that
     :func:`_chart_residual` evaluates at the decoded ``point``
-    (:func:`_chart_point`), with the checks of :func:`objective` in the
-    same order.
+    (:func:`_chart_point`, which has refused a non-finite point).
 
     ``gains`` is the ``(d, N)`` array of ``phi_j - 1`` at the samples, the
     searched rows from the product form's own Blaschke kernel.
     """
-    radii, _, alphas, rows, frame = point
-    if (np.abs(radii - 1.0) <= POLE_CIRCLE_MARGIN).any():
-        raise ValueError("polar radius must stay off the unit circle")
+    _, _, alphas, rows, frame = point
     k = kernel.k
     directions = unit_vector_from_angles(k, rows[:, : k - 1], _with_leading_phase(rows[:, k - 1 :]))
-    if not (np.abs(np.linalg.norm(directions, axis=1) - 1.0) <= DIRECTION_NORM_SLACK).all():
-        raise ValueError(f"a direction norm is further than {DIRECTION_NORM_SLACK:.0e} from one")
-    constant = _frame_constant(kernel, frame)
+    constant = isometry_from_angles(k, kernel.template.m, frame)
     gains = kernel.gains.copy()
     gains[kernel.searched_rows] = _finite_blaschke_values(alphas, kernel.zs) - 1.0
     return gains, directions, constant
@@ -300,7 +294,7 @@ def _chart_residual(x, kernel: _ChartKernel) -> np.ndarray:
 
 def _chart_jacobian(x, kernel: _ChartKernel) -> np.ndarray:
     """Exact real Jacobian of :func:`_chart_residual` at ``x``, one column
-    per coordinate, with the checks of :func:`_chart_chain`.
+    per coordinate; it refuses what :func:`_chart_residual` refuses.
 
     With the prefix ``L_j = B_1 ... B_{j-1}`` and the suffix
     ``R_j = B_{j+1} ... B_d U`` of the factor chain
@@ -400,8 +394,9 @@ def _start_values(x, kernel: _ChartKernel):
     1966), solved by the polar factor of ``sum_z P(z)* T(z)`` for the chain
     values ``P`` and the targets ``T``.  ``trial_value`` is the objective
     with the frame angles of ``x`` replaced by ``frame``.  The chain is
-    built once, with the checks of :func:`_chart_chain`, and the trial's
-    constant passes the same isometry test as the start's.
+    built once, and ``x`` is refused as :func:`_chart_residual` refuses it;
+    ``frame`` has passed the isometry test of
+    :func:`~paraunit.params.angles_for_isometry`.
     """
     gains, directions, constant = _chart_chain(_chart_point(x, kernel), kernel)
     chain = _iso_product(gains, directions, np.eye(kernel.k, dtype=complex))
@@ -410,7 +405,7 @@ def _start_values(x, kernel: _ChartKernel):
     w, _, vh = np.linalg.svd(accumulated)
     frame = angles_for_isometry(w[:, : accumulated.shape[1]] @ vh)
     # wrapped as _chart_point wraps the trial's coordinates
-    trial = _frame_constant(kernel, np.mod(frame, 2.0 * np.pi))
+    trial = isometry_from_angles(kernel.k, kernel.template.m, np.mod(frame, 2.0 * np.pi))
     return value, frame, _squared_distance(chain, trial, kernel.targets)
 
 
@@ -582,7 +577,7 @@ def fit_lossless(
     evaluations = 0
     for template, product in starts:
         kernel = _ChartKernel(template, samples.zs, targets)
-        x = _encode(template)
+        x = kernel.start.copy()
         rows = _identified_directions(kernel) if product else None
         if rows is not None:
             x[kernel.directions] = rows.ravel()

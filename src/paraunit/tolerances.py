@@ -9,7 +9,9 @@ a threshold; this module imports nothing.
 The code relies on two orderings:
 
 * ``RADIUS_MARGIN > POLE_CIRCLE_MARGIN``, so random and fitted polar radii
-  are legal poles.
+  are legal poles.  The fit's radius chart maps every coordinate, an
+  infinite one included, to a radius at most ``1 - RADIUS_MARGIN``, so it
+  makes no radius check of its own.
 * ``POLE_CIRCLE_MARGIN > SCHUR_MARGIN``, so every legal pole inside the disk
   passes the Stein and cascade stability tests.  ``bp_to_realization``'s
   ``PoleNotInDisk`` band ``1 - SCHUR_MARGIN <= |alpha| < 1`` is therefore

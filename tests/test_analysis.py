@@ -35,6 +35,7 @@ from paraunit.linalg import solve_stein
 from paraunit.tolerances import CIRCLE_SAMPLES, SCHUR_MARGIN
 from conftest import (
     block_hankel,
+    constant_system,
     fir_form,
     overflowing_realization,
     perturb_direction,
@@ -251,6 +252,17 @@ class TestGramianCertificate:
         assert certs[name].residual == np.inf
         assert not certs[name].passed
         assert all(not np.isnan(c.residual) for c in certs.values())
+
+    @pytest.mark.parametrize("side", [RIGHT, LEFT])
+    def test_stateless_realization(self, rng, side):
+        isometry = random_unitary(rng, 3)[:, :2]
+        ss = constant_system(isometry if side == RIGHT else isometry.T)
+        w_cont, w_obs, certs = gramian_certificate(ss)
+        assert w_cont.shape == w_obs.shape == (0, 0)
+        assert [c.residual for c in certs] == [0.0, 0.0]
+        assert certs[1].name.endswith("_contraction") and certs[1].witness.shape == (0,)
+        assert mcmillan_degree(ss) == 0
+        assert mfd_check(ss_to_mfd(ss, side)).passed
 
 
 class TestGramianMemo:

@@ -22,6 +22,7 @@ from paraunit.cli import execute
 from paraunit.documents import read_document, write_document
 from conftest import (
     circle_points,
+    constant_system,
     overflowing_realization,
     perturb_direction,
     random_form,
@@ -363,6 +364,21 @@ class TestGramians:
         assert "gramian certificates skipped" in out
         assert "realization_unitary" in out and "verdict=Pass" in out
         assert "W_cont" not in out
+
+    @pytest.mark.parametrize("shape", ["tall", "wide"])
+    def test_stateless_realization(self, tmp_path, capsys, shape):
+        isometry = random_unitary(np.random.default_rng(5), 3)[:, :2]
+        path = tmp_path / "ss.json"
+        write_document(path, constant_system(isometry if shape == "tall" else isometry.T))
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 0, err
+        verdicts = dict(verdict_lines(out))
+        assert set(verdicts.values()) == {"Pass"}
+        assert any(name.startswith("gramian_") for name in verdicts)
+        code, out, err = run(capsys, "gramians", str(path))
+        assert code == 0, err
+        lines = out.splitlines()
+        assert "W_cont = (empty 0x0)" in lines and "W_obs = (empty 0x0)" in lines
 
 
 class TestEval:

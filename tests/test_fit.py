@@ -1,3 +1,5 @@
+import itertools
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -21,7 +23,7 @@ from paraunit import (
 )
 import paraunit.fit as fit
 from paraunit.fit import (
-    _ChartKernel, _chart_jacobian, _chart_residual, _decode, _encode, _start_values, minimize,
+    _ChartKernel, _chart_jacobian, _chart_residual, _decode, _start_values, minimize,
 )
 from paraunit.tolerances import LOEWNER_ORIGIN_RADIUS, RADIUS_CHART_MARGIN
 from conftest import circle_points, two_sided_loewner_poles
@@ -89,6 +91,23 @@ def random_kernel_inputs(rng, seed, count=9):
     return as_iso(template), zs, targets
 
 
+CHART_BLOCKS = ("radii", "thetas", "directions", "frame")
+
+
+def searched_kernels(rng, count=40):
+    """``count`` kernels of seeded templates with searched poles, each with
+    its samples and a coordinate vector scattered around its start."""
+    kernels = []
+    for seed in itertools.count():
+        template, zs, targets = random_kernel_inputs(rng, seed)
+        samples = SampleSet(list(zip(zs, targets)))
+        kernel = _ChartKernel(template, samples.zs, samples.targets)
+        if kernel.searched_rows.size:
+            kernels.append((kernel, samples, kernel.start + rng.normal(size=kernel.size)))
+        if len(kernels) == count:
+            return kernels
+
+
 class TestChartKernel:
     def test_matches_public_objective(self):
         rng = np.random.default_rng(31)
@@ -97,8 +116,7 @@ class TestChartKernel:
             template, zs, targets = random_kernel_inputs(rng, seed)
             samples = SampleSet(list(zip(zs, targets)))
             kernel = _ChartKernel(template, samples.zs, samples.targets)
-            start = _encode(template)
-            x = start + rng.normal(scale=3.0, size=start.size)
+            x = kernel.start + rng.normal(scale=3.0, size=kernel.size)
             value, frame, trial_value = _start_values(x, kernel)
             expected = objective(_decode(x, kernel), samples)
             assert abs(value - expected) <= 1e-12 * expected
@@ -114,9 +132,10 @@ class TestChartKernel:
         checked = 0
         for seed in range(40):
             template = as_iso(random_template(rng, seed))
-            x = _encode(template) + rng.normal(size=_encode(template).size)
             zero = np.zeros((template.p, template.m))
-            params = _decode(x, _ChartKernel(template, np.ones(1, dtype=complex), zero[None]))
+            kernel = _ChartKernel(template, np.ones(1, dtype=complex), zero[None])
+            x = kernel.start + rng.normal(size=kernel.size)
+            params = _decode(x, kernel)
             poles = [pole.value for pole in params.poles if fit._searched(pole)]
             if not poles:
                 continue
@@ -129,6 +148,52 @@ class TestChartKernel:
             assert str(chart.value) == str(public.value)
             checked += 1
         assert checked >= 20
+
+    def test_non_finite_point_raises_on_every_path(self):
+        rng = np.random.default_rng(36)
+        refused = Counter()
+        for kernel, _, x in searched_kernels(rng):
+            for block in CHART_BLOCKS:
+                coordinates = np.arange(kernel.size)[getattr(kernel, block)]
+                if not coordinates.size:
+                    continue
+                for value in (np.nan, np.inf, -np.inf):
+                    if block == "radii" and np.isinf(value):
+                        continue  # decodes to a legal radius
+                    point = x.copy()
+                    point[rng.choice(coordinates)] = value
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        for path in (_chart_residual, _chart_jacobian, _start_values, _decode):
+                            with pytest.raises(ValueError, match="non-finite pole or angle"):
+                                path(point, kernel)
+                    refused[block] += 1
+        assert refused["radii"] == 40 and refused["thetas"] == refused["frame"] == 120
+        assert refused["directions"] >= 90
+
+    def test_extreme_coordinates_give_finite_values(self):
+        rng = np.random.default_rng(37)
+        checked = Counter()
+        for kernel, samples, x in searched_kernels(rng):
+            for block in CHART_BLOCKS:
+                coordinates = np.arange(kernel.size)[getattr(kernel, block)]
+                if not coordinates.size:
+                    continue
+                values = (1e300, -1e300) + ((np.inf, -np.inf) if block == "radii" else ())
+                for value in values:
+                    point = x.copy()
+                    point[rng.choice(coordinates)] = value
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        assert np.isfinite(_chart_residual(point, kernel)).all()
+                        assert np.isfinite(_chart_jacobian(point, kernel)).all()
+                        start_value, frame, trial_value = _start_values(point, kernel)
+                        expected = objective(_decode(point, kernel), samples)
+                    assert np.isfinite([start_value, trial_value, *frame]).all()
+                    assert abs(start_value - expected) <= 1e-12 * expected
+                    checked[block] += 1
+        assert checked["radii"] == 160 and checked["thetas"] == checked["frame"] == 80
+        assert checked["directions"] >= 60
 
 
 def central_differences(x, kernel, step=1e-6):
@@ -145,8 +210,7 @@ def random_kernel(rng, seed):
     scattered around its template's encoding."""
     template, zs, targets = random_kernel_inputs(rng, seed)
     kernel = _ChartKernel(template, zs, targets)
-    start = _encode(template)
-    return template, kernel, start + rng.normal(size=start.size)
+    return template, kernel, kernel.start + rng.normal(size=kernel.size)
 
 
 class TestChartJacobian:

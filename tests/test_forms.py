@@ -104,6 +104,14 @@ class TestBlaschkePotapovForm:
         form = BlaschkePotapovForm(ISO, 2, 2, [(Pole(0.3), v)], np.eye(2))
         assert abs(np.linalg.norm(form.factors[0][1]) - 1.0) < 1e-14
 
+    def test_raw_complex_pole_is_coerced(self):
+        v = np.array([0.6, 0.8j])
+        raw = BlaschkePotapovForm(ISO, 2, 1, [(0.3 - 0.2j, v)], np.array([[1.0], [0.0]]))
+        built = BlaschkePotapovForm(ISO, 2, 1, [(Pole(0.3 - 0.2j), v)], np.array([[1.0], [0.0]]))
+        assert isinstance(raw.poles[0], Pole) and raw.poles == built.poles
+        assert np.array_equal(raw.factors[0][1], built.factors[0][1])
+        assert np.array_equal(raw.eval_many([0.5, 2j]), built.eval_many([0.5, 2j]))
+
     def test_rejects_bad_direction_norm(self):
         with pytest.raises(ValueError, match="direction norm"):
             BlaschkePotapovForm(ISO, 2, 2, [(Pole(0.3), [0.9, 0.0])], np.eye(2))
