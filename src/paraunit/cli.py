@@ -1,12 +1,25 @@
 """Command-line interface.
 
-Subcommands: ``generate``, ``check``, ``convert``, ``embed``, ``flip``,
-``gramians``, ``eval``, ``fit``.  Reports go to standard output; documents
-are written to files only.  Exit codes: 0 when every requested certificate
-passed (or the operation succeeded), 1 when a certificate failed, 2 on
-usage or input errors.  The ``PARAUNIT_TOL`` environment variable overrides
-the default certificate tolerance; ``--tol`` overrides both.  Either must be
-a finite number ``>= 0``, or the command exits 2.
+Reports go to standard output; documents are written to files only.  Each
+subcommand reads the document kinds listed here:
+
+- ``generate`` reads none and writes a ``bp`` document;
+- ``check`` reads ``bp``, ``ss``, ``mfd`` or ``laurent``;
+- ``eval`` reads ``bp``, ``ss``, ``mfd`` or ``laurent``;
+- ``convert`` reads ``bp`` for ``--to ss`` and ``--to laurent``, ``bp`` or
+  ``ss`` for ``--to mfd``;
+- ``embed`` reads ``bp`` or ``ss``;
+- ``flip`` reads ``bp``;
+- ``gramians`` reads ``ss``;
+- ``fit`` reads ``samples``.
+
+A ``params`` document reads as its product form wherever ``bp`` is read.
+Exit codes: 0 when every requested certificate passed (or the operation
+succeeded), 1 when a certificate failed, 2 on usage or input errors, a
+document of a kind the command does not read included.  The
+``PARAUNIT_TOL`` environment variable overrides the default certificate
+tolerance; ``--tol`` overrides both.  Either must be a finite number
+``>= 0``, or the command exits 2.
 """
 
 from __future__ import annotations
@@ -29,17 +42,7 @@ from .analysis import (
 from .documents import kind_of, read_document, write_document
 from .errors import DocumentError, NotSchurStable, SideMismatch
 from .fit import fit_lossless
-from .forms import (
-    COISO,
-    ISO,
-    LEFT,
-    RIGHT,
-    BlaschkePotapovForm,
-    LaurentPolyForm,
-    MFDForm,
-    StateSpaceRealization,
-    evaluate,
-)
+from .forms import COISO, ISO, LEFT, RIGHT, evaluate
 # perfbench/tracing.py shims cli.spectral_radius, so the name stays importable here
 from .linalg import spectral_radius  # noqa: F401
 from .params import build_paraunitary, random_params
@@ -65,17 +68,14 @@ def _format_complex(z: complex) -> str:
     return f"{_format_real(z.real)}{sign}{_format_real(abs(z.imag))}j"
 
 
-def _print_matrix(name: str, a) -> None:
+def _format_matrix(name: str, a) -> str:
     a = np.asarray(a)
     if a.size == 1:
-        print(f"{name} = {_format_complex(a.reshape(-1)[0])}")
-        return
+        return f"{name} = {_format_complex(a.reshape(-1)[0])}"
     if a.size == 0:
-        print(f"{name} = (empty {a.shape[0]}x{a.shape[1]})")
-        return
-    print(f"{name} =")
-    for i in range(a.shape[0]):
-        print("  " + "  ".join(_format_complex(a[i, j]) for j in range(a.shape[1])))
+        return f"{name} = (empty {a.shape[0]}x{a.shape[1]})"
+    rows = ("  " + "  ".join(_format_complex(x) for x in row) for row in a)
+    return "\n".join((f"{name} =", *rows))
 
 
 def _print_certificates(certs) -> int:
@@ -87,14 +87,28 @@ def _print_certificates(certs) -> int:
     return 0 if all(cert.passed for cert in certs) else 1
 
 
-def _resolve_tol(args) -> float | None:
-    """``--tol``, else ``PARAUNIT_TOL``, else ``None``; either must be finite and >= 0."""
-    if getattr(args, "tol", None) is not None:
+def _read(args, *kinds):
+    """The document at ``args.file``, whose kind must be one of ``kinds``; a
+    ``params`` document reads as its product form where ``bp`` is read."""
+    obj = read_document(args.file)
+    kind = kind_of(obj)
+    if kind == "params" and "bp" in kinds:
+        return build_paraunitary(obj)
+    if kind not in kinds:
+        command = f"convert --to {args.to}" if args.command == "convert" else args.command
+        raise DocumentError(f"{command} reads documents of kind {', '.join(kinds)}; got {kind!r}")
+    return obj
+
+
+def _resolve_tol(args) -> dict:
+    """Certificate keyword arguments: ``{"tol": t}`` from ``--tol``, else from
+    ``PARAUNIT_TOL``, else ``{}``; ``t`` must be finite and >= 0."""
+    if args.tol is not None:
         source, tol = "--tol", args.tol
     else:
         env = os.environ.get("PARAUNIT_TOL")
         if not env:
-            return None
+            return {}
         source = "PARAUNIT_TOL"
         try:
             tol = float(env)
@@ -102,7 +116,15 @@ def _resolve_tol(args) -> float | None:
             raise DocumentError(f"PARAUNIT_TOL is not a number: {env!r}") from exc
     if not (math.isfinite(tol) and tol >= 0.0):
         raise DocumentError(f"{source} must be a finite number >= 0, got {tol!r}")
-    return tol
+    return {"tol": tol}
+
+
+def _write(args, obj, what: str, *report: str) -> int:
+    """Write ``obj`` to ``args.output``, then print the ``report`` lines and
+    the ``wrote`` line; returns the exit code 0."""
+    write_document(args.output, obj)
+    print(*report, f"wrote {what} document to {args.output}", sep="\n")
+    return 0
 
 
 def _parse_point(text: str) -> complex:
@@ -118,17 +140,13 @@ def _parse_point(text: str) -> complex:
 
 
 def _cmd_generate(args) -> int:
-    side = args.side
-    if side is None:
-        side = ISO if args.p >= args.m else COISO
+    side = args.side or (ISO if args.p >= args.m else COISO)
     params = random_params(args.seed, side, args.p, args.m, args.degree, schur_only=args.schur)
     form = build_paraunitary(params)
-    write_document(args.output, form)
-    print(f"wrote {side} {form.p}x{form.m} degree-{form.d} document to {args.output}")
-    return 0
+    return _write(args, form, f"{side} {form.p}x{form.m} degree-{form.d}")
 
 
-def _gramian_certificate(ss: StateSpaceRealization, kwargs):
+def _gramian_certificate(ss, **kwargs):
     """:func:`gramian_certificate` of ``ss``, or ``None`` with a note when its
     Stein solve finds a pole within ``SCHUR_MARGIN`` of the circle: a
     lossless realization with such a pole is still certified by its
@@ -140,123 +158,78 @@ def _gramian_certificate(ss: StateSpaceRealization, kwargs):
         return None
 
 
-def _collect_check_certificates(obj, tol: float | None):
-    kwargs = {"tol": tol} if tol is not None else {}
-    if isinstance(obj, BlaschkePotapovForm):
-        return [circle_residual(obj, **kwargs)]
-    if isinstance(obj, StateSpaceRealization):
-        certs = [realization_check(obj, **kwargs)]
-        gramians = _gramian_certificate(obj, kwargs)
-        return certs if gramians is None else certs + gramians[2]
-    if isinstance(obj, MFDForm):
-        try:
-            return [mfd_check(obj, tol=tol)]
-        except SideMismatch:
-            # a fraction on the side its shape has no Hankel test for (a wide
-            # right or tall left one): its circle samples track its degree,
-            # so their verdict is exact
-            return [circle_residual(obj, **kwargs)]
-    if isinstance(obj, LaurentPolyForm):
-        return [laurent_check(obj, **kwargs)]
-    raise DocumentError(f"documents of kind {kind_of(obj)!r} have no certificates")
-
-
 def _cmd_check(args) -> int:
-    obj = read_document(args.file)
-    certs = _collect_check_certificates(obj, _resolve_tol(args))
+    obj = _read(args, "bp", "ss", "mfd", "laurent")
+    kind, kwargs = kind_of(obj), _resolve_tol(args)
+    if kind == "bp":
+        certs = [circle_residual(obj, **kwargs)]
+    elif kind == "ss":
+        certs = [realization_check(obj, **kwargs)]
+        gramians = _gramian_certificate(obj, **kwargs)
+        certs += [] if gramians is None else gramians[2]
+    elif kind == "mfd":
+        try:
+            certs = [mfd_check(obj, **kwargs)]
+        except SideMismatch:  # no Hankel test on this side of its shape
+            certs = [circle_residual(obj, **kwargs)]
+    else:
+        certs = [laurent_check(obj, **kwargs)]
     return _print_certificates(certs)
 
 
 def _cmd_convert(args) -> int:
-    obj = read_document(args.file)
-    if args.to == "ss":
-        if not isinstance(obj, BlaschkePotapovForm):
-            raise DocumentError("convert --to ss expects a bp document")
-        result = bp_to_realization(obj)
-    elif args.to == "mfd":
-        if not isinstance(obj, (BlaschkePotapovForm, StateSpaceRealization)):
-            raise DocumentError("convert --to mfd expects a bp or ss document")
-        side = args.side
-        if side is None:
-            side = RIGHT if obj.p >= obj.m else LEFT
-        convert = bp_to_mfd if isinstance(obj, BlaschkePotapovForm) else ss_to_mfd
-        result = convert(obj, side)
-    elif args.to == "laurent":
-        if not isinstance(obj, BlaschkePotapovForm):
-            raise DocumentError("convert --to laurent expects a bp document")
-        result = bp_to_laurent(obj)
-    else:  # pragma: no cover - argparse restricts choices
-        raise DocumentError(f"unknown target {args.to!r}")
-    write_document(args.output, result)
-    print(f"wrote {kind_of(result)} document to {args.output}")
-    return 0
+    if args.to == "mfd":
+        obj = _read(args, "bp", "ss")
+        side = args.side or (RIGHT if obj.p >= obj.m else LEFT)
+        result = (bp_to_mfd if kind_of(obj) == "bp" else ss_to_mfd)(obj, side)
+    else:
+        obj = _read(args, "bp")
+        result = bp_to_realization(obj) if args.to == "ss" else bp_to_laurent(obj)
+    return _write(args, result, kind_of(result))
 
 
 def _cmd_embed(args) -> int:
-    obj = read_document(args.file)
-    if isinstance(obj, BlaschkePotapovForm):
-        square, constant = embed_to_square(obj)
-        write_document(args.output, square)
-        _print_matrix("constant", constant)
-        print(f"wrote square bp document to {args.output}")
-        return 0
-    if isinstance(obj, StateSpaceRealization):
-        embedded = allpass_embed(obj)
-        write_document(args.output, embedded)
-        print(f"wrote embedded ss document to {args.output}")
-        return 0
-    raise DocumentError("embed expects a bp or ss document")
+    obj = _read(args, "bp", "ss")
+    if kind_of(obj) == "ss":
+        return _write(args, allpass_embed(obj), "embedded ss")
+    square, constant = embed_to_square(obj)
+    return _write(args, square, "square bp", _format_matrix("constant", constant))
 
 
 def _cmd_flip(args) -> int:
-    obj = read_document(args.file)
-    if not isinstance(obj, BlaschkePotapovForm):
-        raise DocumentError("flip expects a bp document")
-    write_document(args.output, flip_poles(obj))
-    print(f"wrote flipped bp document to {args.output}")
-    return 0
+    return _write(args, flip_poles(_read(args, "bp")), "flipped bp")
 
 
 def _cmd_gramians(args) -> int:
-    obj = read_document(args.file)
-    if not isinstance(obj, StateSpaceRealization):
-        raise DocumentError("gramians expects an ss document")
-    tol = _resolve_tol(args)
-    kwargs = {"tol": tol} if tol is not None else {}
-    gramians = _gramian_certificate(obj, kwargs)
+    obj = _read(args, "ss")
+    kwargs = _resolve_tol(args)
+    gramians = _gramian_certificate(obj, **kwargs)
     if gramians is None:
         return _print_certificates([realization_check(obj, **kwargs)])
     w_cont, w_obs, certs = gramians
     for name, gramian in (("W_cont", w_cont), ("W_obs", w_obs)):
         if np.isfinite(gramian).all():
-            _print_matrix(name, gramian)
+            print(_format_matrix(name, gramian))
         else:
             print(f"{name} = (overflowed {gramian.shape[0]}x{gramian.shape[1]})")
     return _print_certificates(certs)
 
 
 def _cmd_eval(args) -> int:
-    obj = read_document(args.file)
-    if not isinstance(
-        obj, (BlaschkePotapovForm, StateSpaceRealization, MFDForm, LaurentPolyForm)
-    ):
-        raise DocumentError(f"documents of kind {kind_of(obj)!r} cannot be evaluated")
+    obj = _read(args, "bp", "ss", "mfd", "laurent")
     z = _parse_point(args.at)
-    _print_matrix(f"F({_format_complex(z)})", evaluate(obj, z))
+    print(_format_matrix(f"F({_format_complex(z)})", evaluate(obj, z)))
     return 0
 
 
 def _cmd_fit(args) -> int:
-    samples = read_document(args.file)
-    if kind_of(samples) != "samples":
-        raise DocumentError("fit expects a samples document")
-    side = args.side
+    samples = _read(args, "samples")
     result = fit_lossless(
         samples,
         d=args.degree,
         p=samples.p,
         m=samples.m,
-        side=side,
+        side=args.side,
         seed=args.seed,
         restarts=args.restarts,
     )
@@ -264,8 +237,7 @@ def _cmd_fit(args) -> int:
     print(f"iterations = {result.iterations}")
     print(f"converged = {'yes' if result.converged else 'no'}")
     if args.output:
-        write_document(args.output, build_paraunitary(result.params))
-        print(f"wrote fitted bp document to {args.output}")
+        _write(args, build_paraunitary(result.params), "fitted bp")
     return 0
 
 

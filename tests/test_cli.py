@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +15,14 @@ from paraunit import (
     Pole,
     SampleSet,
     StateSpaceRealization,
+    bp_to_laurent,
     bp_to_mfd,
     bp_to_realization,
     build_paraunitary,
     random_params,
     ss_to_mfd,
 )
+import paraunit
 import paraunit.linalg
 from paraunit.cli import execute
 from paraunit.documents import read_document, write_document
@@ -124,6 +130,28 @@ class TestGenerateAndCheck:
         assert source in err and "verdict" not in out
 
 
+def check_fraction_and_control(tmp_path, capsys, form, fraction, via_ss, certificate):
+    """``convert --to mfd --side fraction`` of ``form`` (or of its ss) checks
+    by one passing ``certificate``; the fraction of a perturbed direction,
+    the negative control, fails it."""
+    broken = perturb_direction(form, 1.01, 1)
+    source, mfd_path, control = tmp_path / "f.json", tmp_path / "f_mfd.json", tmp_path / "control.json"
+    if via_ss:
+        write_document(source, bp_to_realization(form))
+        write_document(control, ss_to_mfd(bp_to_realization(broken, validate=False), fraction))
+    else:
+        write_document(source, form)
+        write_document(control, bp_to_mfd(broken, fraction))
+    code, _, _ = run(capsys, "convert", str(source), "--to", "mfd", "--side", fraction, "-o", str(mfd_path))
+    assert code == 0
+    code, out, err = run(capsys, "check", str(mfd_path))
+    assert (code, err) == (0, "")
+    assert verdict_lines(out) == [(certificate, "Pass")]
+    code, out, _ = run(capsys, "check", str(control))
+    assert code == 1
+    assert verdict_lines(out) == [(certificate, "Fail")]
+
+
 class TestConvert:
     def test_bp_chain_preserves_pass(self, tmp_path, capsys):
         source = tmp_path / "f.json"
@@ -170,22 +198,13 @@ class TestConvert:
         # certifies such a fraction by its circle samples; the fraction of a
         # perturbed direction is the negative control
         form = random_form(1, side, p, m, 2, schur_only=True)
-        broken = perturb_direction(form, 1.01, 1)
-        source, mfd_path, control = tmp_path / "f.json", tmp_path / "f_mfd.json", tmp_path / "control.json"
-        if via_ss:
-            write_document(source, bp_to_realization(form))
-            write_document(control, ss_to_mfd(bp_to_realization(broken, validate=False), fraction))
-        else:
-            write_document(source, form)
-            write_document(control, bp_to_mfd(broken, fraction))
-        code, _, _ = run(capsys, "convert", str(source), "--to", "mfd", "--side", fraction, "-o", str(mfd_path))
-        assert code == 0
-        code, out, err = run(capsys, "check", str(mfd_path))
-        assert (code, err) == (0, "")
-        assert verdict_lines(out) == [("circle_residual", "Pass")]
-        code, out, _ = run(capsys, "check", str(control))
-        assert code == 1
-        assert verdict_lines(out) == [("circle_residual", "Fail")]
+        check_fraction_and_control(tmp_path, capsys, form, fraction, via_ss, "circle_residual")
+
+    @pytest.mark.parametrize("via_ss", [False, True])
+    @pytest.mark.parametrize("side, p, m", [(ISO, 2, 2), (COISO, 2, 3)])
+    def test_left_fraction_checks_by_its_hankel_test(self, tmp_path, capsys, via_ss, side, p, m):
+        form = random_form(1, side, p, m, 3, schur_only=True)
+        check_fraction_and_control(tmp_path, capsys, form, LEFT, via_ss, "mfd_hankel_left")
 
     def test_bp_to_mfd_is_accurate_inside_the_disk(self, tmp_path, capsys):
         source, mfd_path = tmp_path / "f.json", tmp_path / "f_mfd.json"
@@ -566,8 +585,104 @@ class TestUsageErrors:
         assert "W_cont = (overflowed 1x1)" in out.splitlines()
         assert "W_obs = " in out and "W_obs = (overflowed" not in out
 
-    def test_params_document_has_no_certificates(self, tmp_path, capsys):
-        path = tmp_path / "params.json"
-        write_document(path, random_params(0, ISO, 2, 1, 1))
-        code, _, err = run(capsys, "check", str(path))
-        assert code == 2
+
+def golden_document(tmp_path, kind):
+    """Path of one small valid document of ``kind``."""
+    fir = BlaschkePotapovForm(ISO, 2, 2, [(Pole(0.0), [1.0, 0.0]), (Pole.infinity(), [0.0, 1.0])], np.eye(2))
+    zs = circle_points(8)
+    obj = {
+        "bp": row_example_bp,
+        "ss": row_example_ss_normalized,
+        "mfd": lambda: ss_to_mfd(row_example_ss_normalized(), LEFT),
+        "laurent": lambda: bp_to_laurent(fir),
+        "params": lambda: random_params(0, ISO, 2, 1, 1),
+        "samples": lambda: SampleSet(list(zip(zs, row_example_bp().eval_many(zs)))),
+    }[kind]()
+    path = tmp_path / f"{kind}.json"
+    write_document(path, obj)
+    return path
+
+
+#: Each command line (the document path goes second, and ``-o`` follows
+#: when the command writes) with the document kinds it reads.
+READS = {
+    "check": (("check",), False, ("bp", "ss", "mfd", "laurent", "params")),
+    "eval": (("eval", "--at", "0.3,0.2"), False, ("bp", "ss", "mfd", "laurent", "params")),
+    "convert-ss": (("convert", "--to", "ss"), True, ("bp", "params")),
+    "convert-laurent": (("convert", "--to", "laurent"), True, ("bp", "params")),
+    "convert-mfd": (("convert", "--to", "mfd"), True, ("bp", "ss", "params")),
+    "embed": (("embed",), True, ("bp", "ss", "params")),
+    "flip": (("flip",), True, ("bp", "params")),
+    "gramians": (("gramians",), False, ("ss",)),
+    "fit": (("fit", "--degree", "1"), True, ("samples",)),
+}
+REFUSED = [
+    pytest.param(command, writes, kind, id=f"{name}-{kind}")
+    for name, (command, writes, kinds) in READS.items()
+    for kind in ("bp", "ss", "mfd", "laurent", "params", "samples")
+    if kind not in kinds
+]
+
+
+class TestDocumentKinds:
+    @pytest.mark.parametrize("command, writes, kind", REFUSED)
+    def test_command_refuses_a_kind_it_does_not_read(self, tmp_path, capsys, command, writes, kind):
+        out_path = tmp_path / "out.json"
+        argv = [command[0], str(golden_document(tmp_path, kind)), *command[1:]]
+        code, out, err = run(capsys, *argv, *(["-o", str(out_path)] if writes else []))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert f"got {kind!r}" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("command", ["check", "eval"])
+    @pytest.mark.parametrize(
+        "params", [random_params(0, ISO, 2, 1, 1), random_params(5, COISO, 2, 3, 2)], ids=["iso", "coiso"]
+    )
+    def test_params_document_reads_as_its_product_form(self, tmp_path, capsys, command, params):
+        # a params document is lossless by construction, so it never exits 2
+        paths = tmp_path / "params.json", tmp_path / "bp.json"
+        write_document(paths[0], params)
+        write_document(paths[1], build_paraunitary(params))
+        extra = ["--at", "0.3,0.2"] if command == "eval" else []
+        (code, out, err), twin = (run(capsys, command, str(path), *extra) for path in paths)
+        assert (code, out, err) == twin
+        assert code == 0 and err == ""
+        if command == "check":
+            assert verdict_lines(out) == [("circle_residual", "Pass")]
+
+    @pytest.mark.parametrize(
+        "command",
+        [("convert", "--to", "mfd"), ("convert", "--to", "ss"), ("flip",), ("embed",)],
+        ids=["mfd", "ss", "flip", "embed"],
+    )
+    @pytest.mark.parametrize("side, p, m", [(ISO, 3, 2), (COISO, 2, 3)])
+    def test_params_document_writes_its_product_forms_document(self, tmp_path, capsys, command, side, p, m):
+        params = random_params(4, side, p, m, 3, schur_only=True)
+        write_document(tmp_path / "params.json", params)
+        write_document(tmp_path / "bp.json", build_paraunitary(params))
+        reports = []
+        for name in ("params", "bp"):
+            out_path = tmp_path / f"{name}_out.json"
+            code, out, err = run(capsys, command[0], str(tmp_path / f"{name}.json"), *command[1:], "-o", str(out_path))
+            reports.append((code, out.replace(str(out_path), "OUT"), err, out_path.read_bytes()))
+        assert reports[0] == reports[1]
+        assert reports[0][0] == 0
+
+
+class TestMain:
+    @pytest.mark.parametrize("document, code", [("failing", 1), ("malformed", 2)])
+    def test_process_exits_with_the_command_code(self, tmp_path, document, code):
+        path = tmp_path / "doc.json"
+        if document == "failing":
+            write_document(path, row_example_ss_unnormalized())
+        else:
+            path.write_text("{}")
+        paths = [str(Path(paraunit.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        done = subprocess.run(
+            [sys.executable, "-m", "paraunit.cli", "check", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == code
+        assert ("verdict=Fail" in done.stdout) if code == 1 else done.stderr.startswith("error: ")

@@ -12,6 +12,7 @@ from paraunit import (
     COISO,
     DimensionMismatch,
     EvalAtPole,
+    FitResult,
     ISO,
     Pole,
     SampleSet,
@@ -632,6 +633,30 @@ class TestIdentifiedProduct:
         zs = np.append(circle_points(8), 2.0)
         samples = SampleSet([(z, np.ones((2, 1))) for z in zs])
         assert fit._identified_directions(_ChartKernel(template, samples.zs, samples.targets)) is None
+
+    def test_zero_coefficient_finds_nothing(self):
+        template = replace(random_params(3, ISO, 3, 2, 2, schur_only=True), poles=(Pole(0.5), Pole(-0.3j)))
+        samples = SampleSet([(z, np.zeros((3, 2))) for z in circle_points(64)])
+        assert fit._identified_directions(_ChartKernel(template, samples.zs, samples.targets)) is None
+
+    def test_unidentified_directions_keep_the_draw(self, monkeypatch):
+        # poles identified from samples whose coefficients are zero: the
+        # identified start keeps the directions of restart 0's draw
+        monkeypatch.setattr(fit, "_loewner_poles", lambda samples, d: np.array([0.5, -0.3j]))
+        starts = []
+
+        def spy(x, kernel):
+            starts.append((x.copy(), kernel))
+            return _start_values(x, kernel)
+
+        monkeypatch.setattr(fit, "_start_values", spy)
+        samples = SampleSet([(z, np.zeros((3, 2))) for z in circle_points(64)])
+        result = fit_lossless(samples, d=2, p=3, m=2, seed=5, restarts=1)
+        assert isinstance(result, FitResult)
+        x, kernel = starts[0]
+        np.testing.assert_allclose([pole.value for pole in kernel.template.poles], [0.5, -0.3j], atol=1e-15)
+        assert kernel.template.directions == random_params(5, ISO, 3, 2, 2, schur_only=True).directions
+        np.testing.assert_array_equal(x[kernel.directions], kernel.start[kernel.directions])
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(

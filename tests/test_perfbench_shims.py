@@ -51,3 +51,44 @@ def test_install_records_spans_and_uninstall_restores():
     assert summary["analysis.circle_residual"]["calls"] == 1
     assert summary["forms.eval_many"]["calls"] == 1
     assert "forms.eval_point" not in summary
+
+
+def test_cli_calls_every_shimmed_name(tmp_path):
+    # a dispatch table of function objects would keep the originals and
+    # record no span; the CLI no longer calls spectral_radius
+    tracing = load_tracing()
+    from paraunit.cli import execute
+    from paraunit.documents import write_document
+
+    bp, ss, mfd, fir, fir_laurent, flipped = (
+        str(tmp_path / f"{name}.json") for name in ("bp", "ss", "mfd", "fir", "fir_laurent", "flipped")
+    )
+    write_document(fir, paraunit.BlaschkePotapovForm(
+        "iso", 2, 2, [(paraunit.Pole.infinity(), [1.0, 0.0])], [[1.0, 0.0], [0.0, 1.0]]
+    ))
+    commands = [
+        ["generate", "--seed", "7", "-d", "3", "-p", "3", "-m", "2", "--schur", "-o", bp],
+        ["check", bp],
+        ["convert", bp, "--to", "ss", "-o", ss],
+        ["check", ss],
+        ["convert", ss, "--to", "mfd", "-o", mfd],
+        ["check", mfd],
+        ["convert", fir, "--to", "laurent", "-o", fir_laurent],
+        ["check", fir_laurent],
+        ["gramians", ss],
+        ["eval", bp, "--at", "0.3,0.2"],
+        ["flip", fir, "-o", flipped],
+    ]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(paraunit)
+        codes = [tracer.call(f"cli.{argv[0]}", execute, argv) for argv in commands]
+    finally:
+        tracer.uninstall()
+    assert codes == [0] * len(commands)
+    called = {
+        name for name, _, _, parent, _, _ in tracer.spans
+        if parent >= 0 and tracer.spans[parent][0].startswith("cli.")
+    }
+    expected = {name for path, _, name in tracing.SHIMS if path == "cli"} - {"linalg.spectral_radius"}
+    assert expected <= called, sorted(expected - called)
