@@ -8,6 +8,16 @@ Complex scalars are two-element ``[re, im]`` arrays; matrices are row-major
 nested arrays with explicit ``rows`` and ``cols`` fields.  Numbers survive a
 write/read round trip bit-exactly.
 
+Each payload field is written down once, in ``_KIND_TABLE``: its key, its
+codec and, where it is not the attribute of that name, the getter of its
+value.  A codec is a pair ``(write, read)`` for one JSON value type:
+``write`` turns a value into JSON, and ``read`` is what ``_read`` takes, a
+JSON type name or a decoder.  There is one for plain strings, integers and
+numbers, complex scalars, matrices and poles, and the combinators ``_list``
+and ``_record`` build the others from them.  Writing and reading
+a document are two loops over the one table, in the order of the class's
+constructor arguments, with no step of their own for any kind.
+
 Reading checks the JSON type of every field: ``p``, ``m``, ``d``, ``q``,
 ``rows`` and ``cols`` are integers, every other number is a finite float or
 integer, and a boolean is never a number.  A malformed document raises
@@ -71,14 +81,31 @@ def _field(obj, key: str, path: str, json_type):
     return _read(obj[key], f"{path}.{key}", json_type)
 
 
-def _list_of(json_type):
-    """Decoder of an array, as a tuple of its items each read as ``json_type``."""
+def _list(codec) -> tuple:
+    """Codec of an array whose items each take ``codec``; it reads a tuple."""
+    write, read = codec
+
+    def encode(items) -> list:
+        return [write(item) for item in items]
 
     def decode(value, path: str) -> tuple:
         items = _read(value, path, "array")
-        return tuple(_read(item, f"{path}[{i}]", json_type) for i, item in enumerate(items))
+        return tuple(_read(item, f"{path}[{i}]", read) for i, item in enumerate(items))
 
-    return decode
+    return encode, decode
+
+
+def _record(*fields) -> tuple:
+    """Codec of an object with the ``(key, codec)`` ``fields``, written from
+    and read as a tuple of their values in this order."""
+
+    def encode(values) -> dict:
+        return {key: write(value) for (key, (write, _)), value in zip(fields, values)}
+
+    def decode(value, path: str) -> tuple:
+        return tuple(_field(value, key, path, read) for key, (_, read) in fields)
+
+    return encode, decode
 
 
 def _encode_complex(z) -> list:
@@ -93,13 +120,16 @@ def _decode_complex(value, path: str) -> complex:
     return complex(_read(re, f"{path}[0]", "number"), _read(im, f"{path}[1]", "number"))
 
 
+_COMPLEX = (_encode_complex, _decode_complex)
+_encode_cells, _decode_cells = _list(_list(_COMPLEX))
+
+
 def _encode_matrix(a) -> dict:
     a = np.asarray(a, dtype=complex)
     if a.ndim == 1:
         a = a[:, None]
     rows, cols = a.shape
-    entries = [[_encode_complex(a[i, j]) for j in range(cols)] for i in range(rows)]
-    return {"rows": rows, "cols": cols, "entries": entries}
+    return {"rows": rows, "cols": cols, "entries": _encode_cells(a)}
 
 
 def _decode_matrix(value, path: str) -> np.ndarray:
@@ -113,11 +143,8 @@ def _decode_matrix(value, path: str) -> np.ndarray:
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != cols:
             raise DocumentError(f"{path}.entries[{i}]: expected {cols} entries")
-    out = np.empty((rows, cols), dtype=complex)
-    for i, row in enumerate(entries):
-        for j, cell in enumerate(row):
-            out[i, j] = _decode_complex(cell, f"{path}.entries[{i}][{j}]")
-    return out
+    # the shape is checked before any cell is read
+    return np.array(_decode_cells(entries, f"{path}.entries"), complex).reshape(rows, cols)
 
 
 def _encode_pole(pole: Pole) -> dict:
@@ -139,84 +166,57 @@ def _decode_pole(value, path: str) -> Pole:
     raise DocumentError(f"{path}.type: unknown pole type {pole_type!r}")
 
 
-def _decode_factor(value, path: str) -> tuple:
-    pole = _field(value, "pole", path, _decode_pole)
-    return pole, _field(value, "direction", path, _decode_matrix).reshape(-1)
+_STRING = (str, "string")
+_INTEGER = (int, "integer")
+_NUMBER = (float, "number")
+_MATRIX = (_encode_matrix, _decode_matrix)
+_POLE = (_encode_pole, _decode_pole)
 
-
-def _decode_point(value, path: str) -> tuple:
-    return _field(value, "z", path, _decode_complex), _field(value, "value", path, _decode_matrix)
-
-
-# kind -> (class, payload encoder, payload fields (key, json_type) in the
-# order of the class's constructor arguments)
+# kind -> (class, payload fields in the order of the class's constructor
+# arguments).  A field ``(key, codec)`` is the object's attribute ``key``,
+# and a field ``(key, codec, getter)`` is ``getter(obj)``.
 _KIND_TABLE = {
-    "bp": (
-        BlaschkePotapovForm,
-        lambda bp: {
-            "side": bp.side,
-            "p": bp.p,
-            "m": bp.m,
-            "factors": [
-                {"pole": _encode_pole(pole), "direction": _encode_matrix(v)}
-                for pole, v in bp.factors
-            ],
-            "constant": _encode_matrix(bp.constant),
-        },
-        (("side", "string"), ("p", "integer"), ("m", "integer"),
-         ("factors", _list_of(_decode_factor)), ("constant", _decode_matrix)),
-    ),
-    "ss": (
-        StateSpaceRealization,
-        lambda ss: {name: _encode_matrix(getattr(ss, name)) for name in "abcd"},
-        tuple((name, _decode_matrix) for name in "abcd"),
-    ),
-    "mfd": (
-        MFDForm,
-        lambda mfd: {
-            "side": mfd.side,
-            "num": [_encode_matrix(x) for x in mfd.num],
-            "den": [_encode_matrix(x) for x in mfd.den],
-        },
-        (("side", "string"), ("num", _list_of(_decode_matrix)), ("den", _list_of(_decode_matrix))),
-    ),
-    "laurent": (
-        LaurentPolyForm,
-        lambda lp: {"q": lp.q, "coeffs": [_encode_matrix(x) for x in lp.coeffs]},
-        (("q", "integer"), ("coeffs", _list_of(_decode_matrix))),
-    ),
-    "params": (
-        ParaunitaryParam,
-        lambda params: {
-            "side": params.side,
-            "p": params.p,
-            "m": params.m,
-            "d": params.d,
-            "poles": [_encode_pole(pole) for pole in params.poles],
-            "directions": [list(row) for row in params.directions],
-            "frame": list(params.frame),
-        },
-        (("side", "string"), ("p", "integer"), ("m", "integer"), ("d", "integer"),
-         ("poles", _list_of(_decode_pole)),
-         ("directions", _list_of(_list_of("number"))), ("frame", _list_of("number"))),
-    ),
-    "samples": (
-        SampleSet,
-        lambda samples: {
-            "points": [
-                {"z": _encode_complex(z), "value": _encode_matrix(g)}
-                for z, g in samples.pairs()
-            ]
-        },
-        (("points", _list_of(_decode_point)),),
-    ),
+    "bp": (BlaschkePotapovForm, (
+        ("side", _STRING),
+        ("p", _INTEGER),
+        ("m", _INTEGER),
+        ("factors", _list(_record(("pole", _POLE), ("direction", _MATRIX)))),
+        ("constant", _MATRIX),
+    )),
+    "ss": (StateSpaceRealization, (
+        ("a", _MATRIX),
+        ("b", _MATRIX),
+        ("c", _MATRIX),
+        ("d", _MATRIX),
+    )),
+    "mfd": (MFDForm, (
+        ("side", _STRING),
+        ("num", _list(_MATRIX)),
+        ("den", _list(_MATRIX)),
+    )),
+    "laurent": (LaurentPolyForm, (
+        ("q", _INTEGER),
+        ("coeffs", _list(_MATRIX)),
+    )),
+    "params": (ParaunitaryParam, (
+        ("side", _STRING),
+        ("p", _INTEGER),
+        ("m", _INTEGER),
+        ("d", _INTEGER),
+        ("poles", _list(_POLE)),
+        ("directions", _list(_list(_NUMBER))),
+        ("frame", _list(_NUMBER)),
+    )),
+    "samples": (SampleSet, (
+        ("points", _list(_record(("z", _COMPLEX), ("value", _MATRIX))), SampleSet.pairs),
+    )),
 }
 KINDS = tuple(_KIND_TABLE)
 
 
 def kind_of(obj) -> str:
     """Document kind string for a serializable object."""
-    for kind, (cls, _, _) in _KIND_TABLE.items():
+    for kind, (cls, _) in _KIND_TABLE.items():
         if isinstance(obj, cls):
             return kind
     raise DocumentError(f"cannot serialize object of type {type(obj).__name__}")
@@ -224,8 +224,9 @@ def kind_of(obj) -> str:
 
 def encode_document(obj) -> dict:
     kind = kind_of(obj)
-    _, encode, _ = _KIND_TABLE[kind]
-    return {"format_version": FORMAT_VERSION, "kind": kind, "payload": encode(obj)}
+    _, fields = _KIND_TABLE[kind]
+    payload = {key: write(get[0](obj) if get else getattr(obj, key)) for key, (write, _), *get in fields}
+    return {"format_version": FORMAT_VERSION, "kind": kind, "payload": payload}
 
 
 def decode_document(data: dict):
@@ -241,8 +242,8 @@ def decode_document(data: dict):
     payload = data.get("payload")
     if not isinstance(payload, dict):
         raise DocumentError("payload: missing or not an object")
-    cls, _, fields = _KIND_TABLE[kind]
-    return cls(*(_field(payload, key, "payload", json_type) for key, json_type in fields))
+    cls, fields = _KIND_TABLE[kind]
+    return cls(*(_field(payload, key, "payload", read) for key, (_, read), *_ in fields))
 
 
 def write_document(path, obj) -> None:

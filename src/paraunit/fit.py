@@ -536,7 +536,8 @@ def fit_lossless(
     frame; the start snaps to that frame when it lowers the objective, and
     runs one :func:`minimize` from there unless the start already
     converged.  The loop stops at the first objective below
-    ``CONVERGED_OBJECTIVE``.  The overall best candidate wins, and any
+    ``CONVERGED_OBJECTIVE``.  The overall best candidate wins (the first
+    start when every objective overflows to ``inf``), and any
     returned candidate is (co)isometric on the circle by construction,
     whatever the fit quality.  ``iterations`` counts the residual
     evaluations of every search (scipy's ``nfev``; the Jacobian is exact
@@ -591,7 +592,8 @@ def fit_lossless(
             # scipy's cost is half the squared residual norm
             if 2.0 * result.cost < value:
                 x, value = result.x, 2.0 * float(result.cost)
-        if value < best_value:
+        # the first start stands when no objective is finite
+        if best_kernel is None or value < best_value:
             best_value = value
             best_x = x
             best_kernel = kernel

@@ -469,6 +469,22 @@ class TestFit:
         fitted = read_document(out_path)
         assert fitted.p == 2 and fitted.m == 1
 
+    # numpy and scipy warn of the overflow on the way
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_fit_overflowing_targets_reports_inf(self, tmp_path, capsys):
+        target = build_paraunitary(random_params(5, ISO, 3, 2, 2, schur_only=True))
+        zs = circle_points(16)
+        values = target.eval_many(zs)
+        values[3, 0, 1] = 1e200
+        source = tmp_path / "samples.json"
+        write_document(source, SampleSet(list(zip(zs, values))))
+        out_path = tmp_path / "fit.json"
+        code, out, _ = run(capsys, "fit", str(source), "--degree", "2", "--restarts", "1", "-o", str(out_path))
+        assert code == 0
+        assert "objective = inf" in out.splitlines() and "converged = no" in out.splitlines()
+        code, _, _ = run(capsys, "check", str(out_path))
+        assert code == 0
+
 
 class TestUsageErrors:
     def test_missing_file(self, capsys):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +29,11 @@ from paraunit.documents import (
 )
 from paraunit.cli import execute
 from conftest import circle_points, random_form, random_unitary
-from golden import row_example_ss_normalized
+from golden import row_example_bp, row_example_ss_normalized
+
+#: One document of each kind, as ``write_document`` wrote it before the
+#: payload fields were given one table (see ``pinned_objects``).
+PINNED = Path(__file__).parent / "documents"
 
 
 def round_trip(tmp_path, obj, name="doc.json"):
@@ -98,6 +103,30 @@ class TestRoundTrips:
         loaded = round_trip(tmp_path, samples)
         assert np.array_equal(loaded.zs, samples.zs)
         assert np.array_equal(loaded.targets, samples.targets)
+
+
+def pinned_objects():
+    """The object behind each pinned document, by kind."""
+    fir = BlaschkePotapovForm(ISO, 2, 1, [(Pole(0.0), np.array([0.6, 0.8]))], np.array([[1.0], [0.0]]))
+    return {
+        "bp": row_example_bp(),
+        "ss": row_example_ss_normalized(),
+        "mfd": ss_to_mfd(row_example_ss_normalized()),
+        "laurent": bp_to_laurent(fir),
+        "params": random_params(0, ISO, 2, 1, 1),
+        "samples": SampleSet([(1.0, [[1.0, 0.0]]), (1j, [[0.0, 1j]]), (-1.0, [[0.6, -0.8j]])]),
+    }
+
+
+class TestPinnedFormat:
+    @pytest.mark.parametrize("kind", ["bp", "ss", "mfd", "laurent", "params", "samples"])
+    def test_written_text_is_pinned(self, tmp_path, kind):
+        pinned = (PINNED / f"{kind}.json").read_bytes()
+        path = tmp_path / "written.json"
+        write_document(path, pinned_objects()[kind])
+        assert path.read_bytes() == pinned
+        write_document(path, read_document(PINNED / f"{kind}.json"))
+        assert path.read_bytes() == pinned
 
 
 class TestErrors:
@@ -238,3 +267,79 @@ class TestMalformedDocuments:
         data["payload"]["a"].update(rows=1, cols=10**15, entries=[[]])
         with pytest.raises(DocumentError, match=r"payload.a.entries\[0\]"):
             decode_document(data)
+
+
+DELETE = object()
+
+
+def set_at(data, path, value):
+    """Set (or, for ``DELETE``, delete) the node at the key ``path`` of ``data``."""
+    for key in path[:-1]:
+        data = data[key]
+    if value is DELETE:
+        del data[path[-1]]
+    else:
+        data[path[-1]] = value
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "kind, path, value, message",
+        [
+            ("ss", ("a", "rows"), -1, "payload.a: rows/cols must be non-negative"),
+            ("ss", ("b", "cols"), -2, "payload.b: rows/cols must be non-negative"),
+            ("ss", ("c", "entries"), [[[0.5, 0.0]], [[0.5, 0.0]]], "payload.c.entries: expected 1 rows"),
+            ("bp", ("factors", 0, "pole", "type"), "zero", "payload.factors[0].pole.type: unknown pole type 'zero'"),
+        ],
+    )
+    def test_malformed_field_is_one_error_line(self, tmp_path, capsys, kind, path, value, message):
+        data = json.loads((PINNED / f"{kind}.json").read_text())
+        set_at(data["payload"], path, value)
+        document = tmp_path / "bad.json"
+        document.write_text(json.dumps(data))
+        assert execute(["check", str(document)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {document}: {message}")
+        assert len(err.splitlines()) == 1
+
+    def test_tolerance_variable_not_a_number_is_one_error_line(self, capsys, monkeypatch):
+        monkeypatch.setenv("PARAUNIT_TOL", "tight")
+        assert execute(["check", str(PINNED / "bp.json")]) == 2
+        assert capsys.readouterr() == ("", "error: PARAUNIT_TOL is not a number: 'tight'\n")
+
+
+def payload_mutants(data):
+    """``(path, copy)`` of ``data`` with one payload field, or one node
+    directly below one, replaced by an ill-typed value or deleted."""
+    payload = data["payload"]
+    paths = []
+    for key, node in payload.items():
+        paths.append((key,))
+        children = node if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+        paths += [(key, child) for child in children]
+    for path in paths:
+        for value in (None, True, "x", [], 1e308, DELETE):
+            copy = json.loads(json.dumps(data))
+            set_at(copy["payload"], path, value)
+            yield path, copy
+
+
+class TestNoEscape:
+    def test_malformed_document_never_raises(self, tmp_path, capsys):
+        commands = [("check",), ("eval", "--at", "0.3,0.2")]
+        codes, escaped = [], []
+        document = tmp_path / "mutant.json"
+        for kind in ("bp", "ss", "mfd", "laurent", "params", "samples"):
+            data = json.loads((PINNED / f"{kind}.json").read_text())
+            extra = [("fit", "--degree", "1", "--restarts", "1")] if kind == "samples" else []
+            for path, mutant in payload_mutants(data):
+                document.write_text(json.dumps(mutant))
+                for command in commands + extra:
+                    try:
+                        codes.append(execute([command[0], str(document), *command[1:]]))
+                    except Exception as exc:  # noqa: BLE001 - the failure being tested
+                        escaped.append(f"{kind} {path} {command[0]}: {type(exc).__name__}: {exc}")
+        capsys.readouterr()
+        assert not escaped, "\n".join(escaped[:20])
+        assert set(codes) <= {0, 1, 2} and len(codes) > 500

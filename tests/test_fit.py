@@ -375,6 +375,19 @@ class TestFitLossless:
         ]
         assert result.objective <= min(starts) + 1e-12
 
+    # numpy and scipy warn of the overflow on the way
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("side, p, m", [(ISO, 3, 2), (COISO, 2, 3)])
+    def test_overflowing_targets_return_the_first_start(self, side, p, m):
+        # every squared distance to a 1e200 entry is inf, so no start beats
+        # the initial best and the first one is returned
+        samples = samples_from_params(random_params(5, side, p, m, 2, schur_only=True), count=16)
+        targets = samples.targets.copy()
+        targets[3, 0, 1] = 1e200
+        result = fit_lossless(SampleSet(list(zip(samples.zs, targets))), d=2, p=p, m=m, restarts=1)
+        assert result.objective == np.inf and result.converged is False
+        assert circle_residual(build_paraunitary(result.params)).passed
+
 
 def sweep_cases():
     """30 seeded targets: coiso for even cases, iso for odd, ``p, m, d <= 3``."""
