@@ -267,7 +267,7 @@ def mfd_check(mfd: MFDForm, tol: float | None = None) -> Certificate:
         raise SideMismatch(f"right-side test requires p >= m, got p={p}, m={m}")
     if mfd.side == LEFT and m < p:
         raise SideMismatch(f"left-side test requires m >= p, got p={p}, m={m}")
-    num, den = np.array(mfd.num), np.array(mfd.den)
+    num, den = mfd._stacks
     if mfd.side == LEFT:
         num, den = num.conj().swapaxes(1, 2), den.conj().swapaxes(1, 2)
     if tol is None:

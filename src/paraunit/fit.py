@@ -145,7 +145,8 @@ def objective(params: ParaunitaryParam, samples: SampleSet) -> float:
             f"{samples.p}x{samples.m}"
         )
     values = build_paraunitary(params).eval_many(samples.zs)
-    return float(np.sum(np.abs(values - samples.targets) ** 2))
+    with np.errstate(over="ignore"):  # targets too large to square give inf
+        return float(np.sum(np.abs(values - samples.targets) ** 2))
 
 
 def _chart_radius(r: float) -> float:
@@ -381,7 +382,8 @@ def _squared_distance(chain: np.ndarray, constant: np.ndarray, targets: np.ndarr
     factor chain, with one ``(N k x k) @ (k x m)`` matrix product."""
     values = (chain.reshape(-1, constant.shape[0]) @ constant).reshape(targets.shape)
     residual = (values - targets).ravel().view(float)
-    return float(residual @ residual)
+    with np.errstate(over="ignore"):  # targets too large to square give inf
+        return float(residual @ residual)
 
 
 def _start_values(x, kernel: _ChartKernel):
@@ -493,8 +495,9 @@ def _loewner_poles(samples: SampleSet, d: int):
     at_lam = samples.targets[0::2][np.arange(lam.size), :, right][:, left].T
     at_mu = samples.targets[1::2][np.arange(mu.size), left, :][:, right]
     x = lam[0]
-    loewner = (at_mu - at_lam) / gaps
-    pencil = ((x - mu)[:, None] * at_mu - (x - lam) * at_lam) / gaps  # x L - S
+    with np.errstate(over="ignore", invalid="ignore"):  # targets near overflow give inf
+        loewner = (at_mu - at_lam) / gaps
+        pencil = ((x - mu)[:, None] * at_mu - (x - lam) * at_lam) / gaps  # x L - S
     rows, singular, columns = np.linalg.svd(pencil, full_matrices=False)
     rank = min(int(np.count_nonzero(singular > LOEWNER_RANK_RTOL * singular[0])), bound)
     rows, columns = rows[:, :rank].conj().T, columns[:rank].conj().T
@@ -535,9 +538,10 @@ def fit_lossless(
     closed-form (Procrustes) constant block and the objective with that
     frame; the start snaps to that frame when it lowers the objective, and
     runs one :func:`minimize` from there unless the start already
-    converged.  The loop stops at the first objective below
-    ``CONVERGED_OBJECTIVE``.  The overall best candidate wins (the first
-    start when every objective overflows to ``inf``), and any
+    converged or its objective overflowed to ``inf``, which no step lowers.
+    The loop stops at the first objective below ``CONVERGED_OBJECTIVE``.
+    The overall best candidate wins (the first start when every objective
+    overflows to ``inf``), and any
     returned candidate is (co)isometric on the circle by construction,
     whatever the fit quality.  ``iterations`` counts the residual
     evaluations of every search (scipy's ``nfev``; the Jacobian is exact
@@ -586,7 +590,7 @@ def fit_lossless(
         value, frame, trial_value = _start_values(x, kernel)
         if trial_value < value:
             x[kernel.frame], value = frame, trial_value
-        if value >= CONVERGED_OBJECTIVE:
+        if CONVERGED_OBJECTIVE <= value < np.inf:
             result = minimize(x, kernel)
             evaluations += int(result.nfev)
             # scipy's cost is half the squared residual norm

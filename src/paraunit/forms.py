@@ -29,9 +29,12 @@ the points; any other ``A`` takes one ``zgees`` for the view and an LU of
 ``zI - A`` per point.
 
 Forms are immutable: constructors validate and copy their inputs and the
-stored arrays are marked read-only.  Matrix fractions that the package's
-conversions build over a scalar denominator skip the checks that such a
-denominator makes redundant (see :meth:`MFDForm._over_scalar`).
+stored arrays are marked read-only.  A product form keeps its directions as
+one read-only ``(d, k)`` array, validated once in one pass, and its factor
+pairs hold row views of it; a matrix fraction keeps one read-only stack per
+coefficient list.  Matrix fractions that the package's conversions build
+over a scalar denominator skip the checks that such a denominator makes
+redundant (see :meth:`MFDForm._over_scalar`).
 """
 
 from __future__ import annotations
@@ -197,13 +200,40 @@ def _factor_dimension(side: str, p: int, m: int) -> int:
     return p if side == ISO else m
 
 
-def _as_direction(v, k: int) -> np.ndarray:
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if v.shape != (k,):
-        raise DimensionMismatch(f"direction must have length {k}, got {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("direction contains non-finite entries")
-    return v
+def _off_unit(directions: np.ndarray) -> np.ndarray:
+    """Rows of a ``(d, k)`` direction stack that :func:`_unit_direction` may
+    not leave as they are, non-finite rows included.
+
+    A row is flagged unless its squared norm, summed in one batch, lies
+    within ``DIRECTION_RENORM_SKIP`` of one.  A row the per-vector rule
+    renormalizes has a squared norm about twice that far off, so the few
+    units in the last place by which the two sums round apart cannot hide
+    it.  ``einsum`` checks no floating-point flags: an overflowing row sums
+    to ``inf``, silently, and is flagged.
+    """
+    flat = directions.view(float)
+    return ~(np.abs(np.einsum("ij,ij->i", flat, flat) - 1.0) <= DIRECTION_RENORM_SKIP)
+
+
+def _direction_stack(rows, k: int, validate: bool) -> np.ndarray:
+    """Read-only ``(d, k)`` stack of the length-``k`` direction ``rows``.
+
+    Every row must be finite and, with ``validate``, meet
+    :func:`_unit_direction`'s rule.  One batched squared norm per row
+    screens them (:func:`_off_unit`), and only the flagged rows are looked
+    at one by one, in order: the first faulty row raises what it raises
+    alone, and a renormalized row is ``_unit_direction``'s result, bit for
+    bit.
+    """
+    stack = np.array(rows, dtype=complex).reshape(len(rows), k)
+    # a form without factors skips the screen, which costs as much as a constant's check
+    for j in _off_unit(stack).nonzero()[0] if rows else ():
+        if not np.isfinite(stack[j]).all():
+            raise ValueError("direction contains non-finite entries")
+        if validate:
+            stack[j] = _unit_direction(stack[j])
+    stack.setflags(write=False)
+    return stack
 
 
 class BlaschkePotapovForm(_Form):
@@ -216,6 +246,14 @@ class BlaschkePotapovForm(_Form):
     factor is ``B(z) = I + (phi(z) - 1) v v*`` for a unit vector ``v``.
     Product-form operations are written for the iso side; the coiso side
     runs through :meth:`transpose`.
+
+    The directions are kept as one read-only ``(d, k)`` array,
+    :attr:`directions`, validated once in one pass
+    (:func:`_direction_stack`); :attr:`poles` is stored as a tuple, and
+    ``factors`` pairs each pole with a row view of the array.  With
+    ``validate`` a direction is renormalized when its norm is off one by
+    more than ``DIRECTION_RENORM_SKIP`` and refused when it is off by more
+    than ``DIRECTION_NORM_SLACK``.
 
     Pass ``validate=False`` to store out-of-contract data verbatim (used by
     tests that need deliberately broken inputs).
@@ -235,15 +273,21 @@ class BlaschkePotapovForm(_Form):
         self.p = p
         self.m = m
         k = self.factor_dimension
-        packed = []
-        for pole, v in factors:
-            if not isinstance(pole, Pole):
-                pole = Pole(pole)
-            v = _as_direction(v, k)
-            if validate:
-                v = _unit_direction(v)
-            packed.append((pole, _readonly(v)))
-        self.factors = tuple(packed)
+        poles, rows = [], []
+        try:
+            for pole, v in factors:
+                poles.append(pole if isinstance(pole, Pole) else Pole(pole))
+                v = np.asarray(v, dtype=complex).reshape(-1)
+                if v.shape != (k,):
+                    raise DimensionMismatch(f"direction must have length {k}, got {v.shape}")
+                rows.append(v)
+        except Exception:
+            # a fault in an earlier direction is met first, as factor by factor
+            _direction_stack(rows, k, validate)
+            raise
+        self.poles = tuple(poles)
+        self.directions = _direction_stack(rows, k, validate)
+        self.factors = tuple(zip(self.poles, self.directions))
         constant = as_complex_matrix(constant, "constant")
         if constant.shape != (p, m):
             raise DimensionMismatch(
@@ -266,19 +310,14 @@ class BlaschkePotapovForm(_Form):
     def factor_dimension(self) -> int:
         return _factor_dimension(self.side, self.p, self.m)
 
-    @property
-    def poles(self) -> tuple:
-        return tuple(pole for pole, _ in self.factors)
-
     def eval_many(self, zs) -> np.ndarray:
         """Evaluate at a batch of points; returns an ``(N, p, m)`` array."""
         zs = _points(zs)
         gains = _blaschke_values(self.poles, zs) - 1.0
-        directions = [v for _, v in self.factors]
         if self.side == ISO:
-            return _iso_product(gains, directions, self.constant)
+            return _iso_product(gains, self.directions, self.constant)
         # F(z)^T is the iso product of transpose(); no form is built per call
-        transposed = _iso_product(gains[::-1], [v.conj() for v in reversed(directions)], self.constant.T)
+        transposed = _iso_product(gains[::-1], self.directions[::-1].conj(), self.constant.T)
         return transposed.swapaxes(1, 2)
 
     def transpose(self) -> "BlaschkePotapovForm":
@@ -289,23 +328,17 @@ class BlaschkePotapovForm(_Form):
         ``validate=False`` form stays broken and transposing twice is bit-exact.
         """
         side = COISO if self.side == ISO else ISO
-        return BlaschkePotapovForm(
-            side, self.m, self.p, _transposed_factors(self.factors), self.constant.T,
-            validate=False,
-        )
-
-
-def _transposed_factors(factors) -> list:
-    """Factors of the transposed product: reversed, with conjugated directions."""
-    return [(pole, v.conj()) for pole, v in reversed(factors)]
+        factors = zip(self.poles[::-1], self.directions[::-1].conj())
+        return BlaschkePotapovForm(side, self.m, self.p, factors, self.constant.T, validate=False)
 
 
 def _iso_product(gains, directions, constant: np.ndarray) -> np.ndarray:
     """Values of ``B_1(z) ... B_d(z) @ constant`` at ``N`` points.
 
     Row ``j`` of the ``(d, N)`` array ``gains`` holds ``phi_j(z) - 1`` at
-    every point, and ``directions[j]`` is the unit vector ``v_j`` of factor
-    ``j``; points and poles enter only through the gains.
+    every point, and row ``j`` of the ``(d, k)`` array ``directions`` is the
+    unit vector ``v_j`` of factor ``j``; points and poles enter only through
+    the gains.
     """
     out = np.empty((gains.shape[1], *constant.shape), dtype=complex)
     out[:] = constant
@@ -362,7 +395,10 @@ class StateSpaceRealization(_Form):
 
     @property
     def realization_matrix(self) -> np.ndarray:
-        return np.block([[self.a, self.b], [self.c, self.d]])
+        n = self.n
+        r = np.empty((n + self.p, n + self.m), dtype=complex)
+        r[:n, :n], r[:n, n:], r[n:, :n], r[n:, n:] = self.a, self.b, self.c, self.d
+        return r
 
     @property
     def schur(self):
@@ -414,9 +450,13 @@ class StateSpaceRealization(_Form):
         accurate to 1e-14 off the circle at degree 32, against up to 3e-10
         without the flip.
         """
-        return StateSpaceRealization(
-            self.a.T[::-1, ::-1], self.c.T[::-1], self.b.T[:, ::-1], self.d.T
-        )
+        return StateSpaceRealization(*_transposed_blocks(self.a, self.b, self.c, self.d))
+
+
+def _transposed_blocks(a, b, c, d) -> tuple:
+    """Blocks ``(J A^T J, J C^T, B^T J, D^T)`` of the transposed realization,
+    ``J`` the state-order reversal (see :meth:`StateSpaceRealization.transpose`)."""
+    return a.T[::-1, ::-1], c.T[::-1], b.T[:, ::-1], d.T
 
 
 def _triangular_transfer(a, b, c, zs: np.ndarray) -> np.ndarray:
@@ -512,10 +552,11 @@ class MFDForm(_Form):
         return form
 
     def _store(self, side: str, num, den) -> None:
-        """Keep one read-only copy of each coefficient stack; coefficients are views of it."""
+        """Keep one read-only copy of each coefficient stack, as ``_stacks``;
+        the coefficients are views of it."""
         self.side = side
-        self.num = tuple(_readonly(num))
-        self.den = tuple(_readonly(den))
+        num, den = self._stacks = _readonly(num), _readonly(den)
+        self.num, self.den = tuple(num), tuple(den)
         self.p, self.m = self.num[0].shape
 
     @property

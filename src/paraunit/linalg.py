@@ -76,7 +76,7 @@ def as_complex_matrix(x, name: str = "matrix") -> np.ndarray:
     a = np.asarray(x, dtype=complex)
     if a.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got shape {a.shape}")
-    if a.size and not np.all(np.isfinite(a)):
+    if a.size and not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
@@ -95,7 +95,7 @@ def isometry_residual(v: np.ndarray) -> float:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         gram = v.conj().T @ v
-        gram.flat[:: v.shape[1] + 1] -= 1.0
+        gram.ravel()[:: v.shape[1] + 1] -= 1.0  # a view: the product is contiguous
         return _finite_norm(gram)
 
 

@@ -42,8 +42,9 @@ from .forms import (
     StateSpaceRealization,
     _blaschke_values,
     _fold_right,
+    _off_unit,
     _phase_correction,
-    _transposed_factors,
+    _transposed_blocks,
     _unit_direction,
 )
 from .linalg import isometry_residual, unitary_completion
@@ -77,50 +78,64 @@ def bp_to_realization(f: BlaschkePotapovForm, validate: bool = True) -> StateSpa
     side) or coisometric (coiso side) to machine precision.
     ``validate=False`` realizes forms with out-of-contract directions
     faithfully (their realization matrix then fails the (co)isometry
-    certificate, as it should).  A coiso form gets the transposed cascade of
-    its transposed factor list.
+    certificate, as it should).  A coiso form gets the transposed blocks of
+    the cascade of its transposed factor list.
     """
     if not all(pole.is_schur for pole in f.poles):
         raise ImproperFunction(
             "all poles must lie strictly inside the open unit disk; flip offending poles first"
         )
-    if f.side == COISO:
-        blocks = _cascade_blocks(_transposed_factors(f.factors), f.constant.T, validate)
-        return StateSpaceRealization(*blocks).transpose()
-    return StateSpaceRealization(*_cascade_blocks(f.factors, f.constant, validate))
+    if f.side == ISO:
+        return StateSpaceRealization(*_cascade_blocks(f.poles, f.directions, f.constant, validate))
+    blocks = _cascade_blocks(f.poles[::-1], f.directions[::-1].conj(), f.constant.T, validate)
+    return StateSpaceRealization(*_transposed_blocks(*blocks))
 
 
-def _cascade_blocks(factors, constant: np.ndarray, validate: bool):
+def _cascade_blocks(poles, directions: np.ndarray, constant: np.ndarray, validate: bool):
     """Blocks ``(A, B, C, D)`` of the iso cascade ``B_1 ... B_d @ constant``.
 
-    The sweep runs from the innermost factor outwards and keeps the
+    The factors are checked first, in the order a factor-by-factor cascade
+    meets them: innermost first, and each pole against ``SCHUR_MARGIN``
+    before (with ``validate``) its direction against unit norm, which
+    renormalizes or refuses it as :func:`_unit_direction` does.  One pass
+    over the poles and one batched norm per direction (:func:`_off_unit`)
+    find the factors to look at.
+
+    The sweep then runs from the innermost factor outwards and keeps the
     ``p x (d + m)`` work array ``[C | D]`` of the cascade built so far.  Step
-    ``i`` projects the work array onto ``v_i`` once: the projection times
-    ``s_i`` is row ``i`` of ``[A | B]`` right of the diagonal, and it gives
-    the rank-one update by ``D_i``; column ``i`` of ``C`` is then
-    ``s_i v_i``.  Poles are checked against ``SCHUR_MARGIN`` and (with
-    ``validate``) directions against unit norm in the order
-    a factor-by-factor cascade would meet them.
+    ``i`` projects the work array right of column ``i`` onto ``v_i`` once:
+    the projection times ``s_i`` is row ``i`` of ``[A | B]`` right of the
+    diagonal, and it gives the rank-one update by ``D_i``.  Column ``i`` of
+    ``C``, ``s_i v_i``, is written before the sweep, which changes only the
+    columns right of the step's own.
     """
-    d = len(factors)
+    d = len(poles)
     p, m = constant.shape
+    alphas = np.array([pole.value for pole in poles], dtype=complex)
+    # hypot and float_power call the C library as Python's abs and ** do,
+    # where numpy's complex abs and square may round otherwise
+    moduli = np.hypot(alphas.real, alphas.imag)
+    outside = moduli >= 1.0 - SCHUR_MARGIN
+    flagged = (outside | _off_unit(directions)) if validate else outside
+    if flagged.any():
+        directions = np.array(directions)
+        for i in flagged.nonzero()[0][::-1]:
+            if outside[i]:
+                raise PoleNotInDisk(f"|{poles[i].value}| is not strictly below one")
+            directions[i] = _unit_direction(directions[i])
+    scales = np.sqrt(1.0 - np.float_power(moduli, 2))
+    weights = 1.0 + alphas.conj()
     top = np.zeros((d, d + m), dtype=complex)
+    top[range(d), range(d)] = alphas
     work = np.empty((p, d + m), dtype=complex)
+    work[:, :d] = (scales[:, None] * directions).T
     work[:, d:] = constant
     for i in range(d - 1, -1, -1):
-        pole, v = factors[i]
-        alpha = pole.value
-        if abs(alpha) >= 1.0 - SCHUR_MARGIN:
-            raise PoleNotInDisk(f"|{alpha}| is not strictly below one")
-        if validate:
-            v = _unit_direction(v)
-        scale = np.sqrt(1.0 - abs(alpha) ** 2)
+        v = directions[i]
         tail = work[:, i + 1:]
         projected = v.conj() @ tail
-        top[i, i] = alpha
-        top[i, i + 1:] = scale * projected
-        tail -= ((1.0 + alpha.conjugate()) * v)[:, None] * projected
-        work[:, i] = scale * v
+        top[i, i + 1:] = scales[i] * projected
+        tail -= (weights[i] * v)[:, None] * projected
     return top[:, :d], top[:, d:], work[:, :d], work[:, d:]
 
 

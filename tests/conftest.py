@@ -47,6 +47,37 @@ def perturb_direction(form, scale=1.01, index=0):
     )
 
 
+# The factor-by-factor checks of a product form's factor list: the reference
+# that BlaschkePotapovForm's one-pass checks are tested against.
+
+
+def reference_factor_checks(k, factors, validate=True):
+    """Check each factor in turn: coerce its pole, flatten its direction and
+    test the direction's length and finiteness and, with ``validate``, apply
+    ``_unit_direction``.  Returns the ``(d, k)`` stack of checked directions;
+    raises what the first faulty factor raises, its pole before its
+    direction."""
+    rows = []
+    for pole, v in factors:
+        if not isinstance(pole, Pole):
+            Pole(pole)
+        v = np.asarray(v, dtype=complex).reshape(-1)
+        if v.shape != (k,):
+            raise DimensionMismatch(f"direction must have length {k}, got {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("direction contains non-finite entries")
+        rows.append(_unit_direction(v) if validate else v)
+    return np.array(rows, dtype=complex).reshape(len(rows), k)
+
+
+def outcome(build):
+    """``build()``, or the type and message of what it raises."""
+    try:
+        return build()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 def circle_points(count):
     return np.exp(2j * np.pi * np.arange(count) / count)
 

@@ -469,8 +469,7 @@ class TestFit:
         fitted = read_document(out_path)
         assert fitted.p == 2 and fitted.m == 1
 
-    # numpy and scipy warn of the overflow on the way
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_fit_overflowing_targets_reports_inf(self, tmp_path, capsys):
         target = build_paraunitary(random_params(5, ISO, 3, 2, 2, schur_only=True))
         zs = circle_points(16)
@@ -484,6 +483,21 @@ class TestFit:
         assert "objective = inf" in out.splitlines() and "converged = no" in out.splitlines()
         code, _, _ = run(capsys, "check", str(out_path))
         assert code == 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_fit_from_an_overflowed_start_runs_no_search(self, tmp_path, capsys):
+        target = build_paraunitary(random_params(5, ISO, 3, 2, 1, schur_only=True))
+        zs = circle_points(16)
+        values = target.eval_many(zs)
+        values[3, 1, 0] = 1e308
+        source = tmp_path / "samples.json"
+        write_document(source, SampleSet(list(zip(zs, values))))
+        code, out, err = run(
+            capsys, "fit", str(source), "--degree", "1", "--restarts", "1", "-o", str(tmp_path / "fit.json")
+        )
+        assert code == 0
+        assert "iterations = 0" in out.splitlines() and "objective = inf" in out.splitlines()
+        assert err == ""
 
 
 class TestUsageErrors:

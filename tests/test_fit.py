@@ -375,8 +375,7 @@ class TestFitLossless:
         ]
         assert result.objective <= min(starts) + 1e-12
 
-    # numpy and scipy warn of the overflow on the way
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("side, p, m", [(ISO, 3, 2), (COISO, 2, 3)])
     def test_overflowing_targets_return_the_first_start(self, side, p, m):
         # every squared distance to a 1e200 entry is inf, so no start beats
@@ -387,6 +386,22 @@ class TestFitLossless:
         result = fit_lossless(SampleSet(list(zip(samples.zs, targets))), d=2, p=p, m=m, restarts=1)
         assert result.objective == np.inf and result.converged is False
         assert circle_residual(build_paraunitary(result.params)).passed
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("side, p, m", [(ISO, 3, 2), (COISO, 2, 3)])
+    def test_overflowing_start_runs_no_search(self, side, p, m, monkeypatch):
+        # every squared distance to a 1e308 entry is inf, and no step lowers
+        # inf, so the fit searches from no start and warns of nothing
+        def no_search(x, kernel):
+            raise AssertionError("searched from an overflowed start")
+
+        monkeypatch.setattr(fit, "minimize", no_search)
+        samples = samples_from_params(random_params(5, side, p, m, 1, schur_only=True), count=16)
+        targets = samples.targets.copy()
+        targets[3, 1, 0] = 1e308
+        result = fit_lossless(SampleSet(list(zip(samples.zs, targets))), d=1, p=p, m=m, restarts=1)
+        assert result.iterations == 0
+        assert result.objective == np.inf and result.converged is False
 
 
 def sweep_cases():

@@ -24,9 +24,11 @@ from conftest import (
     circle_points,
     fir_form,
     off_circle_probes,
+    outcome,
     perturb_direction,
     random_form,
     random_unitary,
+    reference_factor_checks,
 )
 from golden import row_example_bp, row_example_ss_unnormalized, row_example_value
 
@@ -173,6 +175,70 @@ class TestBlaschkePotapovForm:
                 assert np.allclose(batch[i], form(z), atol=1e-13)
 
 
+def faulty_factors(rng, k, d):
+    """``d`` factors of dimension ``k`` with faults at one to three random
+    factors: a pole on the circle or not finite, a direction of the wrong
+    length, with a non-finite entry, or with a norm off one by more than
+    ``DIRECTION_NORM_SLACK`` (refused) or by 1e-14 to 1e-6 (renormalized).
+    Poles come as ``Pole`` objects or raw numbers."""
+    factors = []
+    for _ in range(d):
+        alpha = rng.uniform(0.0, 3.0) * np.exp(2j * np.pi * rng.uniform())
+        v = rng.normal(size=k) + 1j * rng.normal(size=k)
+        factors.append((alpha if rng.uniform() < 0.3 else Pole(alpha), v / np.linalg.norm(v)))
+    sign = rng.choice([-1.0, 1.0])
+    for index in rng.choice(d, size=min(d, int(rng.integers(1, 4))), replace=False):
+        pole, v = factors[index]
+        fault = rng.choice(["pole", "length", "non_finite", "refused", "renormalized"])
+        if fault == "pole":
+            pole = rng.choice([np.exp(2j * np.pi * rng.uniform()), complex(np.nan, 0.0)])
+        elif fault == "length":
+            v = np.append(v, 0.0) if rng.uniform() < 0.5 or k == 1 else v[:-1]
+        elif fault == "non_finite":
+            v = v.copy()
+            v[rng.integers(k)] = rng.choice([np.nan, np.inf, complex(0.0, -np.inf)])
+        elif fault == "refused":
+            v = v * (1.0 + sign * rng.uniform(2e-6, 0.5))
+        else:
+            v = v * (1.0 + sign * 10.0 ** rng.uniform(-14.0, -6.0))
+        factors[index] = (pole, v)
+    return factors
+
+
+class TestDirectionStack:
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_one_pass_checks_raise_what_the_per_factor_rule_raises(self, validate):
+        rng = np.random.default_rng(3200)
+        refusals = 0
+        for _ in range(300):
+            side = rng.choice([ISO, COISO])
+            k, other = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            p, m = (k, min(k, other)) if side == ISO else (min(k, other), k)
+            factors = faulty_factors(rng, k, int(rng.integers(1, 8)))
+            constant = np.eye(p, m)
+            expected = outcome(lambda: reference_factor_checks(k, factors, validate))
+            actual = outcome(lambda: BlaschkePotapovForm(side, p, m, factors, constant, validate=validate))
+            if isinstance(expected, tuple):
+                refusals += 1
+                assert actual == expected
+            else:
+                assert actual.directions.tobytes() == expected.tobytes()
+        assert 100 <= refusals < 300  # both outcomes are exercised
+
+    def test_factors_are_read_only_views_of_the_stack(self):
+        broken = perturb_direction(random_form(62, ISO, 4, 2, 5))
+        for form in (random_form(60, ISO, 3, 2, 4), random_form(61, COISO, 2, 3, 3), broken):
+            assert form.directions.shape == (form.d, form.factor_dimension)
+            for j, (pole, v) in enumerate(form.factors):
+                assert pole is form.poles[j]
+                assert np.shares_memory(v, form.directions)
+                assert v.tobytes() == form.directions[j].tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                form.directions[0, 0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                form.factors[-1][1][0] = 0.0
+
+
 def transpose_cases():
     """Product forms of both sides, a negative control, and realizations."""
     coiso = random_form(47, COISO, 2, 3, 3)
@@ -193,12 +259,11 @@ class TestTranspose:
             if isinstance(form, BlaschkePotapovForm):
                 assert (twice.side, twice.p, twice.m) == (form.side, form.p, form.m)
                 assert twice.poles == form.poles
-                for (_, v), (_, w) in zip(form.factors, twice.factors):
-                    assert np.array_equal(v, w)
-                assert np.array_equal(twice.constant, form.constant)
+                assert twice.directions.tobytes() == form.directions.tobytes()
+                assert twice.constant.tobytes() == form.constant.tobytes()
             else:
                 for x, y in zip((form.a, form.b, form.c, form.d), (twice.a, twice.b, twice.c, twice.d)):
-                    assert np.array_equal(x, y)
+                    assert x.tobytes() == y.tobytes()
 
     def test_negative_control_stays_broken(self):
         broken = perturb_direction(random_form(47, COISO, 2, 3, 3)).transpose()

@@ -43,11 +43,14 @@ from conftest import (
     factor_realization,
     fir_form,
     off_circle_probes,
+    outcome,
     perturb_direction,
     random_form,
     random_unitary,
     series_cascade,
 )
+from paraunit.forms import _unit_direction
+from paraunit.tolerances import SCHUR_MARGIN
 from golden import (
     FIR_46_LAURENT,
     SQRT2,
@@ -78,6 +81,20 @@ def near_circle_pole(radius):
     pole = Pole.__new__(Pole)
     pole._value = complex(radius)
     return pole
+
+
+def realizations_built(monkeypatch, form):
+    """Number of realizations ``bp_to_realization(form)`` constructs."""
+    built = []
+    init = StateSpaceRealization.__init__
+
+    def counting_init(self, *blocks):
+        built.append(1)
+        init(self, *blocks)
+
+    monkeypatch.setattr(StateSpaceRealization, "__init__", counting_init)
+    assert bp_to_realization(form).n == form.d
+    return len(built)
 
 
 class TestFactorRealization:
@@ -223,18 +240,63 @@ class TestBpToRealization:
         assert ss.n == 128
         assert realization_check(ss).residual <= 1e-13
 
+    @pytest.mark.parametrize("side", [ISO, COISO])
+    def test_one_pass_checks_raise_what_the_factor_cascade_raises(self, side):
+        # faults at random factors of an unvalidated form: a pole in the
+        # band 1 - SCHUR_MARGIN <= |alpha| < 1, a norm the cascade refuses,
+        # or one it renormalizes
+        rng = np.random.default_rng(3300)
+        refusals = 0
+        for seed in range(150):
+            small, large = sorted(int(n) for n in rng.integers(1, 5, size=2))
+            p, m = (large, small) if side == ISO else (small, large)
+            form = random_form(seed, side, p, m, int(rng.integers(1, 9)), schur_only=True)
+            factors, fixed = list(form.factors), list(form.factors)
+            for index in rng.choice(form.d, size=min(form.d, int(rng.integers(1, 4))), replace=False):
+                pole, v = factors[index]
+                fault = rng.choice(["pole", "refused", "renormalized"])
+                sign = rng.choice([-1.0, 1.0])
+                if fault == "pole":
+                    pole = near_circle_pole(1.0 - rng.uniform(0.0, SCHUR_MARGIN))
+                    factors[index] = fixed[index] = (pole, v)
+                elif fault == "refused":
+                    factors[index] = (pole, v * (1.0 + sign * rng.uniform(2e-6, 0.5)))
+                else:
+                    factors[index] = (pole, v * (1.0 + sign * 10.0 ** rng.uniform(-14.0, -6.0)))
+                    # the coiso cascade renormalizes the conjugated row it reads
+                    if side == ISO:
+                        fixed[index] = (pole, _unit_direction(factors[index][1]))
+                    else:
+                        fixed[index] = (pole, _unit_direction(factors[index][1].conj()).conj())
+            broken = BlaschkePotapovForm(side, p, m, factors, form.constant, validate=False)
+            expected = outcome(lambda: reference_cascade(broken))
+            actual = outcome(lambda: bp_to_realization(broken))
+            if isinstance(expected, tuple):
+                refusals += 1
+                assert actual == expected
+                continue
+            # a renormalized row is _unit_direction's, bit for bit
+            renormalized = BlaschkePotapovForm(side, p, m, fixed, form.constant, validate=False)
+            reference = bp_to_realization(renormalized, validate=False)
+            for name in "abcd":
+                assert getattr(actual, name).tobytes() == getattr(reference, name).tobytes()
+        assert 30 <= refusals < 150  # both outcomes are exercised
+
+    @pytest.mark.parametrize("d", [0, 1, 7, 33])
+    def test_coiso_cascade_is_the_transposed_iso_cascade(self, d):
+        for seed, (p, m) in enumerate([(1, 2), (2, 3), (2, 2), (1, 4)]):
+            form = random_form(350 + seed, COISO, p, m, d, schur_only=True)
+            ss = bp_to_realization(form)
+            reference = bp_to_realization(form.transpose()).transpose()
+            for name in "abcd":
+                block, same = getattr(ss, name), getattr(reference, name)
+                assert block.shape == same.shape and block.tobytes() == same.tobytes()
+
     def test_iso_path_builds_one_realization(self, monkeypatch):
-        built = []
-        init = StateSpaceRealization.__init__
+        assert realizations_built(monkeypatch, random_form(340, ISO, 3, 2, 16, schur_only=True)) == 1
 
-        def counting_init(self, *blocks):
-            built.append(1)
-            init(self, *blocks)
-
-        monkeypatch.setattr(StateSpaceRealization, "__init__", counting_init)
-        ss = bp_to_realization(random_form(340, ISO, 3, 2, 16, schur_only=True))
-        assert ss.n == 16
-        assert len(built) == 1
+    def test_coiso_path_builds_one_realization(self, monkeypatch):
+        assert realizations_built(monkeypatch, random_form(341, COISO, 2, 3, 16, schur_only=True)) == 1
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(
