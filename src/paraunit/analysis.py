@@ -25,14 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SideMismatch
-from .forms import (
-    LEFT,
-    RIGHT,
-    BlaschkePotapovForm,
-    LaurentPolyForm,
-    MFDForm,
-    StateSpaceRealization,
-)
+from .forms import LEFT, RIGHT, LaurentPolyForm, MFDForm, StateSpaceRealization, _require_form
 # perfbench/tracing.py shims analysis.evaluate, analysis.solve_stein,
 # analysis.spectral_radius and analysis.hermitian_eig, so these names stay
 # importable here
@@ -74,19 +67,6 @@ class Certificate:
         return "Pass" if self.passed else "Fail"
 
 
-def _circle_degree(form) -> int:
-    """Degree that sets the default circle sample count of ``form``."""
-    if isinstance(form, BlaschkePotapovForm):
-        return form.d
-    if isinstance(form, StateSpaceRealization):
-        return form.n
-    if isinstance(form, MFDForm):
-        return form.degree * form.den[0].shape[0]
-    if isinstance(form, LaurentPolyForm):
-        return form.gamma
-    raise TypeError(f"cannot sample object of type {type(form).__name__}")
-
-
 def circle_residual(form, tol: float = CIRCLE_TOL) -> Certificate:
     """Worst deviation from (co)isometry over equispaced circle points.
 
@@ -105,7 +85,8 @@ def circle_residual(form, tol: float = CIRCLE_TOL) -> Certificate:
     vanish at ``2 g + 1`` equispaced points unless it vanishes everywhere,
     while ``2 g`` or fewer points can alias a failing form to a pass.
     """
-    samples = max(CIRCLE_SAMPLES, 2 * _circle_degree(form) + 1)
+    _require_form(form, "sample")
+    samples = max(CIRCLE_SAMPLES, 2 * form._circle_degree + 1)
     values = form.eval_many(np.exp(2j * np.pi * np.arange(samples) / samples))
     adjoints = values.conj().swapaxes(1, 2)
     with np.errstate(over="ignore", invalid="ignore"):

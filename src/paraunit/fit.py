@@ -368,13 +368,16 @@ def minimize(x: np.ndarray, kernel: _ChartKernel):
     :func:`_chart_jacobian` and at most
     :data:`~paraunit.tolerances.FIT_EVAL_BUDGET` residual evaluations.
     scipy.optimize is imported here, on the first search, because loading
-    it costs more than most CLI commands and only the fit calls it."""
+    it costs more than most CLI commands and only the fit calls it.  Products of
+    the search that overflow (targets near 1e150 give an objective near
+    1e300) do so silently, as the objective's squared distances do."""
     from scipy.optimize import least_squares
 
-    return least_squares(
-        _chart_residual, x, jac=_chart_jacobian, args=(kernel,), method="dogbox",
-        max_nfev=FIT_EVAL_BUDGET,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        return least_squares(
+            _chart_residual, x, jac=_chart_jacobian, args=(kernel,), method="dogbox",
+            max_nfev=FIT_EVAL_BUDGET,
+        )
 
 
 def _squared_distance(chain: np.ndarray, constant: np.ndarray, targets: np.ndarray) -> float:

@@ -11,6 +11,11 @@ of the complex plane away from its poles:
   ``N(z) Delta(z)^{-1}`` / ``Delta(z)^{-1} N(z)`` with polynomial blocks,
 * :class:`LaurentPolyForm` -- ``z^q (B_0 + z B_1 + ... + z^g B_g)``.
 
+This module holds the representations only: construction, validation and
+evaluation.  Moves between them, and moves of a product form's factors
+(its reflected adjoint, pole flips, square embedding), live in
+:mod:`paraunit.transforms`.
+
 Every form evaluates a batch of points at once with ``eval_many(zs)``,
 which returns an ``(N, p, m)`` array and checks the whole batch against the
 form's poles (or, for a matrix fraction, its denominator's condition number)
@@ -20,13 +25,16 @@ Evaluation costs what the structure requires.  A product form computes
 every factor's gain ``phi_j(z) - 1`` in one broadcast over its poles and
 points, :func:`_blaschke_values`.  That is the package's one Blaschke
 kernel: :func:`blaschke_scalar` is its one-pole case, and the lossless fit
-calls it for the poles it searches.  A realization decides its structure
-once, in its Schur view :attr:`StateSpaceRealization.schur`, and reads its
-poles off the view's diagonal.  An upper triangular ``A`` (every
-realization the package writes) is its own Schur form, and its evaluation
-back-substitutes ``(zI - A) X = B`` one state at a time, vectorized across
-the points; any other ``A`` takes one ``zgees`` for the view and an LU of
-``zI - A`` per point.
+calls it for the poles it searches.  A coiso product form is evaluated,
+transposed and realized through one chain, the iso factor chain of its
+transpose (:meth:`BlaschkePotapovForm._transposed_chain`).  A realization
+decides its structure once, in its Schur view
+:attr:`StateSpaceRealization.schur`, and reads its poles off the view's
+diagonal.  An upper triangular ``A`` (every realization the package writes)
+is its own Schur form, and its evaluation back-substitutes
+``(zI - A) X = B`` one state at a time, vectorized across the points; any
+other ``A`` takes one ``zgees`` for the view and an LU of ``zI - A`` per
+point.
 
 Forms are immutable: constructors validate and copy their inputs and the
 stored arrays are marked read-only.  A product form keeps its directions as
@@ -175,11 +183,18 @@ def _points(zs) -> np.ndarray:
 
 
 class _Form:
-    """Shared one-point evaluation; every form defines ``eval_many``."""
+    """Shared one-point evaluation; every form defines ``eval_many`` and
+    ``_circle_degree``, the degree that sets its circle sample count."""
 
     def __call__(self, z: complex) -> np.ndarray:
         """Value at one point: the one-point case of ``eval_many``."""
         return self.eval_many([complex(z)])[0]
+
+
+def _require_form(form, action: str) -> None:
+    """Raise ``TypeError`` unless ``form`` is one of the four forms."""
+    if not isinstance(form, _Form):
+        raise TypeError(f"cannot {action} object of type {type(form).__name__}")
 
 
 def _unit_direction(v: np.ndarray) -> np.ndarray:
@@ -244,8 +259,10 @@ class BlaschkePotapovForm(_Form):
     ``F(z) = constant @ B_1(z) ... B_d(z)`` with ``m``-dimensional factors.
     ``factors[0]`` is always the leftmost factor of the product, and each
     factor is ``B(z) = I + (phi(z) - 1) v v*`` for a unit vector ``v``.
-    Product-form operations are written for the iso side; the coiso side
-    runs through :meth:`transpose`.
+    Product-form operations are written for the iso side; a coiso form is
+    evaluated and realized through the iso chain of its transpose,
+    :meth:`_transposed_chain`, and its other moves run through
+    :meth:`transpose`.
 
     The directions are kept as one read-only ``(d, k)`` array,
     :attr:`directions`, validated once in one pass
@@ -306,6 +323,8 @@ class BlaschkePotapovForm(_Form):
         """Number of degree-one factors."""
         return len(self.factors)
 
+    _circle_degree = d
+
     @property
     def factor_dimension(self) -> int:
         return _factor_dimension(self.side, self.p, self.m)
@@ -316,20 +335,29 @@ class BlaschkePotapovForm(_Form):
         gains = _blaschke_values(self.poles, zs) - 1.0
         if self.side == ISO:
             return _iso_product(gains, self.directions, self.constant)
-        # F(z)^T is the iso product of transpose(); no form is built per call
-        transposed = _iso_product(gains[::-1], self.directions[::-1].conj(), self.constant.T)
-        return transposed.swapaxes(1, 2)
+        _, directions, constant = self._transposed_chain()
+        return _iso_product(gains[::-1], directions, constant).swapaxes(1, 2)
+
+    def _transposed_chain(self) -> tuple:
+        """``(poles, directions, constant)`` of ``F(z)^T``: poles reversed,
+        directions reversed and conjugated, constant transposed, all read-only.
+
+        The iso factor chain of a coiso form, read without building a form.
+        """
+        directions = self.directions[::-1].conj()
+        directions.setflags(write=False)
+        return self.poles[::-1], directions, self.constant.T
 
     def transpose(self) -> "BlaschkePotapovForm":
-        """Product form of ``F(z)^T``: factors reversed, directions conjugated,
-        constant transposed, side and ``p``/``m`` swapped.
+        """Product form of ``F(z)^T`` (:meth:`_transposed_chain`), side and
+        ``p``/``m`` swapped.
 
         The map is exact and neither revalidates nor renormalizes, so a
         ``validate=False`` form stays broken and transposing twice is bit-exact.
         """
+        poles, directions, constant = self._transposed_chain()
         side = COISO if self.side == ISO else ISO
-        factors = zip(self.poles[::-1], self.directions[::-1].conj())
-        return BlaschkePotapovForm(side, self.m, self.p, factors, self.constant.T, validate=False)
+        return BlaschkePotapovForm(side, self.m, self.p, zip(poles, directions), constant, validate=False)
 
 
 def _iso_product(gains, directions, constant: np.ndarray) -> np.ndarray:
@@ -384,6 +412,8 @@ class StateSpaceRealization(_Form):
     @property
     def n(self) -> int:
         return self.a.shape[0]
+
+    _circle_degree = n
 
     @property
     def m(self) -> int:
@@ -563,6 +593,10 @@ class MFDForm(_Form):
     def degree(self) -> int:
         return len(self.num) - 1
 
+    @property
+    def _circle_degree(self) -> int:
+        return self.degree * self.den[0].shape[0]
+
     def eval_many(self, zs) -> np.ndarray:
         """Evaluate at a batch of points; returns an ``(N, p, m)`` array."""
         zs = _points(zs)
@@ -615,6 +649,8 @@ class LaurentPolyForm(_Form):
     def gamma(self) -> int:
         return len(self.coeffs) - 1
 
+    _circle_degree = gamma
+
     def eval_many(self, zs) -> np.ndarray:
         """Evaluate at a batch of points; returns an ``(N, p, m)`` array."""
         zs = _points(zs)
@@ -625,62 +661,5 @@ class LaurentPolyForm(_Form):
 
 def evaluate(form, z: complex) -> np.ndarray:
     """Evaluate any of the four forms at a finite point ``z``."""
-    if not isinstance(
-        form, (BlaschkePotapovForm, StateSpaceRealization, MFDForm, LaurentPolyForm)
-    ):
-        raise TypeError(f"cannot evaluate object of type {type(form).__name__}")
+    _require_form(form, "evaluate")
     return form(z)
-
-
-def _phase_correction(pole: Pole) -> complex:
-    """Unimodular constant c with 1/phi_alpha = c * phi_{1/conj(alpha)}."""
-    if pole.is_infinity or pole.value == 0:
-        return 1.0 + 0.0j
-    return pole.value / pole.value.conjugate()
-
-
-def _fold_right(items, k: int):
-    """Normalize a mixed factor/constant chain, pushing constants rightward.
-
-    ``items`` is a sequence of ``(Pole, direction)`` factors and ``k x k``
-    unitary constants, read left to right as a matrix product.  Returns
-    ``(factors, g)`` with the product equal to ``factors`` applied in order
-    followed by the constant ``g``.
-    """
-    g = np.eye(k, dtype=complex)
-    factors = []
-    for item in items:
-        if isinstance(item, tuple):
-            pole, v = item
-            factors.append((pole, g @ v))
-        else:
-            g = g @ item
-    return factors, g
-
-
-def conjugate(f: BlaschkePotapovForm) -> BlaschkePotapovForm:
-    """Reflected adjoint ``F#(z) = (F(1/conj(z)))*`` as a product form.
-
-    The result swaps iso and coiso sides, reverses the factor order and
-    reflects every pole through the unit circle (``0 <-> infinity``).
-    Inverting a factor with a non-real pole leaves behind a unimodular
-    constant; those constants are folded into the directions and the final
-    constant block, so the returned form matches ``F#`` exactly pointwise.
-    On the unit circle ``F#`` coincides with the entrywise adjoint of ``F``.
-    """
-    if f.side == COISO:
-        # (F^T)# = (F#)^T, and F^T is iso
-        return conjugate(f.transpose()).transpose()
-    # Factor j of the iso form of conj(F(1/conj(z))) = F#(z)^T is
-    # I + (1/phi_alpha - 1) w w* with w = conj(v): the factor at the reflected
-    # pole times the unimodular constant I + (c - 1) w w*.
-    k = f.factor_dimension
-    items = []
-    for pole, v in f.factors:
-        w = v.conj()
-        items.append((pole.flipped(), w))
-        c = _phase_correction(pole)
-        if c != 1.0:
-            items.append(np.eye(k, dtype=complex) + (c - 1.0) * np.outer(w, v))
-    factors, g = _fold_right(items, k)
-    return BlaschkePotapovForm(ISO, f.p, f.m, factors, g @ f.constant.conj()).transpose()

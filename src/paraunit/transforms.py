@@ -1,5 +1,16 @@
 """Conversions and structural moves between the representations.
 
+Every move of a product form's factors lives here.  Its reflected adjoint
+(:func:`conjugate`) and its pole flips (:func:`flip_poles`) both invert a
+Blaschke factor through one identity,
+``1/phi_alpha = c phi_{1/conj(alpha)}`` with the unimodular
+``c = alpha / conj(alpha)``: on a subspace with projector ``P``,
+``I + (1/phi_alpha - 1) P`` is one factor at the reflected pole per
+orthonormal vector of the subspace, times the constant ``I + (c - 1) P``
+(:func:`_reflection`).  The constants are pushed to the right end of the
+chain and folded into the directions and the constant block
+(:func:`_fold_right`).
+
 A product form is realized as the series cascade of one-state realizations
 of its Blaschke factors.  Each has an exactly unitary realization matrix, so
 the cascade's is (co)isometric, which is what makes the realization-based
@@ -39,11 +50,10 @@ from .forms import (
     BlaschkePotapovForm,
     LaurentPolyForm,
     MFDForm,
+    Pole,
     StateSpaceRealization,
     _blaschke_values,
-    _fold_right,
     _off_unit,
-    _phase_correction,
     _transposed_blocks,
     _unit_direction,
 )
@@ -79,7 +89,8 @@ def bp_to_realization(f: BlaschkePotapovForm, validate: bool = True) -> StateSpa
     ``validate=False`` realizes forms with out-of-contract directions
     faithfully (their realization matrix then fails the (co)isometry
     certificate, as it should).  A coiso form gets the transposed blocks of
-    the cascade of its transposed factor list.
+    the cascade of its transposed chain
+    (:meth:`~paraunit.forms.BlaschkePotapovForm._transposed_chain`).
     """
     if not all(pole.is_schur for pole in f.poles):
         raise ImproperFunction(
@@ -87,7 +98,7 @@ def bp_to_realization(f: BlaschkePotapovForm, validate: bool = True) -> StateSpa
         )
     if f.side == ISO:
         return StateSpaceRealization(*_cascade_blocks(f.poles, f.directions, f.constant, validate))
-    blocks = _cascade_blocks(f.poles[::-1], f.directions[::-1].conj(), f.constant.T, validate)
+    blocks = _cascade_blocks(*f._transposed_chain(), validate)
     return StateSpaceRealization(*_transposed_blocks(*blocks))
 
 
@@ -107,7 +118,9 @@ def _cascade_blocks(poles, directions: np.ndarray, constant: np.ndarray, validat
     the projection times ``s_i`` is row ``i`` of ``[A | B]`` right of the
     diagonal, and it gives the rank-one update by ``D_i``.  Column ``i`` of
     ``C``, ``s_i v_i``, is written before the sweep, which changes only the
-    columns right of the step's own.
+    columns right of the step's own.  Directions too large for the sweep
+    overflow silently, and ``StateSpaceRealization`` refuses the non-finite
+    blocks.
     """
     d = len(poles)
     p, m = constant.shape
@@ -130,12 +143,13 @@ def _cascade_blocks(poles, directions: np.ndarray, constant: np.ndarray, validat
     work = np.empty((p, d + m), dtype=complex)
     work[:, :d] = (scales[:, None] * directions).T
     work[:, d:] = constant
-    for i in range(d - 1, -1, -1):
-        v = directions[i]
-        tail = work[:, i + 1:]
-        projected = v.conj() @ tail
-        top[i, i + 1:] = scales[i] * projected
-        tail -= (weights[i] * v)[:, None] * projected
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(d - 1, -1, -1):
+            v = directions[i]
+            tail = work[:, i + 1:]
+            projected = v.conj() @ tail
+            top[i, i + 1:] = scales[i] * projected
+            tail -= (weights[i] * v)[:, None] * projected
     return top[:, :d], top[:, d:], work[:, :d], work[:, d:]
 
 
@@ -229,18 +243,15 @@ def embed_to_square(f: BlaschkePotapovForm):
     return f_sq, np.array(f.constant)
 
 
-def truncate_to_rect(
-    f_sq: BlaschkePotapovForm, constant, side: str | None = None
-) -> BlaschkePotapovForm:
+def truncate_to_rect(f_sq: BlaschkePotapovForm, constant) -> BlaschkePotapovForm:
     """Absorb a constant (co)isometry into a square product form.
 
     Inverse of :func:`embed_to_square`: the result evaluates to
     ``f_sq(z) @ constant`` (iso) or ``constant @ f_sq(z)`` (coiso), so the
-    constant of ``f_sq`` is kept.  ``side`` picks where the constant
-    multiplies for a square constant (``"iso"`` on the right, ``"coiso"`` on
-    the left) and defaults to the side of ``f_sq``, so that
-    ``truncate_to_rect(*embed_to_square(f))`` rebuilds ``f``; rectangular
-    constants determine it from their shape.
+    constant of ``f_sq`` is kept.  A rectangular constant's shape sets the
+    side (tall iso, wide coiso); a square constant goes on the side of
+    ``f_sq``, so that ``truncate_to_rect(*embed_to_square(f))`` rebuilds
+    ``f``.
     """
     if f_sq.p != f_sq.m:
         raise DimensionMismatch("f_sq must be square")
@@ -249,11 +260,9 @@ def truncate_to_rect(
     if constant.ndim != 2:
         raise DimensionMismatch("constant must be 2-D")
     rows, cols = constant.shape
-    if side is None:
-        side = f_sq.side if rows == cols else ISO if rows > cols else COISO
-    if side == COISO:
-        return truncate_to_rect(f_sq.transpose(), constant.T, ISO).transpose()
-    if rows != k or cols > k:
+    if rows < cols or (rows == cols and f_sq.side == COISO):
+        return truncate_to_rect(f_sq.transpose(), constant.T).transpose()
+    if rows != k:
         raise DimensionMismatch(f"constant must be {k}x(m<={k}) (coiso: transposed), got {rows}x{cols}")
     if isometry_residual(constant) > ISOMETRY_TOL:
         raise NotIsometricConstant("constant is not a (co)isometry")
@@ -265,17 +274,76 @@ def truncate_to_rect(
     return BlaschkePotapovForm(ISO, k, cols, factors, g @ constant)
 
 
+def _fold_right(items, k: int):
+    """Normalize a mixed factor/constant chain, pushing constants rightward.
+
+    ``items`` is a sequence of ``(Pole, direction)`` factors and ``k x k``
+    unitary constants, read left to right as a matrix product.  Returns
+    ``(factors, g)`` with the product equal to ``factors`` applied in order
+    followed by the constant ``g``.
+    """
+    g = np.eye(k, dtype=complex)
+    factors = []
+    for item in items:
+        if isinstance(item, tuple):
+            pole, v = item
+            factors.append((pole, g @ v))
+        else:
+            g = g @ item
+    return factors, g
+
+
+def _reflection(pole: Pole, vectors, projector: np.ndarray) -> list:
+    """Chain items of ``I + (1/phi_alpha - 1) P`` for the projector ``P``
+    onto the span of the orthonormal ``vectors``.
+
+    One factor at the reflected pole ``1/conj(alpha)`` per vector, then the
+    constant ``I + (c - 1) P`` with ``c = alpha / conj(alpha)``, left out
+    when ``c`` is one (a real pole, the origin or infinity).
+    """
+    beta = pole.flipped()
+    items = [(beta, v) for v in vectors]
+    c = 1.0 if pole.is_infinity or pole.value == 0 else pole.value / pole.value.conjugate()
+    if c != 1.0:
+        items.append(np.eye(len(projector), dtype=complex) + (c - 1.0) * projector)
+    return items
+
+
+def conjugate(f: BlaschkePotapovForm) -> BlaschkePotapovForm:
+    """Reflected adjoint ``F#(z) = (F(1/conj(z)))*`` as a product form.
+
+    The result swaps iso and coiso sides, reverses the factor order and
+    reflects every pole through the unit circle (``0 <-> infinity``).
+    Inverting a factor with a non-real pole leaves behind a unimodular
+    constant; those constants are folded into the directions and the final
+    constant block, so the returned form matches ``F#`` exactly pointwise.
+    On the unit circle ``F#`` coincides with the entrywise adjoint of ``F``.
+    """
+    if f.side == COISO:
+        # (F^T)# = (F#)^T, and F^T is iso
+        return conjugate(f.transpose()).transpose()
+    # Factor j of the iso form of conj(F(1/conj(z))) = F#(z)^T is
+    # I + (1/phi_alpha - 1) w w* with w = conj(v)
+    items = []
+    for pole, v in f.factors:
+        w = v.conj()
+        items += _reflection(pole, [w], np.outer(w, v))
+    factors, g = _fold_right(items, f.factor_dimension)
+    return BlaschkePotapovForm(ISO, f.p, f.m, factors, g @ f.constant.conj()).transpose()
+
+
 def flip_poles(f: BlaschkePotapovForm) -> BlaschkePotapovForm:
     """Multiply by a scalar all-pass so every pole moves inside the disk.
 
     Each offending pole ``alpha`` (outside the closed disk or at infinity)
     contributes a scalar factor ``1/phi_alpha(z)``, which cancels the pole
-    and re-creates it at ``1/conj(alpha)``; the rank-one factor is replaced
-    by ``k - 1`` factors at the reflected pole spanning the orthogonal
-    complement of its direction, plus a constant phase that is folded into
-    the remaining factors and the constant block.  The output evaluates to
-    ``F(z) * psi(z)`` with ``psi`` the product of the scalar flips, so its
-    circle (co)isometry verdict matches the input's.
+    and re-creates it at ``1/conj(alpha)``: the rank-one factor times it is
+    ``I + (1/phi_alpha - 1)`` on the orthogonal complement of its direction,
+    ``k - 1`` factors at the reflected pole plus a constant phase that is
+    folded into the remaining factors and the constant block
+    (:func:`_reflection`).  The output evaluates to ``F(z) * psi(z)`` with
+    ``psi`` the product of the scalar flips, so its circle (co)isometry
+    verdict matches the input's.
     """
     if f.side == COISO:
         return flip_poles(f.transpose()).transpose()
@@ -284,15 +352,9 @@ def flip_poles(f: BlaschkePotapovForm) -> BlaschkePotapovForm:
     for pole, v in f.factors:
         if pole.is_schur:
             items.append((pole, v))
-            continue
-        beta = pole.flipped()
-        c = _phase_correction(pole)
-        basis = unitary_completion(v[:, None])
-        for column in range(k - 1):
-            items.append((beta, basis[:, column]))
-        if c != 1.0:
+        else:
             complement = np.eye(k, dtype=complex) - np.outer(v, v.conj())
-            items.append(np.eye(k, dtype=complex) + (c - 1.0) * complement)
+            items += _reflection(pole, unitary_completion(v[:, None]).T, complement)
     factors, g = _fold_right(items, k)
     return BlaschkePotapovForm(ISO, f.p, f.m, factors, g @ f.constant)
 
@@ -308,7 +370,7 @@ def flip_scalar(f: BlaschkePotapovForm, z: complex) -> complex:
     z = complex(z)
     offending = [pole for pole in f.poles if not pole.is_schur]
     for pole in offending:
-        zero = 0.0 if pole.is_infinity else 1.0 / pole.value.conjugate()
+        zero = pole.flipped().value
         if abs(z - zero) <= EVAL_POLE_MARGIN:
             raise EvalAtPole(f"{z} is within {EVAL_POLE_MARGIN:.0e} of the zero {zero} of phi for {pole}")
     return complex(1.0 / np.prod(_blaschke_values(offending, np.array([z]))))

@@ -30,7 +30,7 @@ from paraunit import (
     ss_to_mfd,
 )
 import paraunit.analysis
-from paraunit.analysis import _autocorrelation, _circle_degree
+from paraunit.analysis import _autocorrelation
 from paraunit.linalg import solve_stein
 from paraunit.tolerances import CIRCLE_SAMPLES, SCHUR_MARGIN
 from conftest import (
@@ -161,7 +161,7 @@ class TestCircleResidual:
     @pytest.mark.parametrize("kind", ["bp", "bp_coiso", "ss", "mfd", "laurent"])
     def test_matches_reference_loop(self, kind, broken):
         form = circle_test_form(kind, broken)
-        samples = max(CIRCLE_SAMPLES, 2 * _circle_degree(form) + 1)
+        samples = max(CIRCLE_SAMPLES, 2 * form._circle_degree + 1)
         worst, witness = reference_circle_residual(form, samples)
         cert = circle_residual(form)
         assert abs(cert.residual - worst) <= 1e-13

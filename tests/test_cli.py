@@ -499,6 +499,25 @@ class TestFit:
         assert "iterations = 0" in out.splitlines() and "objective = inf" in out.splitlines()
         assert err == ""
 
+    @pytest.mark.filterwarnings("error")
+    def test_fit_whose_search_overflows_warns_of_nothing(self, tmp_path, capsys):
+        # an objective near 1e300 overflows products inside scipy's search
+        target = build_paraunitary(random_params(5, ISO, 3, 2, 1, schur_only=True))
+        zs = circle_points(16)
+        values = target.eval_many(zs)
+        values[3, 1, 0] = 1e150
+        source = tmp_path / "samples.json"
+        write_document(source, SampleSet(list(zip(zs, values))))
+        out_path = tmp_path / "fit.json"
+        code, out, err = run(capsys, "fit", str(source), "--degree", "1", "--restarts", "1", "-o", str(out_path))
+        assert code == 0 and err == ""
+        assert out.splitlines() == [
+            "objective = 9.999999999999999e+299",
+            "iterations = 31",
+            "converged = no",
+            f"wrote fitted bp document to {out_path}",
+        ]
+
 
 class TestUsageErrors:
     def test_missing_file(self, capsys):

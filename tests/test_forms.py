@@ -15,6 +15,7 @@ from paraunit import (
     blaschke_scalar,
     bp_to_laurent,
     bp_to_realization,
+    circle_residual,
     conjugate,
     evaluate,
     ss_to_mfd,
@@ -489,9 +490,12 @@ class TestConjugate:
             assert np.linalg.norm(flipped(z) - reference) <= 1e-10
 
 
-def test_evaluate_dispatch_rejects_unknown():
+@pytest.mark.parametrize(
+    "call", [lambda form: evaluate(form, 1.0), circle_residual], ids=["evaluate", "circle_residual"]
+)
+def test_evaluate_dispatch_rejects_unknown(call):
     with pytest.raises(TypeError):
-        evaluate(np.eye(2), 1.0)
+        call(np.eye(2))
 
 
 def test_worked_example_forms_agree():

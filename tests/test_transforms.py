@@ -219,6 +219,15 @@ class TestBpToRealization:
         with pytest.raises(ValueError):
             bp_to_realization(broken)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("side,p,m", [(ISO, 3, 2), (COISO, 2, 3)])
+    def test_overflowing_directions_are_refused_silently(self, side, p, m):
+        form = random_form(321, side, p, m, 4, schur_only=True)
+        huge = [(pole, 1e170 * v) for pole, v in form.factors]
+        broken = BlaschkePotapovForm(side, p, m, huge, form.constant, validate=False)
+        with pytest.raises(ValueError, match="non-finite"):
+            bp_to_realization(broken, validate=False)
+
     def test_pole_within_schur_margin(self):
         v = np.array([1.0, 0.0])
         form = BlaschkePotapovForm(
@@ -459,10 +468,10 @@ class TestSquareEmbedding:
         for z in off_circle_probes(seed + 1, 6):
             assert np.array_equal(rebuilt(z), form(z))
 
-    def test_square_tie_uses_side_argument(self):
+    def test_square_tie_keeps_the_side_of_f_sq(self):
         form = random_form(66, COISO, 2, 2, 2, schur_only=True)
         square, constant = embed_to_square(form)
-        rebuilt = truncate_to_rect(square, constant, side=COISO)
+        rebuilt = truncate_to_rect(square, constant)
         assert rebuilt.side == COISO
         for z in off_circle_probes(67, 4):
             assert np.array_equal(rebuilt(z), form(z))
@@ -475,7 +484,7 @@ class TestSquareEmbedding:
         constant = random_unitary(rng, 3)[:, :2]
         if side == COISO:
             constant = constant.T
-        rebuilt = truncate_to_rect(square, constant, side=side)
+        rebuilt = truncate_to_rect(square, constant)
         assert rebuilt.side == side
         for z in off_circle_probes(71, 8):
             expected = square(z) @ constant if side == ISO else constant @ square(z)
