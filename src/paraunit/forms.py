@@ -367,14 +367,23 @@ def _iso_product(gains, directions, constant: np.ndarray) -> np.ndarray:
     every point, and row ``j`` of the ``(d, k)`` array ``directions`` is the
     unit vector ``v_j`` of factor ``j``; points and poles enter only through
     the gains.
+
+    The values are kept as one ``(k, N m)`` work matrix, point ``n``'s
+    ``k x m`` value in columns ``n m`` to ``n m + m - 1``.  Each factor,
+    from the right end of the product outwards, makes one vector-matrix
+    product ``v* @ work`` and one broadcast rank-one update with its gains
+    repeated per column.  The result is an ``(N, k, m)`` view of the work
+    matrix.
     """
-    out = np.empty((gains.shape[1], *constant.shape), dtype=complex)
-    out[:] = constant
-    # Apply factors from the right end of the product outwards.
-    for gain, v in zip(gains[::-1], directions[::-1]):
-        projected = v.conj() @ out
-        out += (gain[:, None] * projected)[:, None, :] * v[:, None]
-    return out
+    k, m = constant.shape
+    n_points = gains.shape[1]
+    # C order whatever the layout of constant, so equal forms give equal bits
+    work = np.empty((k, n_points, m), dtype=complex)
+    work[:] = constant[:, None, :]
+    work = work.reshape(k, n_points * m)
+    for gain, v in zip(np.repeat(gains[::-1], m, axis=1), directions[::-1]):
+        work += (gain * (v.conj() @ work)) * v[:, None]
+    return work.reshape(k, n_points, m).swapaxes(0, 1)
 
 
 class StateSpaceRealization(_Form):

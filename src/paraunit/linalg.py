@@ -2,11 +2,15 @@
 
 Thin, contract-pinning wrappers around LAPACK: symmetrization on return and
 the stability and symmetry tests (thresholds from :mod:`paraunit.tolerances`)
-are fixed here so the rest of the package can rely on them.  Every kernel is
+are fixed here so the rest of the package can rely on them.  The symmetry
+tests are relative and scale-free: a matrix is scaled by a power of two
+first, so its norms neither overflow nor underflow.  Every kernel is
 O(n^3) in time and O(n^2) in memory, with no size cap, except the Stein
 solve up to order ``STEIN_DENSE_ORDER_LIMIT = 8``: one dense Kronecker
-system, O(n^6) time and O(n^4) memory at most 64 unknowns.  All functions
-are pure and take 2-D complex arrays.
+system, O(n^6) time and O(n^4) memory at most 64 unknowns.  Above that
+order the Stein solve's column loop keeps one copy of ``-T`` and rewrites
+only its diagonal per column.  All functions are pure and take 2-D complex
+arrays.
 """
 
 from __future__ import annotations
@@ -154,7 +158,8 @@ def solve_stein(a, q, side: str = "cont") -> np.ndarray:
         Schur-stable matrix (spectral radius strictly below one).
     q : (n, n) array_like
         Hermitian right-hand side, within ``STEIN_HERMITIAN_RTOL`` relative
-        to ``max(1, ||Q||_F)``.
+        to ``max(1, ||Q||_F)``, tested on ``Q`` scaled by a power of two
+        (:func:`_hermitian_deviation`).
     side : {"cont", "obs"}
         ``"cont"`` solves ``W - A W A* = Q`` (controllability convention),
         ``"obs"`` solves ``W - A* W A = Q`` (observability convention).
@@ -162,7 +167,8 @@ def solve_stein(a, q, side: str = "cont") -> np.ndarray:
     Returns
     -------
     (n, n) ndarray
-        The unique solution, symmetrized as ``(W + W*) / 2`` on return.
+        The unique solution, symmetrized as ``W / 2 + W* / 2`` on return,
+        which stays finite for entries near the largest float.
 
     Notes
     -----
@@ -172,8 +178,10 @@ def solve_stein(a, q, side: str = "cont") -> np.ndarray:
     ``n^2`` system ``(I - T kron conj T) vec X = vec Q`` (row-major ``vec``;
     the system is upper triangular), which needs no scipy.  Larger orders
     solve column by column from the last, each an upper-triangular LAPACK
-    solve with ``I - conj(t_jj) T``: O(n^3) time, O(n^2) memory.  The
-    stability test reads ``max |diag T|``.  ``A`` is classified once by
+    solve with ``I / c - T`` for ``c = conj(t_jj)``: one copy of ``-T``
+    whose diagonal alone is rewritten per column, O(n^3) time and O(n^2)
+    memory (:func:`_stein_columns`).  The stability test reads
+    ``max |diag T|``.  ``A`` is classified once by
     :func:`_schur_form`: an upper triangular ``A`` (every realization the
     package writes) is its own ``T`` and runs no Schur step.  The ``"obs"``
     side flips the same form, ``A* = (U J)(J T* J)(U J)*`` with ``J`` the
@@ -186,9 +194,9 @@ def solve_stein(a, q, side: str = "cont") -> np.ndarray:
         raise DimensionMismatch(f"q must be {n}x{n}, got {q.shape}")
     if side not in ("cont", "obs"):
         raise ValueError(f"side must be 'cont' or 'obs', got {side!r}")
-    herm_residual = float(np.linalg.norm(q - q.conj().T))
-    if herm_residual > STEIN_HERMITIAN_RTOL * max(1.0, float(np.linalg.norm(q))):
-        raise NotHermitian(f"q is not Hermitian: residual {herm_residual:.3e}")
+    herm_residual, norm, factor = _hermitian_deviation(q)
+    if herm_residual > STEIN_HERMITIAN_RTOL * max(factor, norm):
+        raise NotHermitian(f"q is not Hermitian: residual {herm_residual / factor:.3e}")
     return _solve_stein_schur(*_schur_form(a), q, side=side)
 
 
@@ -221,16 +229,63 @@ def _solve_stein_schur(t: np.ndarray, u, q: np.ndarray, side: str) -> np.ndarray
         kron.flat[:: n * n + 1] += 1.0
         x = np.linalg.solve(kron, x.reshape(n * n)).reshape(n, n)
     else:
-        eye = np.eye(n, dtype=complex)
-        t_rows = np.ascontiguousarray(t.T)  # I - c T^T in C order is I - c T in Fortran order
-        ztrtrs = _lapack()[1]
+        x = _stein_columns(t, tc, x)
+    w = x[rev, rev] if u is None else u @ x @ u.conj().T
+    return 0.5 * w + 0.5 * w.conj().T
+
+
+def _stein_columns(t: np.ndarray, tc: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Kitagawa's column loop: the solution of ``X - T X T* = x``.
+
+    Column ``j``, from the last, solves ``(I - c T) x_j = r_j`` with
+    ``c = conj(t_jj)`` and ``r_j = x_j + sum_{k > j} conj(t_jk) T x_k``,
+    which reads the solved columns right of it.  It is solved as
+    ``(I / c - T) x_j = r_j / c``: column ``j`` of ``x`` and row ``j`` of
+    ``conj T`` are divided by ``c`` before the loop, and one Fortran-order
+    copy of ``-T`` serves every column, with only its diagonal rewritten
+    through a strided view.  ``c == 0`` gives ``x_j = r_j``.  Where a
+    division by ``c`` overflows, a column comes out non-finite, and
+    :func:`_stein_columns_unshifted` solves again in ``x``.
+    """
+    n = t.shape[0]
+    ztrtrs = _lapack()[1]
+    start = x
+    c = tc.diagonal()
+    zero = (c == 0).tolist()
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = np.divide(start, c, order="F")  # a column with c == 0 is not read
+        rows = tc / c[:, None]
+        shifts = (1.0 / c)[:, None] - t.diagonal()  # row j: the diagonal of I / c - T
+        system = np.negative(t, order="F")
+        diagonal = system.T.reshape(-1)[:: n + 1]  # a view: system.T is C-contiguous
         for j in range(n - 1, -1, -1):  # column j is overwritten by its solution, last first
-            rhs = x[:, j] + t @ (x[:, j + 1 :] @ tc[j, j + 1 :])
-            x[:, j], info = ztrtrs((eye - tc[j, j] * t_rows).T, rhs)
+            if zero[j]:
+                x[:, j] = start[:, j] + np.dot(t, np.dot(x[:, j + 1 :], tc[j, j + 1 :]))
+                continue
+            diagonal[:] = shifts[j]
+            x[:, j], info = ztrtrs(system, x[:, j] + np.dot(t, np.dot(x[:, j + 1 :], rows[j, j + 1 :])))
             if info != 0:  # pragma: no cover - the margin keeps every pivot nonzero
                 raise ConvergenceFailure(f"triangular solve failed: LAPACK trtrs info {info}")
-    w = x[rev, rev] if u is None else u @ x @ u.conj().T
-    return 0.5 * (w + w.conj().T)
+    return x if np.isfinite(x).all() else _stein_columns_unshifted(t, tc, start)
+
+
+def _stein_columns_unshifted(t: np.ndarray, tc: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """:func:`_stein_columns` on a fresh ``I - c T`` per column; overwrites ``x``.
+
+    Divides by no ``c``, so it stays finite where only those divisions
+    overflow (entries near 1e300 with a pole of modulus 1e-10, or a
+    subnormal ``c``).
+    """
+    n = t.shape[0]
+    ztrtrs = _lapack()[1]
+    eye = np.eye(n, dtype=complex)
+    t_rows = np.ascontiguousarray(t.T)  # I - c T^T in C order is I - c T in Fortran order
+    for j in range(n - 1, -1, -1):
+        rhs = x[:, j] + t @ (x[:, j + 1 :] @ tc[j, j + 1 :])
+        x[:, j], info = ztrtrs((eye - tc[j, j] * t_rows).T, rhs)
+        if info != 0:  # pragma: no cover - the margin keeps every pivot nonzero
+            raise ConvergenceFailure(f"triangular solve failed: LAPACK trtrs info {info}")
+    return x
 
 
 def hermitian_eig(m):
@@ -239,21 +294,38 @@ def hermitian_eig(m):
     Parameters
     ----------
     m : (n, n) array_like
-        Matrix with ``||M - M*||_F <= HERMITIAN_RTOL * ||M||_F``.
+        Matrix with ``||M - M*||_F <= HERMITIAN_RTOL * ||M||_F``, tested on
+        ``M`` scaled by a power of two (:func:`_hermitian_deviation`).
 
     Returns
     -------
     (eigenvalues, eigenvectors)
         Real eigenvalues in ascending order and a unitary matrix whose
-        columns are the matching eigenvectors.
+        columns are the matching eigenvectors, of ``M / 2 + M* / 2``.
     """
     m = as_complex_matrix(m, "m")
     _require_square(m, "m")
-    norm = float(np.linalg.norm(m))
-    if float(np.linalg.norm(m - m.conj().T)) > HERMITIAN_RTOL * norm:
+    herm_residual, norm, _ = _hermitian_deviation(m)
+    if herm_residual > HERMITIAN_RTOL * norm:
         raise NotHermitian("matrix deviates from Hermitian symmetry beyond tolerance")
-    values, vectors = np.linalg.eigh(0.5 * (m + m.conj().T))
+    values, vectors = np.linalg.eigh(0.5 * m + 0.5 * m.conj().T)
     return values, vectors
+
+
+def _hermitian_deviation(m: np.ndarray) -> tuple:
+    """``(||f M - (f M)*||_F, ||f M||_F, f)`` for a finite square ``M``.
+
+    ``f`` is the power of two that brings the largest real or imaginary
+    part into ``[1/2, 1)`` (at most ``2^1000`` for a tiny matrix, and one
+    for a zero one), so neither norm overflows and neither loses its
+    squares to underflow.  Scaling by a power of two is exact, so a
+    relative test on the scaled norms gives the unscaled test's verdict
+    wherever that one's norms are accurate.
+    """
+    largest = float(np.maximum(np.abs(m.real), np.abs(m.imag)).max(initial=0.0))
+    factor = math.ldexp(1.0, min(-math.frexp(largest)[1], 1000))
+    scaled = m * factor if factor != 1.0 else m
+    return float(np.linalg.norm(scaled - scaled.conj().T)), float(np.linalg.norm(scaled)), factor
 
 
 def spectral_radius(a) -> float:

@@ -49,22 +49,23 @@ STEIN_HERMITIAN_RTOL = 1e-12
 #: Stein pairs up to this order take one dense solve of the ``n^2``
 #: Kronecker system ``(I - T kron conj T) vec X = vec Q``, which is upper
 #: triangular and needs numpy alone; larger orders solve column by column
-#: with LAPACK ``ztrtrs`` (Kitagawa).  The dense cost grows as ``n^6`` and
-#: the column loop's as ``n^3`` plus a Python step per column.  Median
-#: microseconds per side on iso 4x2 cascades, the two paths interleaved in
-#: one process on a 2-vCPU machine:
+#: with LAPACK ``ztrtrs`` (Kitagawa), one shifted diagonal per column.  The
+#: dense cost grows as ``n^6`` and the column loop's as ``n^3`` plus a
+#: Python step per column.  Median microseconds per side on iso 4x2
+#: cascades, the two paths interleaved in one process on a 2-vCPU machine:
 #:
-#: ====== ==== ==== ==== ==== ==== ==== ==== ====
-#: n      1    2    3    4    5    6    7    8
-#: loop   17.1 24.1 29.8 36.0 42.1 47.9 54.9 62.6
-#: dense  19.7 21.5 23.3 27.2 34.9 45.4 64.7 94.3
-#: ====== ==== ==== ==== ==== ==== ==== ==== ====
+#: ===== ==== ==== ==== ==== ==== ==== ==== ==== ===== ===== ===== =====
+#: n     1    2    3    4    5    6    7    8    9     10    11    12
+#: loop  23.6 32.2 36.6 39.2 44.1 45.7 53.1 55.5 57.7  63.2  64.5  72.2
+#: dense 19.5 22.5 25.8 29.0 35.0 46.2 63.8 86.8 131.1 223.5 323.2 458.4
+#: ===== ==== ==== ==== ==== ==== ==== ==== ==== ===== ===== ===== =====
 #:
-#: The loop is faster from order 7, by at most 32 us a side at order 8, but
-#: the dense path loads no scipy, whose ``scipy.linalg`` import (about
-#: 0.27 s) was most of a fresh-process CLI ``check`` or ``gramians`` on a
-#: degree-8 realization.  From order 9 the dense solve costs about twice the
-#: loop (about three times at 10, more than ten times at 16).
+#: The two are even at order 6 and the loop is faster from order 7, by at
+#: most 31 us a side at order 8, but the dense path loads no scipy, whose
+#: ``scipy.linalg`` import (about 0.27 s) was most of a fresh-process CLI
+#: ``check`` or ``gramians`` on a degree-8 realization.  From order 9 the
+#: dense solve costs more than twice the loop (about 3.5 times at 10 and
+#: more than six times at 12).
 #: ``scipy.linalg.solve_discrete_lyapunov`` switches from the same dense
 #: Kronecker solve to a bilinear transform at order 10.
 STEIN_DENSE_ORDER_LIMIT = 8

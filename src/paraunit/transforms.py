@@ -118,9 +118,11 @@ def _cascade_blocks(poles, directions: np.ndarray, constant: np.ndarray, validat
     the projection times ``s_i`` is row ``i`` of ``[A | B]`` right of the
     diagonal, and it gives the rank-one update by ``D_i``.  Column ``i`` of
     ``C``, ``s_i v_i``, is written before the sweep, which changes only the
-    columns right of the step's own.  Directions too large for the sweep
-    overflow silently, and ``StateSpaceRealization`` refuses the non-finite
-    blocks.
+    columns right of the step's own.  The conjugated directions ``v_i*`` and
+    the weighted ones ``(1 + conj(alpha_i)) v_i`` are formed once, as two
+    stacks, before the sweep, so a step makes only its projection and its
+    update.  Directions too large for the sweep overflow silently, and
+    ``StateSpaceRealization`` refuses the non-finite blocks.
     """
     d = len(poles)
     p, m = constant.shape
@@ -144,12 +146,13 @@ def _cascade_blocks(poles, directions: np.ndarray, constant: np.ndarray, validat
     work[:, :d] = (scales[:, None] * directions).T
     work[:, d:] = constant
     with np.errstate(over="ignore", invalid="ignore"):
+        conjugates = directions.conj()
+        weighted = weights[:, None] * directions
         for i in range(d - 1, -1, -1):
-            v = directions[i]
             tail = work[:, i + 1:]
-            projected = v.conj() @ tail
+            projected = conjugates[i] @ tail
             top[i, i + 1:] = scales[i] * projected
-            tail -= (weights[i] * v)[:, None] * projected
+            tail -= weighted[i, :, None] * projected
     return top[:, :d], top[:, d:], work[:, :d], work[:, d:]
 
 
@@ -386,8 +389,11 @@ def ss_to_mfd(ss: StateSpaceRealization, side: str = RIGHT) -> MFDForm:
     ``t = T[j, j]``) turns it into
     ``(z - t) W[:, 1:] + W[:, :1] [T | B][j, j+1:]`` and multiplies the
     denominator by ``z - t``, both scaled by ``1 / max(1, |t|)`` as in
-    :func:`_expand`.  After ``n`` steps ``W`` is the numerator ``N`` over
-    ``den(z) I`` (``I_m`` right, ``I_p`` left), in O(n^2 p (n + m)) time.
+    :func:`_expand`.  A step writes its new coefficient array once, zeroing
+    only its first coefficient, and skips the scaling where ``|t| <= 1``,
+    which is every pole in the closed disk.  After ``n`` steps ``W`` is the
+    numerator ``N`` over ``den(z) I`` (``I_m`` right, ``I_p`` left), in
+    O(n^2 p (n + m)) time.
     No attempt is made to reduce the fraction; the certificate tests
     downstream do not require coprimeness.  Entries too large for the
     sweep raise ``ValueError``: the fraction overflowed.
@@ -401,10 +407,14 @@ def ss_to_mfd(ss: StateSpaceRealization, side: str = RIGHT) -> MFDForm:
             t = a[j, j]
             scale = 1.0 / max(1.0, abs(t))
             # multiply by z - t and add the peeled state: one coefficient more per state
-            out = np.zeros((len(work) + 1, ss.p, work.shape[2] - 1), dtype=complex)
-            out[1:] = work[:, :, 1:]
-            out[:-1] += work[:, :, :1] * top[j, j + 1:] - t * work[:, :, 1:]
-            work = scale * out
+            tail = work[:, :, 1:]
+            out = np.empty((len(work) + 1, ss.p, tail.shape[2]), dtype=complex)
+            out[0] = 0.0
+            out[1:] = tail
+            out[:-1] += work[:, :, :1] * top[j, j + 1:] - t * tail
+            if scale != 1.0:
+                out *= scale
+            work = out
             den = np.convolve(den, [-scale * t, scale])
     return MFDForm._over_scalar(side, work, den)
 

@@ -176,6 +176,38 @@ class TestBlaschkePotapovForm:
                 assert np.allclose(batch[i], form(z), atol=1e-13)
 
 
+def explicit_product(form, z):
+    """``F(z)`` of a product form as ``B_1(z) ... B_d(z)`` and its constant,
+    one ``k x k`` matrix per factor, with ``phi`` written out here."""
+    k = form.factor_dimension
+    chain = np.eye(k, dtype=complex)
+    for pole, v in form.factors:
+        phi = z if pole.is_infinity else (1 - np.conj(pole.value) * z) / (z - pole.value)
+        chain = chain @ (np.eye(k) + (phi - 1) * np.outer(v, v.conj()))
+    return chain @ form.constant if form.side == ISO else form.constant @ chain
+
+
+class TestProductKernel:
+    @pytest.mark.parametrize("side", [ISO, COISO])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("d", [0, 1, 4])
+    @pytest.mark.parametrize("count", [1, 129])
+    def test_matches_the_explicit_product(self, side, k, d, count):
+        # poles anywhere, the origin and infinity included; the points lie
+        # on, inside and outside the circle
+        other = 1 + (k + d) % k
+        p, m = (k, other) if side == ISO else (other, k)
+        form = random_form(1000 * k + 10 * d + count, side, p, m, d)
+        zs = off_circle_probes(k + d, count) if count == 1 else np.concatenate(
+            [circle_points(64), off_circle_probes(k + d, 65)]
+        )
+        values = form.eval_many(zs)
+        assert values.shape == (count, p, m)
+        for z, value in zip(zs, values):
+            expected = explicit_product(form, z)
+            assert np.max(np.abs(value - expected)) <= 1e-13 * max(1.0, np.max(np.abs(expected)))
+
+
 def faulty_factors(rng, k, d):
     """``d`` factors of dimension ``k`` with faults at one to three random
     factors: a pole on the circle or not finite, a direction of the wrong

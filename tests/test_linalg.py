@@ -206,6 +206,46 @@ class TestSolveStein:
             with pytest.raises(NotSchurStable):
                 solve_stein(a, np.eye(len(a)), side=side)
 
+    @pytest.mark.parametrize("case", ["zero", "subnormal", "overflowing"])
+    @pytest.mark.parametrize("side", ["cont", "obs"])
+    def test_column_loop_diagonals_match_scipy(self, monkeypatch, case, side):
+        # order 12 takes the column loop, which divides by each conjugated
+        # diagonal entry c: a zero one is not divided by, and where 1 / c
+        # (subnormal c) or the right-hand side over c (entries near 1e300
+        # with c = 1e-10) overflows, the loop solves again without dividing
+        n = 12
+        rng = np.random.default_rng([n, len(case)])
+        diagonal = 0.9 * rng.uniform(size=n) * np.exp(2j * np.pi * rng.uniform(size=n))
+        diagonal[[2, 7]] = {"zero": 0.0, "subnormal": 1e-310, "overflowing": 1e-10}[case]
+        upper = np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 1)
+        t = np.diag(diagonal) + upper / np.sqrt(n)
+        q = random_psd(rng, n)
+        scale = 1e300 if case == "overflowing" else 1.0
+        again = []
+        unshifted = paraunit.linalg._stein_columns_unshifted
+
+        def counted(*args):
+            again.append(args)
+            return unshifted(*args)
+
+        monkeypatch.setattr(paraunit.linalg, "_stein_columns_unshifted", counted)
+        w = solve_stein(t, scale * q, side=side)
+        reference = scipy.linalg.solve_discrete_lyapunov(t if side == "cont" else t.conj().T, q)
+        assert np.linalg.norm(w / scale - reference) <= 1e-12 * np.linalg.norm(reference)
+        assert len(again) == (case != "zero")
+
+    @pytest.mark.parametrize("n", [2, 12])
+    def test_solution_near_overflow_is_finite(self, n):
+        # W = Q / (1 - 1/4) = 1.33e308: the symmetrization must not add
+        # two such entries before halving them
+        w = solve_stein(0.5 * np.eye(n), 1e308 * np.eye(n))
+        np.testing.assert_allclose(w, np.eye(n) * (1e308 / 0.75), rtol=1e-15, atol=0.0)
+
+    def test_rejects_non_hermitian_near_overflow(self):
+        # ||Q||_F overflows unless the test scales Q first
+        with pytest.raises(NotHermitian):
+            solve_stein(0.5 * np.eye(2), [[1e308, 1e300], [0.0, 1e308]])
+
 
 class TestHermitianEig:
     def test_identity(self):
@@ -236,6 +276,25 @@ class TestHermitianEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            [[1e308, 1e300], [0.0, 1e308]],
+            [[1e-160, 1e-168], [0.0, 1e-160]],
+            [[5e-324, 5e-324], [0.0, 5e-324]],
+        ],
+    )
+    def test_rejects_non_hermitian_at_any_scale(self, m):
+        # ||M||_F overflows near 1e308, and its squares underflow to zero
+        # from about 1e-160, unless the test scales M first
+        with pytest.raises(NotHermitian):
+            hermitian_eig(m)
+
+    def test_hermitian_near_overflow_has_finite_eigenvalues(self):
+        values, vectors = hermitian_eig([[1e308, 1e300], [1e300, 1e308]])
+        np.testing.assert_allclose(values, [1e308 - 1e300, 1e308 + 1e300], rtol=1e-15)
+        assert np.isfinite(vectors).all()
 
 
 class TestSpectralRadius:
