@@ -26,35 +26,48 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import importlib
 import math
 import os
 import sys
 
 import numpy as np
 
-from .analysis import (
-    circle_residual,
-    gramian_certificate,
-    laurent_check,
-    mfd_check,
-    realization_check,
-)
 from .documents import kind_of, read_document, write_document
 from .errors import DocumentError, NotSchurStable, SideMismatch
-from .fit import fit_lossless
 from .forms import COISO, ISO, LEFT, RIGHT, evaluate
 # perfbench/tracing.py shims cli.spectral_radius, so the name stays importable here
 from .linalg import spectral_radius  # noqa: F401
-from .params import build_paraunitary, random_params
-from .transforms import (
-    allpass_embed,
-    bp_to_laurent,
-    bp_to_mfd,
-    bp_to_realization,
-    embed_to_square,
-    flip_poles,
-    ss_to_mfd,
-)
+
+
+def _deferred(module: str, name: str):
+    """Stand-in for ``name`` of the package's ``module`` that imports the
+    module on its first call, so that a command loads only what it runs."""
+
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(f"{__package__}.{module}"), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+# module attributes that the commands call through, as perfbench/tracing.py
+# shims them here
+circle_residual = _deferred("analysis", "circle_residual")
+gramian_certificate = _deferred("analysis", "gramian_certificate")
+laurent_check = _deferred("analysis", "laurent_check")
+mfd_check = _deferred("analysis", "mfd_check")
+realization_check = _deferred("analysis", "realization_check")
+fit_lossless = _deferred("fit", "fit_lossless")
+build_paraunitary = _deferred("params", "build_paraunitary")
+random_params = _deferred("params", "random_params")
+allpass_embed = _deferred("transforms", "allpass_embed")
+bp_to_laurent = _deferred("transforms", "bp_to_laurent")
+bp_to_mfd = _deferred("transforms", "bp_to_mfd")
+bp_to_realization = _deferred("transforms", "bp_to_realization")
+embed_to_square = _deferred("transforms", "embed_to_square")
+flip_poles = _deferred("transforms", "flip_poles")
+ss_to_mfd = _deferred("transforms", "ss_to_mfd")
 
 
 def _format_real(x: float) -> str:

@@ -10,13 +10,16 @@ write/read round trip bit-exactly.
 
 Each payload field is written down once, in ``_KIND_TABLE``: its key, its
 codec and, where it is not the attribute of that name, the getter of its
-value.  A codec is a pair ``(write, read)`` for one JSON value type:
-``write`` turns a value into JSON, and ``read`` is what ``_read`` takes, a
-JSON type name or a decoder.  There is one for plain strings, integers and
-numbers, complex scalars, matrices and poles, and the combinators ``_list``
-and ``_record`` build the others from them.  Writing and reading
-a document are two loops over the one table, in the order of the class's
-constructor arguments, with no step of their own for any kind.
+value.  The table names each kind's class by its module, which is imported
+only to read a document of that kind, so a command that reads no ``params``
+or ``samples`` document loads neither ``params`` nor ``fit``.  A codec is a
+pair ``(write, read)`` for one JSON value type: ``write`` turns a value into
+JSON, and ``read`` is what ``_read`` takes, a JSON type name or a decoder.
+There is one for plain strings, integers and numbers, complex scalars,
+matrices and poles, and the combinators ``_list`` and ``_record`` build the
+others from them.  Writing and reading a document are two loops over the
+one table, in the order of the class's constructor arguments, with no step
+of their own for any kind.
 
 Reading checks the JSON type of every field: ``p``, ``m``, ``d``, ``q``,
 ``rows`` and ``cols`` are integers, every other number is a finite float or
@@ -28,21 +31,15 @@ constructor that refuses a decoded value into :class:`DocumentError` too.
 
 from __future__ import annotations
 
+import importlib
 import json
 import sys
+from operator import methodcaller
 
 import numpy as np
 
 from .errors import DocumentError
-from .fit import SampleSet
-from .forms import (
-    BlaschkePotapovForm,
-    LaurentPolyForm,
-    MFDForm,
-    Pole,
-    StateSpaceRealization,
-)
-from .params import ParaunitaryParam
+from .forms import Pole
 
 FORMAT_VERSION = "paraunit/1"
 
@@ -172,33 +169,33 @@ _NUMBER = (float, "number")
 _MATRIX = (_encode_matrix, _decode_matrix)
 _POLE = (_encode_pole, _decode_pole)
 
-# kind -> (class, payload fields in the order of the class's constructor
-# arguments).  A field ``(key, codec)`` is the object's attribute ``key``,
-# and a field ``(key, codec, getter)`` is ``getter(obj)``.
+# kind -> (module, class, payload fields in the order of the class's
+# constructor arguments).  A field ``(key, codec)`` is the object's
+# attribute ``key``, and a field ``(key, codec, getter)`` is ``getter(obj)``.
 _KIND_TABLE = {
-    "bp": (BlaschkePotapovForm, (
+    "bp": ("forms", "BlaschkePotapovForm", (
         ("side", _STRING),
         ("p", _INTEGER),
         ("m", _INTEGER),
         ("factors", _list(_record(("pole", _POLE), ("direction", _MATRIX)))),
         ("constant", _MATRIX),
     )),
-    "ss": (StateSpaceRealization, (
+    "ss": ("forms", "StateSpaceRealization", (
         ("a", _MATRIX),
         ("b", _MATRIX),
         ("c", _MATRIX),
         ("d", _MATRIX),
     )),
-    "mfd": (MFDForm, (
+    "mfd": ("forms", "MFDForm", (
         ("side", _STRING),
         ("num", _list(_MATRIX)),
         ("den", _list(_MATRIX)),
     )),
-    "laurent": (LaurentPolyForm, (
+    "laurent": ("forms", "LaurentPolyForm", (
         ("q", _INTEGER),
         ("coeffs", _list(_MATRIX)),
     )),
-    "params": (ParaunitaryParam, (
+    "params": ("params", "ParaunitaryParam", (
         ("side", _STRING),
         ("p", _INTEGER),
         ("m", _INTEGER),
@@ -207,8 +204,8 @@ _KIND_TABLE = {
         ("directions", _list(_list(_NUMBER))),
         ("frame", _list(_NUMBER)),
     )),
-    "samples": (SampleSet, (
-        ("points", _list(_record(("z", _COMPLEX), ("value", _MATRIX))), SampleSet.pairs),
+    "samples": ("fit", "SampleSet", (
+        ("points", _list(_record(("z", _COMPLEX), ("value", _MATRIX))), methodcaller("pairs")),
     )),
 }
 KINDS = tuple(_KIND_TABLE)
@@ -216,15 +213,17 @@ KINDS = tuple(_KIND_TABLE)
 
 def kind_of(obj) -> str:
     """Document kind string for a serializable object."""
-    for kind, (cls, _) in _KIND_TABLE.items():
-        if isinstance(obj, cls):
+    for kind, (module, name, _) in _KIND_TABLE.items():
+        # a class whose module is not loaded has no instances
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None and isinstance(obj, getattr(loaded, name)):
             return kind
     raise DocumentError(f"cannot serialize object of type {type(obj).__name__}")
 
 
 def encode_document(obj) -> dict:
     kind = kind_of(obj)
-    _, fields = _KIND_TABLE[kind]
+    _, _, fields = _KIND_TABLE[kind]
     payload = {key: write(get[0](obj) if get else getattr(obj, key)) for key, (write, _), *get in fields}
     return {"format_version": FORMAT_VERSION, "kind": kind, "payload": payload}
 
@@ -242,7 +241,8 @@ def decode_document(data: dict):
     payload = data.get("payload")
     if not isinstance(payload, dict):
         raise DocumentError("payload: missing or not an object")
-    cls, fields = _KIND_TABLE[kind]
+    module, name, fields = _KIND_TABLE[kind]
+    cls = getattr(importlib.import_module(f"{__package__}.{module}"), name)
     return cls(*(_field(payload, key, "payload", read) for key, (_, read), *_ in fields))
 
 

@@ -164,18 +164,30 @@ def _finite_blaschke_values(alphas, zs: np.ndarray) -> np.ndarray:
     Row ``j`` of the ``(d, N)`` result holds the factor of ``alphas[j]`` at
     every point of ``zs``.  A point within ``EVAL_POLE_MARGIN`` of a pole
     raises ``EvalAtPole`` naming the first such pole in the order given.
+
+    When a point has a real or imaginary part of modulus 2 or more, the
+    batch scales numerator and denominator at each point by the power of
+    two that brings the point's larger part below 2, so that neither they
+    nor the division overflow at any finite point; a point whose parts are
+    below 2 (the closed unit disk included) keeps its bits either way.
     """
     alphas = np.asarray(alphas, dtype=complex)[:, None]
     # the points enter as a row: numpy runs a (1, 1) by (1,) product through
     # a loop that rounds otherwise than a batch's (which may fuse
     # multiply-adds), so a lone point would not match its batch value
-    zs = zs[None, :]
-    offsets = zs - alphas
-    near = (np.abs(offsets) <= EVAL_POLE_MARGIN).any(axis=1)
+    zs = np.ascontiguousarray(zs)[None, :]
+    parts = np.abs(zs.view(float))
+    scale, shifted = 1.0, alphas
+    if not parts.max(initial=0.0) < 2.0:
+        exponents = np.frexp(parts.reshape(1, -1, 2).max(axis=2))[1]
+        scale = np.ldexp(1.0, np.minimum(1 - exponents, 0))
+        zs, shifted = zs * scale, alphas * scale
+    offsets = zs - shifted
+    near = (np.abs(offsets) <= EVAL_POLE_MARGIN * scale).any(axis=1)
     if near.any():
         alpha = complex(alphas[np.argmax(near), 0])
         raise EvalAtPole(f"a point is within {EVAL_POLE_MARGIN:.0e} of pole {alpha}")
-    return (1.0 - alphas.conj() * zs) / offsets
+    return (scale - alphas.conj() * zs) / offsets
 
 
 def _points(zs) -> np.ndarray:
@@ -477,7 +489,11 @@ class StateSpaceRealization(_Form):
             raise EvalAtPole(f"{z} is within {EVAL_POLE_MARGIN:.0e} of a pole of A")
         if self.schur[1] is None:
             return out + _triangular_transfer(self.a, self.b, self.c, zs)
-        resolvent = np.linalg.solve(zs[:, None, None] * np.eye(self.n) - self.a, self.b)
+        # numpy's complex product z * I raises the overflow flag once |z|
+        # nears the float range, though every entry it writes is exact
+        with np.errstate(over="ignore"):
+            shifts = zs[:, None, None] * np.eye(self.n)
+        resolvent = np.linalg.solve(shifts - self.a, self.b)
         return out + self.c @ resolvent
 
     def transpose(self) -> "StateSpaceRealization":
@@ -509,9 +525,13 @@ def _triangular_transfer(a, b, c, zs: np.ndarray) -> np.ndarray:
     n, m = b.shape
     x = np.empty((n, m, zs.size), dtype=complex)
     flat = x.reshape(n, -1)
-    for i in range(n - 1, -1, -1):
-        coupled = (a[i, i + 1:] @ flat[i + 1:]).reshape(m, zs.size)
-        x[i] = (b[i][:, None] + coupled) / (zs - a[i, i])
+    # a point so far out that |z - a_ii| nears the float range overflows
+    # the divisor's scaling inside numpy's division; that row of X, at most
+    # 2 |B[i] + A[i, i+1:] X[i+1:]| / 1.8e308 in modulus, then reads 0
+    with np.errstate(over="ignore"):
+        for i in range(n - 1, -1, -1):
+            coupled = (a[i, i + 1:] @ flat[i + 1:]).reshape(m, zs.size)
+            x[i] = (b[i][:, None] + coupled) / (zs - a[i, i])
     return (c @ flat).reshape(c.shape[0], m, zs.size).transpose(2, 0, 1)
 
 

@@ -94,6 +94,12 @@ class TestBlaschkeScalar:
             for z, value in zip(zs, batch):
                 assert blaschke_scalar(pole, z) == value
 
+    @pytest.mark.parametrize("alpha", [0.5 + 0.3j, 2.0 - 1.0j])
+    def test_far_points_reach_the_limit(self, alpha):
+        # phi(z) -> -conj(alpha) as |z| grows, up to the largest float
+        far = np.array([1e300 * (1 + 1j), 1e308 * (1 + 1j), -1.7e308 + 1.7e308j, 1.7e308])
+        assert np.allclose(blaschke_scalar(Pole(alpha), far), -np.conj(alpha), rtol=1e-15, atol=0)
+
     def test_eval_at_pole(self):
         # the same margin as every form's eval_many
         for z in (0.5, 0.5 + 1e-10):
@@ -469,6 +475,20 @@ class TestCrossFormAgreement:
         reference = form.eval_many(probes)
         assert np.max(np.linalg.norm(ss.eval_many(probes) - reference, axis=(1, 2))) <= 1e-9
         assert np.max(np.linalg.norm(mfd.eval_many(probes) - reference, axis=(1, 2))) <= 1e-9
+
+    @pytest.mark.parametrize("side, p, m, d", [(ISO, 3, 2, 8), (COISO, 2, 3, 8), (ISO, 3, 2, 3)])
+    def test_product_and_realization_hold_their_limit_near_overflow(self, side, p, m, d):
+        # at 1e308 (1 + i) the kernel's division overflowed, and the iso d8
+        # product's (0, 0) entry read 0.0351+0.0155j for 0.1665-0.0382j; a
+        # triangular realization warned, and so did a dense one of odd order
+        form = random_form(5, side, p, m, d, schur_only=True)
+        ss = bp_to_realization(form)
+        v = random_unitary(np.random.default_rng(5), ss.n)
+        dense = StateSpaceRealization(v @ ss.a @ v.conj().T, v @ ss.b, ss.c @ v.conj().T, ss.d)
+        reference = form(1e300 * (1 + 1j))
+        for evaluated in (form, ss, dense):
+            value = evaluated(1e308 * (1 + 1j))
+            assert np.linalg.norm(value - reference) <= 1e-12 * np.linalg.norm(reference)
 
     def test_fir_bp_matches_laurent(self):
         form = fir_form(8)

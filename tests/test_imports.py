@@ -1,4 +1,5 @@
-"""scipy is loaded only by the code that calls it.
+"""scipy, and each of the package's own modules, is loaded only by the code
+that calls it.
 
 Importing scipy.linalg and scipy.optimize costs more than most CLI commands
 take, so the package imports them inside the functions that run them: the
@@ -14,9 +15,22 @@ to that order (one dense numpy solve), multiplying it out into a fraction
 and identifying a fit's poles (one standard eigenproblem) need numpy alone,
 so the CLI pipeline ``generate → convert → check`` on a degree-8 form loads
 no scipy module.
+
+The package's own modules load the same way.  ``import paraunit`` loads
+none of them: a public name loads its module on first access (PEP 562),
+and ``cli`` and ``documents`` load ``analysis``, ``transforms``, ``params``
+and ``fit`` only when a command, or a ``params`` or ``samples`` document,
+needs them.  Every command loads ``cli``, ``documents``, ``forms``,
+``linalg``, ``errors`` and ``tolerances``; beyond those ``generate`` adds
+``params``, ``check`` and ``gramians`` add ``analysis``, ``convert``,
+``flip`` and ``embed`` add ``transforms``, ``eval`` adds nothing, and
+``fit`` adds ``fit`` and ``params``.  An interpreter without a bytecode
+cache compiles each module it loads, so a CLI child pays for the modules
+its command runs and no others.
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -45,24 +59,41 @@ PACKAGE = Path(paraunit.__file__).parent
 CHILD = """
 import json, sys
 import paraunit, paraunit.cli
-for argv in json.loads(sys.argv[1]):
-    code = paraunit.cli.execute(argv)
-    if code != 0:
-        sys.exit(f"{argv} exited {code}")
-print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
+codes = [paraunit.cli.execute(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
 """
+
+
+def run_python(source, *args):
+    """Standard output of a fresh interpreter running ``source`` on ``args``."""
+    paths = [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    result = subprocess.run(
+        [sys.executable, "-c", source, *args], capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def run_child(*commands):
+    """Exit codes of the CLI commands run in turn by a fresh interpreter,
+    and every module it loaded."""
+    report = json.loads(run_python(CHILD, json.dumps([list(argv) for argv in commands])).splitlines()[-1])
+    return report["codes"], report["modules"]
 
 
 def scipy_modules_after(*commands):
     """scipy modules loaded by a fresh interpreter that runs the CLI commands."""
-    paths = [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    result = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps([list(argv) for argv in commands])],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    return json.loads(result.stdout.splitlines()[-1])
+    codes, modules = run_child(*commands)
+    assert codes == [0] * len(commands), list(zip(commands, codes))
+    return [name for name in modules if name.split(".")[0] == "scipy"]
+
+
+def package_modules_after(argv):
+    """Exit code of the CLI command run by a fresh interpreter, and the
+    ``paraunit`` submodules it loaded."""
+    (code,), modules = run_child(argv)
+    return code, {name.partition(".")[2] for name in modules if name.startswith("paraunit.")}
 
 
 def generate(path, degree=3):
@@ -166,3 +197,80 @@ def test_no_module_imports_scipy_at_import_time():
                 f"{path.name}:{node.lineno}: {name}" for name in names if name.split(".")[0] == "scipy"
             ]
     assert offenders == []
+
+
+#: Modules every CLI command loads: the parser, the documents and the forms
+#: they decode to.
+CLI_BASE = {"cli", "documents", "errors", "forms", "linalg", "tolerances"}
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    """The documents of perfbench's cli_pipeline, a malformed one and a
+    ``samples`` document, written in-process; name -> path."""
+    from paraunit.cli import execute
+
+    work = tmp_path_factory.mktemp("documents")
+    names = ("bp", "ss", "mfd", "flip_src", "flip_out", "bad", "samples")
+    paths = {name: str(work / f"{name}.json") for name in names}
+    for argv in (
+        ["generate", "--seed", "11", "-d", "8", "-p", "3", "-m", "2", "--schur", "-o", paths["bp"]],
+        ["convert", paths["bp"], "--to", "ss", "-o", paths["ss"]],
+        ["convert", paths["ss"], "--to", "mfd", "-o", paths["mfd"]],
+        ["generate", "--seed", "12", "-d", "4", "-p", "2", "-m", "2", "-o", paths["flip_src"]],
+        ["flip", paths["flip_src"], "-o", paths["flip_out"]],
+    ):
+        assert execute(argv) == 0
+    # a bp document without its factors and constant
+    Path(paths["bad"]).write_text('{"format_version": "paraunit/1", "kind": "bp", "payload": {"side": "iso", "p": 2}}')
+    target = build_paraunitary(random_params(17, ISO, 2, 1, 1, schur_only=True))
+    zs = circle_points(32)
+    write_document(paths["samples"], SampleSet(list(zip(zs, target.eval_many(zs)))))
+    return paths
+
+
+@pytest.mark.parametrize("command, code, added", [
+    # perfbench's cli_pipeline calls, in its order
+    pytest.param("generate --seed 11 -d 8 -p 3 -m 2 --schur -o {out}", 0, {"params"}, id="generate"),
+    pytest.param("check {bp}", 0, {"analysis"}, id="check-bp"),
+    pytest.param("convert {bp} --to ss -o {out}", 0, {"transforms"}, id="convert-ss"),
+    pytest.param("check {ss}", 0, {"analysis"}, id="check-ss"),
+    pytest.param("convert {ss} --to mfd -o {out}", 0, {"transforms"}, id="convert-mfd"),
+    pytest.param("check {mfd}", 0, {"analysis"}, id="check-mfd"),
+    pytest.param("gramians {ss}", 0, {"analysis"}, id="gramians"),
+    pytest.param("eval {bp} --at 0.3,0.2", 0, set(), id="eval"),
+    pytest.param("generate --seed 12 -d 4 -p 2 -m 2 -o {out}", 0, {"params"}, id="generate-flip-source"),
+    pytest.param("flip {flip_src} -o {out}", 0, {"transforms"}, id="flip"),
+    pytest.param("check {flip_out}", 0, {"analysis"}, id="check-flipped"),
+    pytest.param("check {bad}", 2, set(), id="check-malformed"),
+    # commands the pipeline does not run
+    pytest.param("embed {bp} -o {out}", 0, {"transforms"}, id="embed"),
+    pytest.param("fit {samples} --degree 1", 0, {"fit", "params"}, id="fit"),
+])
+def test_each_command_loads_only_the_modules_it_runs(documents, tmp_path, command, code, added):
+    argv = [arg.format(out=tmp_path / "out.json", **documents) for arg in command.split()]
+    assert package_modules_after(argv) == (code, CLI_BASE | added)
+
+
+def test_bare_import_loads_no_package_module():
+    loaded = json.loads(run_python("import json, sys, paraunit; print(json.dumps(sorted(sys.modules)))"))
+    assert [name for name in loaded if name.startswith("paraunit.")] == []
+
+
+def test_public_names_resolve_to_their_modules():
+    for name in paraunit.__all__:
+        value = getattr(paraunit, name)
+        assert value is getattr(importlib.import_module(f"paraunit.{paraunit._MODULE_OF[name]}"), name), name
+        # a resolved name is a plain global from then on
+        assert vars(paraunit)[name] is value
+    assert set(paraunit.__all__) <= set(dir(paraunit))
+    namespace = {}
+    exec("from paraunit import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(paraunit.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        paraunit.no_such_name
+
+
+def test_submodules_resolve_after_a_bare_import():
+    source = "import paraunit, sys; print(paraunit.analysis is sys.modules['paraunit.analysis'])"
+    assert run_python(source).split() == ["True"]
